@@ -7,8 +7,9 @@ created with ``requires_grad=True``.
 
 The op set is deliberately small: elementwise arithmetic, matmul,
 embedding gather / indexing, softmax, layer norm, GELU/tanh, sigmoid,
-log/exp, cosine similarity, and sum/mean reductions. Everything runs in
-the dtype of its inputs (float64 by default throughout the package).
+log/exp, row-pair cosine similarity (``cosine_pairs``), and sum/mean
+reductions. Everything runs in the dtype of its inputs (float64 by default
+throughout the package).
 
 Division propagates gradients through the already-computed quotient
 (``d(a/b)/db = -(a/b)/b``) rather than recomputing ``a/b**2``; besides
@@ -87,8 +88,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh array (never an alias of g, which add() hands to both
+            # parents), with the bits of zeros + g: -0.0 becomes +0.0
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self):
         """Backpropagate from this scalar through the recorded graph."""
@@ -467,33 +471,40 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _make(out_data, (x, gamma, beta), backward)
 
 
-def cosine(a, b) -> Tensor:
-    """Cosine similarity of two 1-D vectors.
+def cosine_pairs(a, left, right) -> Tensor:
+    """Cosine similarity of the row pairs ``(a[left[p]], a[right[p]])``, shape [P].
 
-    Identical inputs yield exactly 1.0 (their true cosine), with the
+    Gives the bits of one scalar cosine per pair: each row norm is
+    ``np.linalg.norm`` of that row and each pair's dot the 1-D ``x @ y``
+    BLAS call (a Gram matrix ``a @ a.T`` runs dgemm, whose bits differ).
+    Identical rows yield exactly 1.0 (their true cosine), with the
     correspondingly exact zero gradient, instead of a value one rounding
-    step away from 1.
+    step away from 1. The backward pass scatters the pair gradients in the
+    order ``left[0], right[0], left[1], right[1], ...``.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("cosine expects 1-D vectors")
-    na = np.linalg.norm(a.data)
-    nb = np.linalg.norm(b.data)
-    if na == 0.0 or nb == 0.0:
+    a = _as_tensor(a)
+    left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
+    if a.ndim != 2 or left.ndim != 1 or left.shape != right.shape:
+        raise ValueError("cosine_pairs expects a 2-D tensor and two equal-length index vectors")
+    norms = np.array([np.linalg.norm(row) for row in a.data])
+    nl, nr = norms[left], norms[right]
+    if np.any(nl == 0.0) or np.any(nr == 0.0):
         raise NumericError("cosine similarity undefined for zero-norm vector")
-    if np.array_equal(a.data, b.data):
-        c = 1.0
-    else:
-        c = float(a.data @ b.data) / (na * nb)
-    out_data = np.asarray(c)
+    x, y = a.data[left], a.data[right]
+    dots = np.array([u @ v for u, v in zip(x, y)])
+    c = np.where(np.all(x == y, axis=1), 1.0, dots / (nl * nr))
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (b.data / (na * nb) - c * a.data / (na * na)))
-        if b.requires_grad:
-            b._accumulate(g * (a.data / (na * nb) - c * b.data / (nb * nb)))
+            gp, cp, nlr = g[:, None], c[:, None], (nl * nr)[:, None]
+            gx = gp * (y / nlr - cp * x / (nl * nl)[:, None])
+            gy = gp * (x / nlr - cp * y / (nr * nr)[:, None])
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, np.stack([left, right], axis=1).ravel(),
+                      np.stack([gx, gy], axis=1).reshape(-1, a.data.shape[1]))
 
-    return _make(out_data, (a, b), backward)
+    return _make(c, (a,), backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValidationError(f"lr must be positive, got {self.lr}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.init_mode not in INIT_MODES:
             raise ValidationError(f"unknown init_mode {self.init_mode!r}")
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NumericError
 from .model import MlmModel, forward, mask_hidden
 from .vocab import EncodedPrompt, Verbalizer
 
@@ -65,11 +64,9 @@ def per_view_label_probs(logits: Tensor, prompt: EncodedPrompt,
     of relation y's j-th virtual word; rows therefore need not sum to one
     across relations.
     """
-    rows = []
-    for j in range(1, prompt.m + 1):
-        row = ad.softmax(ad.index(logits, prompt.mask_positions[j - 1]))
-        rows.append(ad.index(row, verbalizer.view_ids(j)))
-    return ad.stack(rows)
+    probs = ad.softmax(ad.index(logits, np.asarray(prompt.mask_positions)))
+    ids = np.stack([verbalizer.view_ids(j) for j in range(1, prompt.m + 1)])
+    return ad.index(probs, (np.arange(prompt.m)[:, None], ids))
 
 
 def view_scores(model: MlmModel, head: ViewPosteriorHead, prompt: EncodedPrompt,
@@ -89,14 +86,11 @@ def view_scores(model: MlmModel, head: ViewPosteriorHead, prompt: EncodedPrompt,
 
 def mvdl_loss(scores: ViewScores, y: int, eps: float = MVDL_EPS) -> Tensor:
     """Multi-view decoupled NLL for one example: sum_j -log(p_j * q_j(y) + eps)."""
-    m, n_rel = scores.per_view.shape
+    n_rel = scores.per_view.shape[1]
     if not (0 <= y < n_rel):
         raise IndexError(f"relation index {y} out of range [0, {n_rel})")
-    terms = []
-    for j in range(m):
-        joint = ad.index(scores.posterior, j) * ad.index(scores.per_view, (j, y))
-        terms.append(-ad.log(joint + eps))
-    return ad.tsum(ad.stack(terms))
+    joint = scores.posterior * scores.per_view[:, y]
+    return ad.tsum(-ad.log(joint + eps))
 
 
 def mvdl_dataset_loss(all_scores: list[ViewScores], labels: list[int],
@@ -112,10 +106,23 @@ def verbalizer_embeddings(model: MlmModel, verbalizer: Verbalizer) -> Tensor:
     return ad.embedding(model.token_embed, verbalizer.all_ids())
 
 
-def _check_norms(emb: Tensor):
-    norms = np.linalg.norm(emb.data, axis=-1)
-    if np.any(norms == 0.0):
-        raise NumericError("virtual-word embedding with zero norm")
+def _group_cosines(emb: Tensor, groups: np.ndarray) -> Tensor:
+    """Cosines of every ordered pair of rows within each group, diagonal included.
+
+    ``groups`` holds one group of row indices per row; pairs run group by
+    group, then first member, then second member.
+    """
+    if emb.ndim != 2 or emb.shape[0] != groups.size:
+        raise ValueError(f"embedding matrix shape {emb.shape} mismatches "
+                         f"{groups.size} virtual words")
+    k = groups.shape[1]
+    return ad.cosine_pairs(emb, np.repeat(groups, k, axis=1).ravel(),
+                           np.tile(groups, (1, k)).ravel())
+
+
+def _grid(n_relations: int, m: int) -> np.ndarray:
+    """Row index of each virtual word in the embedding matrix, [relation, view]."""
+    return np.arange(n_relations * m).reshape(n_relations, m)
 
 
 def local_loss(emb: Tensor, n_relations: int, m: int) -> Tensor:
@@ -125,32 +132,14 @@ def local_loss(emb: Tensor, n_relations: int, m: int) -> Tensor:
     lies in [-1, 1] and equals -1 exactly when each relation's views are
     collinear copies.
     """
-    if emb.ndim != 2 or emb.shape[0] != n_relations * m:
-        raise ValueError(f"embedding matrix shape {emb.shape} mismatches "
-                         f"{n_relations} relations x {m} views")
-    _check_norms(emb)
-    terms = []
-    for r in range(n_relations):
-        for i in range(m):
-            for j in range(m):
-                terms.append(ad.cosine(emb[r * m + i], emb[r * m + j]))
-    total = ad.tsum(ad.stack(terms))
+    total = ad.tsum(_group_cosines(emb, _grid(n_relations, m)))
     # divide, don't multiply by a reciprocal: collinear views then give -1 exactly
     return -(total / (n_relations * m * m))
 
 
 def global_loss(emb: Tensor, n_relations: int, m: int) -> Tensor:
     """Mean same-view cosine across relation pairs (diagonal included)."""
-    if emb.ndim != 2 or emb.shape[0] != n_relations * m:
-        raise ValueError(f"embedding matrix shape {emb.shape} mismatches "
-                         f"{n_relations} relations x {m} views")
-    _check_norms(emb)
-    terms = []
-    for i in range(m):
-        for ru in range(n_relations):
-            for rv in range(n_relations):
-                terms.append(ad.cosine(emb[ru * m + i], emb[rv * m + i]))
-    total = ad.tsum(ad.stack(terms))
+    total = ad.tsum(_group_cosines(emb, _grid(n_relations, m).T))
     return total / (n_relations * n_relations * m)
 
 

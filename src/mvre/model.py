@@ -24,6 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
+from .errors import ValidationError
 from .vocab import EncodedPrompt, Vocab, encode_sentence
 
 logger = logging.getLogger(__name__)
@@ -49,6 +50,34 @@ class ModelConfig:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
 
 
+def param_table(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Name -> (shape, initializer) of every parameter, in creation order.
+
+    The initializer is ``normal`` (drawn from the model seed), ``zeros`` or
+    ``ones``; the draw order of the ``normal`` entries fixes the model bits.
+    """
+    d, v = config.d, config.vocab_size
+    table = {"token_embed": ((v, d), "normal"),
+             "pos_embed": ((config.max_len, d), "normal")}
+    for i in range(config.n_layers):
+        b = f"blocks.{i}."
+        table[b + "ln1.gamma"] = ((d,), "ones")
+        table[b + "ln1.beta"] = ((d,), "zeros")
+        for w in "qkvo":
+            table[b + f"attn.w{w}"] = ((d, d), "normal")
+            table[b + f"attn.b{w}"] = ((d,), "zeros")
+        table[b + "ln2.gamma"] = ((d,), "ones")
+        table[b + "ln2.beta"] = ((d,), "zeros")
+        table[b + "ffn.w1"] = ((d, 4 * d), "normal")
+        table[b + "ffn.b1"] = ((4 * d,), "zeros")
+        table[b + "ffn.w2"] = ((4 * d, d), "normal")
+        table[b + "ffn.b2"] = ((d,), "zeros")
+    table["final_norm.gamma"] = ((d,), "ones")
+    table["final_norm.beta"] = ((d,), "zeros")
+    table["head_bias"] = ((v,), "zeros")
+    return table
+
+
 class MlmModel:
     """Parameter store plus forward pass. Parameters live in a flat name->Tensor map."""
 
@@ -57,43 +86,11 @@ class MlmModel:
         self.config = config
         dtype = np.dtype(config.dtype)
         rng = np.random.default_rng(seed)
-        s = config.init_scale
-        d = config.d
-
-        def randn(*shape):
-            return ad.parameter(rng.normal(0.0, s, size=shape).astype(dtype))
-
-        def zeros(*shape):
-            return ad.parameter(np.zeros(shape, dtype=dtype))
-
-        def ones(*shape):
-            return ad.parameter(np.ones(shape, dtype=dtype))
-
-        p: dict[str, Tensor] = {}
-        p["token_embed"] = randn(config.vocab_size, d)
-        p["pos_embed"] = randn(config.max_len, d)
-        for i in range(config.n_layers):
-            b = f"blocks.{i}."
-            p[b + "ln1.gamma"] = ones(d)
-            p[b + "ln1.beta"] = zeros(d)
-            p[b + "attn.wq"] = randn(d, d)
-            p[b + "attn.bq"] = zeros(d)
-            p[b + "attn.wk"] = randn(d, d)
-            p[b + "attn.bk"] = zeros(d)
-            p[b + "attn.wv"] = randn(d, d)
-            p[b + "attn.bv"] = zeros(d)
-            p[b + "attn.wo"] = randn(d, d)
-            p[b + "attn.bo"] = zeros(d)
-            p[b + "ln2.gamma"] = ones(d)
-            p[b + "ln2.beta"] = zeros(d)
-            p[b + "ffn.w1"] = randn(d, 4 * d)
-            p[b + "ffn.b1"] = zeros(4 * d)
-            p[b + "ffn.w2"] = randn(4 * d, d)
-            p[b + "ffn.b2"] = zeros(d)
-        p["final_norm.gamma"] = ones(d)
-        p["final_norm.beta"] = zeros(d)
-        p["head_bias"] = zeros(config.vocab_size)
-        self._params = p
+        make = {"normal": lambda shape: rng.normal(0.0, config.init_scale, size=shape),
+                "zeros": np.zeros, "ones": np.ones}
+        self._params: dict[str, Tensor] = {
+            name: ad.parameter(make[init](shape).astype(dtype))
+            for name, (shape, init) in param_table(config).items()}
 
     def params(self) -> dict[str, Tensor]:
         return self._params
@@ -284,6 +281,8 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     """
     if not corpus.instances:
         raise ValueError("pretraining corpus is empty")
+    if config.batch_size < 1:
+        raise ValidationError(f"pretrain batch_size must be >= 1, got {config.batch_size}")
     rng = np.random.default_rng([config.seed, 0xA11])
     encoded = [encode_sentence(inst, vocab) for inst in corpus.instances]
     n_hold = int(round(len(encoded) * config.holdout_fraction))
@@ -302,10 +301,10 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
             ids = train_set[int(bi)]
             corrupted, positions, targets = _apply_mlm_mask(ids, vocab, config.mask_rate, rng)
             _, logits = forward_ids(model, corrupted)
-            for pos, target in zip(positions, targets):
-                row = ad.softmax(ad.index(logits, int(pos)))
-                terms.append(-ad.log(ad.index(row, int(target)) + 1e-12))
-        loss = ad.tmean(ad.stack(terms))
+            probs = ad.softmax(ad.index(logits, positions))
+            picked = ad.index(probs, (np.arange(len(positions)), targets))
+            terms.append(-ad.log(picked + 1e-12))
+        loss = ad.tmean(ad.concat(terms))
         grads = ad.grad(loss, model.params())
         opt.step(grads)
         losses.append(loss.item())
@@ -368,27 +367,27 @@ class Checkpoint:
     extra: dict
 
 
-def _expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    probe = MlmModel(config, seed=0)
-    return {name: p.data.shape for name, p in probe.params().items()}
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if not raw.startswith(_MAGIC):
         raise ValueError(f"{path} is not a recognized checkpoint file")
-    off = len(_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
+    off = len(_MAGIC) + 8
+    hlen = struct.unpack_from("<Q", raw, len(_MAGIC))[0] if len(raw) >= off else None
+    if hlen is None or off + hlen > len(raw):
+        raise ValueError(f"{path}: truncated checkpoint header ({len(raw)} bytes)")
     header = json.loads(raw[off : off + hlen].decode("utf-8"))
     off += hlen
     config = ModelConfig(**header["config"])
-    expected = _expected_shapes(config)
+    size = off + 8 * sum(int(np.prod(e["shape"])) for e in header["arrays"])
+    if len(raw) != size:
+        raise ValueError(f"{path}: checkpoint is {len(raw)} bytes, its header "
+                         f"implies {size}")
+    expected = {name: shape for name, (shape, _) in param_table(config).items()}
     values: dict[str, np.ndarray] = {}
     head_w = None
     for entry in header["arrays"]:
         name, shape = entry["name"], tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = int(np.prod(shape))
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
         off += count * 8
         if name == "view_head.w":

@@ -50,6 +50,22 @@ def assert_grads_close(f, params: dict[str, ad.Tensor], tol: float = 1e-4, h: fl
     assert err < tol, f"max relative gradient error {err:.3e} >= {tol}"
 
 
+def scalar_cosine(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Cosine of two 1-D tensors as one scalar node: the engine's former op.
+
+    ``ad.cosine_pairs`` and the losses built on it must reproduce a graph of
+    these nodes bit for bit, in value and gradient.
+    """
+    na, nb = np.linalg.norm(a.data), np.linalg.norm(b.data)
+    c = 1.0 if np.array_equal(a.data, b.data) else float(a.data @ b.data) / (na * nb)
+
+    def backward(g):
+        a._accumulate(g * (b.data / (na * nb) - c * a.data / (na * na)))
+        b._accumulate(g * (a.data / (na * nb) - c * b.data / (nb * nb)))
+
+    return ad._make(np.asarray(c), (a, b), backward)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

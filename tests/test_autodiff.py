@@ -6,7 +6,7 @@ import pytest
 from mvre import autodiff as ad
 from mvre.errors import NumericError
 
-from conftest import assert_grads_close
+from conftest import assert_grads_close, scalar_cosine
 
 
 class TestBasics:
@@ -120,16 +120,17 @@ class TestStructuredGradients:
         assert_grads_close(lambda: ad.tsum(ad.layer_norm(x, gamma, beta) * w),
                            {"x": x, "gamma": gamma, "beta": beta})
 
-    def test_cosine(self, rng):
-        a = ad.parameter(rng.normal(size=6))
-        b = ad.parameter(rng.normal(size=6))
-        assert_grads_close(lambda: ad.cosine(a, b), {"a": a, "b": b})
+    def test_cosine_pairs(self, rng):
+        a = ad.parameter(rng.normal(size=(4, 6)))
+        left, right = np.array([0, 1, 2, 3, 0]), np.array([1, 1, 0, 2, 3])
+        w = rng.normal(size=5)
+        assert_grads_close(lambda: ad.tsum(ad.cosine_pairs(a, left, right) * w),
+                           {"a": a})
 
-    def test_cosine_rejects_zero_norm(self):
-        a = ad.parameter(np.zeros(3))
-        b = ad.parameter(np.ones(3))
+    def test_cosine_pairs_rejects_zero_norm(self):
+        a = ad.parameter(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
         with pytest.raises(NumericError):
-            ad.cosine(a, b)
+            ad.cosine_pairs(a, [0], [1])
 
     def test_embedding_gather(self, rng):
         table = ad.parameter(rng.normal(size=(10, 4)))
@@ -182,3 +183,67 @@ class TestComposedGraphs:
         out = ad.dropout(x, 0.5, rng)
         vals = np.unique(out.data)
         assert set(vals.tolist()) == {0.0, 2.0}
+
+
+class TestCosinePairsBitwise:
+    """One array node gives the bits of one scalar cosine node per pair."""
+
+    def run_both(self, rows, left, right, weights):
+        def value_and_grad(cosines):
+            e = ad.parameter(rows)
+            c = cosines(ad.embedding(e, np.arange(len(rows))))
+            ad.tsum(c * weights).backward()
+            return c.data, e.grad
+
+        new = value_and_grad(lambda emb: ad.cosine_pairs(emb, left, right))
+        old = value_and_grad(lambda emb: ad.stack(
+            [scalar_cosine(emb[int(i)], emb[int(j)]) for i, j in zip(left, right)]))
+        return new, old
+
+    def test_random_pairs_match_scalar_chain(self, rng):
+        for _ in range(20):
+            n, d = int(rng.integers(2, 7)), int(rng.integers(1, 40))
+            rows = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0)
+            p = int(rng.integers(1, 30))
+            left, right = rng.integers(0, n, size=p), rng.integers(0, n, size=p)
+            (c_new, g_new), (c_old, g_old) = self.run_both(
+                rows, left, right, rng.normal(size=p))
+            assert c_new.tobytes() == c_old.tobytes()
+            assert g_new.tobytes() == g_old.tobytes()
+
+    def test_identical_rows_give_exact_one_and_zero_gradient(self, rng):
+        row = rng.normal(size=5)
+        rows = np.stack([row, row, rng.normal(size=5)])
+        left, right = np.array([0, 1, 0]), np.array([1, 0, 0])
+        (c_new, g_new), (c_old, g_old) = self.run_both(rows, left, right,
+                                                       np.array([1.0, -2.0, 3.0]))
+        assert c_new.tolist() == [1.0, 1.0, 1.0]
+        assert np.all(g_new == 0.0) and not np.any(np.signbit(g_new))
+        assert c_new.tobytes() == c_old.tobytes()
+        assert g_new.tobytes() == g_old.tobytes()
+
+
+class TestAccumulate:
+    def test_shared_upstream_gradient_is_not_aliased(self, rng):
+        # add() hands the same upstream array to both parents; a later
+        # accumulation into one parent must not leak into the other
+        a, b = ad.parameter(rng.normal(size=3)), ad.parameter(rng.normal(size=3))
+        w, v = rng.normal(size=3), rng.normal(size=3)
+        ad.tsum((a + b) * w + a * v).backward()
+        np.testing.assert_array_equal(a.grad, w + v)
+        np.testing.assert_array_equal(b.grad, w)
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_self_sum_gets_both_contributions(self, rng):
+        x = ad.parameter(rng.normal(size=4))
+        w = rng.normal(size=4)
+        y = x + x
+        (ad.tsum(y * w) + ad.tsum(x * w)).backward()
+        np.testing.assert_array_equal(x.grad, w + w + w)
+        assert not np.shares_memory(x.grad, y.grad)
+
+    def test_first_negative_zero_is_stored_as_positive_zero(self):
+        x = ad.parameter(np.ones(3))
+        ad.tsum(x * np.array([-0.0, 1.0, -0.0])).backward()
+        assert x.grad.tolist() == [0.0, 1.0, 0.0]
+        assert not np.any(np.signbit(x.grad))

@@ -116,6 +116,14 @@ class TestTrain:
         with pytest.raises(ValidationError, match="m="):
             train(episode, schema, fast_config(m=3, epochs=0), pretrained=artifacts)
 
+    def test_zero_batch_size_rejected(self):
+        spec, ds, schema, splits = small_world()
+        episode = sample_kshot(splits, 1, 1)
+        with pytest.raises(ValidationError, match="batch_size"):
+            TrainConfig(batch_size=0).validate()
+        with pytest.raises(ValidationError, match="batch_size"):
+            train(episode, schema, fast_config(batch_size=0))
+
     def test_alpha_beta_defaults_switch_with_init_mode(self):
         assert TrainConfig(init_mode="static").resolved_alpha_beta() == (2.0, 0.1)
         assert TrainConfig(init_mode="dynamic").resolved_alpha_beta() == (1.2, 0.7)

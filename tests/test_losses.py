@@ -16,7 +16,7 @@ from mvre.model import AdamW, MlmModel, ModelConfig, forward
 from mvre.schema import synthetic_schema
 from mvre.vocab import EncodedPrompt, Verbalizer, build_vocab, wrap_template
 
-from conftest import assert_grads_close
+from conftest import assert_grads_close, scalar_cosine
 
 
 def head_with(w):
@@ -380,3 +380,116 @@ class TestGlOptimizationDirection:
         after_intra, after_inter = mean_cosines(emb.data)
         assert after_intra > before_intra
         assert after_inter < before_inter
+
+
+# -- the former scalar graphs, kept as bit-exact references ----------------------
+
+def scalar_local_loss(emb, n_relations, m):
+    terms = [scalar_cosine(emb[r * m + i], emb[r * m + j])
+             for r in range(n_relations) for i in range(m) for j in range(m)]
+    return -(ad.tsum(ad.stack(terms)) / (n_relations * m * m))
+
+
+def scalar_global_loss(emb, n_relations, m):
+    terms = [scalar_cosine(emb[ru * m + i], emb[rv * m + i])
+             for i in range(m) for ru in range(n_relations) for rv in range(n_relations)]
+    return ad.tsum(ad.stack(terms)) / (n_relations * n_relations * m)
+
+
+def scalar_per_view_label_probs(logits, prompt, verbalizer):
+    return ad.stack([
+        ad.index(ad.softmax(ad.index(logits, prompt.mask_positions[j - 1])),
+                 verbalizer.view_ids(j))
+        for j in range(1, prompt.m + 1)])
+
+
+def scalar_mvdl_loss(scores, y, eps=MVDL_EPS):
+    m = scores.per_view.shape[0]
+    return ad.tsum(ad.stack([
+        -ad.log(ad.index(scores.posterior, j) * ad.index(scores.per_view, (j, y)) + eps)
+        for j in range(m)]))
+
+
+def assert_same_bits(new, old):
+    """Two (loss, gradient dict) evaluations agree byte for byte."""
+    (loss_new, grads_new), (loss_old, grads_old) = new, old
+    assert loss_new.data.tobytes() == loss_old.data.tobytes()
+    assert grads_new.keys() == grads_old.keys()
+    for name in grads_new:
+        assert grads_new[name].tobytes() == grads_old[name].tobytes(), name
+
+
+class TestBitwiseAgainstScalarGraphs:
+    """The array-valued losses give the bits of the per-pair / per-view graphs."""
+
+    def evaluate(self, build, arrays):
+        params = {k: ad.parameter(v) for k, v in arrays.items()}
+        loss = build(params)
+        loss.backward()
+        return loss, {k: p.grad for k, p in params.items()}
+
+    def test_local_and_global(self, rng):
+        for n_rel, m in [(1, 2), (2, 1), (2, 3), (3, 2), (8, 3), (4, 4)]:
+            n = n_rel * m
+            rows = rng.normal(size=(n + 2, 7)) * rng.uniform(0.1, 10.0)
+            rows[-1] = rows[0]  # an identical copy: cosine exactly one
+            ids = rng.permutation(np.concatenate([[0], 1 + rng.permutation(n)[: n - 2],
+                                                  [n + 1]]))
+            for new_fn, old_fn in [(local_loss, scalar_local_loss),
+                                   (global_loss, scalar_global_loss)]:
+                assert_same_bits(*[
+                    self.evaluate(lambda p: fn(ad.embedding(p["table"], ids), n_rel, m),
+                                  {"table": rows})
+                    for fn in (new_fn, old_fn)])
+
+    def test_per_view_label_probs(self, rng):
+        for m, n_rel in [(1, 2), (3, 4), (4, 8)]:
+            prompt, verb = fake_prompt_and_verbalizer(m, n_rel, 9, 40)
+            logits = rng.normal(size=(9, 40)) * 3.0
+            weights = rng.normal(size=(m, n_rel))
+            assert_same_bits(*[
+                self.evaluate(lambda p: ad.tsum(fn(p["logits"], prompt, verb) * weights),
+                              {"logits": logits})
+                for fn in (per_view_label_probs, scalar_per_view_label_probs)])
+
+    def test_mvdl_loss(self, rng):
+        for m, n_rel in [(1, 1), (3, 8), (4, 5)]:
+            arrays = {"post": rng.dirichlet(np.ones(m)),
+                      "pv": rng.uniform(0.0, 1.0, size=(m, n_rel))}
+            arrays["pv"][0, 0] = 0.0  # the eps floor carries this term
+            for y in range(n_rel):
+                assert_same_bits(*[
+                    self.evaluate(lambda p: fn(ViewScores(p["post"], p["pv"]), y), arrays)
+                    for fn in (mvdl_loss, scalar_mvdl_loss)])
+
+    def test_training_step_through_model(self):
+        # the fine-tuning objective of one batch, every parameter's gradient
+        ds, schema, vocab, verb, model = tiny_real_setup(3, 4, 11)
+        prompts = [wrap_template(inst, vocab, 3, 40) for inst in ds.instances[:3]]
+        head_w = np.random.default_rng(5).normal(size=model.config.d)
+        values = model.param_values()
+
+        def step(probs_fn, mvdl_fn, local_fn, global_fn):
+            model.load_param_values(values)
+            head = head_with(head_w)
+            params = dict(model.params())
+            params.update(head.params())
+            for p in params.values():
+                p.zero_grad()
+            terms = []
+            for y, prompt in enumerate(prompts):
+                hidden, logits = forward(model, prompt)
+                states = [ad.index(hidden, pos) for pos in prompt.mask_positions]
+                scores = ViewScores(view_posterior(head, states),
+                                    probs_fn(logits, prompt, verb))
+                terms.append(mvdl_fn(scores, y))
+            loss = (ad.tmean(ad.stack(terms))
+                    + 1.2 * local_fn(verbalizer_embeddings(model, verb), 4, 3)
+                    + 0.7 * global_fn(verbalizer_embeddings(model, verb), 4, 3))
+            loss.backward()
+            return loss, {k: p.grad.copy() for k, p in params.items()}
+
+        assert_same_bits(
+            step(per_view_label_probs, mvdl_loss, local_loss, global_loss),
+            step(scalar_per_view_label_probs, scalar_mvdl_loss,
+                 scalar_local_loss, scalar_global_loss))

@@ -5,6 +5,7 @@ import pytest
 
 from mvre import autodiff as ad
 from mvre.data import CorpusSpec, generate_corpus
+from mvre.errors import ValidationError
 from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig, adamw_step,
                         forward, forward_ids, load_checkpoint, mask_hidden,
                         pretrain_mlm, save_checkpoint)
@@ -151,6 +152,10 @@ class TestPretrain:
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
 
+    def test_zero_batch_size_rejected(self):
+        with pytest.raises(ValidationError, match="batch_size"):
+            pretrain_mlm(self.model, self.ds, self.vocab, PretrainConfig(batch_size=0))
+
     def test_deterministic(self):
         m1 = self.model.copy()
         m2 = self.model.copy()
@@ -214,6 +219,28 @@ class TestCheckpoint:
         save_checkpoint(p1, model, vocab_payload=vocab_payload(vocab, verb))
         save_checkpoint(p2, model, vocab_payload=vocab_payload(vocab, verb))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_file_names_both_sizes(self, tmp_path):
+        _, _, _, vocab, verb, model = toy_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, vocab_payload=vocab_payload(vocab, verb))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match=f"{len(raw) - 8} bytes.*implies {len(raw)}"):
+            load_checkpoint(path)
+        for cut in (12, 40):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=f"truncated checkpoint header \\({cut} bytes"):
+                load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, _, _, vocab, verb, model = toy_setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\0" * 8)
+        with pytest.raises(ValueError, match=f"{len(raw) + 8} bytes.*implies {len(raw)}"):
+            load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
