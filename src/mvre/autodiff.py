@@ -7,9 +7,13 @@ created with ``requires_grad=True``.
 
 The op set is deliberately small: elementwise arithmetic, matmul,
 embedding gather / indexing, softmax, layer norm, GELU/tanh, sigmoid,
-log/exp, row-pair cosine similarity (``cosine_pairs``), and sum/mean
-reductions. Everything runs in the dtype of its inputs (float64 by default
-throughout the package).
+log/exp, row-pair cosine similarity (``cosine_pairs``), sum/mean
+reductions, and the two transformer sublayers of one sequence as single
+nodes: ``attention_sublayer`` (layer norm, Q/K/V, every head and the output
+projection) and ``ffn_sublayer`` (layer norm, two linear maps around a
+GELU), each bit for bit equal to the graph of small ops it replaces.
+Everything runs in the dtype of its inputs (float64 by default throughout
+the package).
 
 Division propagates gradients through the already-computed quotient
 (``d(a/b)/db = -(a/b)/b``) rather than recomputing ``a/b**2``; besides
@@ -380,16 +384,25 @@ def tanh(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _gelu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of an array and the normal CDF its gradient reuses."""
+    cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
+    return a * cdf, cdf
+
+
+def _gelu_grad(g: np.ndarray, a: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = np.exp(-0.5 * a * a) * _INV_SQRT_2PI
+    return g * (cdf + a * pdf)
+
+
 def gelu(a) -> Tensor:
     """Gaussian error linear unit, exact erf form."""
     a = _as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out_data = a.data * cdf
+    out_data, cdf = _gelu(a.data)
 
     def backward(g):
         if a.requires_grad:
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-            a._accumulate(g * (cdf + a.data * pdf))
+            a._accumulate(_gelu_grad(g, a.data, cdf))
 
     return _make(out_data, (a,), backward)
 
@@ -433,42 +446,143 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- structured ops ---------------------------------------------------------
 
+def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    shifted = a - a.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - inner)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - inner))
+            a._accumulate(_softmax_grad(g, out_data, axis))
 
     return _make(out_data, (a,), backward)
+
+
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of an array over its last axis, with the normalized input
+    and the inverse standard deviation that the backward pass reuses."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return gamma * xhat + beta, xhat, inv_std
+
+
+def _layer_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
+                         xhat: np.ndarray, inv_std: np.ndarray):
+    if gamma.requires_grad:
+        gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
+    if beta.requires_grad:
+        beta._accumulate(_unbroadcast(g, beta.data.shape))
+    if x.requires_grad:
+        dxhat = g * gamma.data
+        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        x._accumulate(term * inv_std)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out_data = gamma.data * xhat + beta.data
+    out_data, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data, eps)
+    return _make(out_data, (x, gamma, beta),
+                 lambda g: _layer_norm_backward(g, x, gamma, beta, xhat, inv_std))
+
+
+# -- transformer sublayers ---------------------------------------------------
+#
+# Each sublayer of one sequence is one node whose forward and backward replay
+# the numpy calls of the graph of small nodes it stands for, operand layouts
+# included, so values and gradients keep their bits. That graph stored every
+# intermediate gradient with ``+ 0.0`` (-0.0 became +0.0); the replay skips
+# it, because the sign of a zero changes no nonzero result of the sums and
+# products below, and every gradient that leaves the node is stored through
+# ``_accumulate``, which makes the same -0.0 -> +0.0 change.
+
+
+def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """Backward of the node pair ``x @ w + b`` for a 2-D ``x``: accumulates the
+    bias and weight gradients and returns the gradient of ``x``."""
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.data.shape))
+    if w.requires_grad:
+        w._accumulate(x.T @ g)
+    return g @ w.data.T
+
+
+def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
+                       n_heads: int) -> Tensor:
+    """Pre-norm multi-head self-attention of one sequence ``x`` [L, d], one node.
+
+    With ``xn = layer_norm(x, gamma, beta)`` and ``q, k, v = xn @ w + b``,
+    head h reads the columns ``h*dh:(h+1)*dh`` (``dh = d / n_heads``) and
+    gives ``softmax(qh @ kh.T * dh**-0.5) @ vh``; the heads are concatenated
+    and projected, ``@ wo + bo``. Replays the former per-head graph: each
+    head's q, k and v are contiguous copies, scores are ``(qh @ kh.T) *
+    scale``, the key gradient is ``(qh.T @ g).T`` and the gradient of ``xn``
+    sums the q, k and v paths in that order.
+    """
+    x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo = map(
+        _as_tensor, (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo))
+    d = x.data.shape[1]
+    if d % n_heads != 0:
+        raise ValueError(f"width {d} not divisible by n_heads={n_heads}")
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    xn, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data)
+    q = xn @ wq.data + bq.data
+    k = xn @ wk.data + bk.data
+    v = xn @ wv.data + bv.data
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
+    qs, ks, vs = ([np.array(a[:, c]) for c in cols] for a in (q, k, v))
+    atts = [_softmax((qh @ kh.T) * scale, -1) for qh, kh in zip(qs, ks)]
+    cat = np.concatenate([att @ vh for att, vh in zip(atts, vs)], axis=1)
+    out_data = cat @ wo.data + bo.data
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
-        if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.data.shape))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(term * inv_std)
+        gcat = _linear_backward(g, cat, wo, bo)
+        gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for c, qh, kh, vh, att in zip(cols, qs, ks, vs, atts):
+            gh = np.array(gcat[:, c])  # contiguous, as the head node stored it
+            gs = _softmax_grad(gh @ vh.T, att, -1) * scale
+            gq[:, c] = gs @ kh
+            gk[:, c] = (qh.T @ gs).T
+            gv[:, c] = att.T @ gh
+        gxn = _linear_backward(gq, xn, wq, bq)
+        gxn += _linear_backward(gk, xn, wk, bk)
+        gxn += _linear_backward(gv, xn, wv, bv)
+        _layer_norm_backward(gxn, x, gamma, beta, xhat, inv_std)
 
-    return _make(out_data, (x, gamma, beta), backward)
+    return _make(out_data, (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo), backward)
+
+
+def ffn_sublayer(x, gamma, beta, w1, b1, w2, b2) -> Tensor:
+    """Pre-norm position-wise feed-forward of ``x`` [L, d], one node:
+    ``gelu(layer_norm(x, gamma, beta) @ w1 + b1) @ w2 + b2``."""
+    x, gamma, beta, w1, b1, w2, b2 = map(_as_tensor, (x, gamma, beta, w1, b1, w2, b2))
+    xn, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data)
+    a = xn @ w1.data + b1.data
+    h, cdf = _gelu(a)
+    out_data = h @ w2.data + b2.data
+
+    def backward(g):
+        ga = _gelu_grad(_linear_backward(g, h, w2, b2), a, cdf)
+        gxn = _linear_backward(ga, xn, w1, b1)
+        _layer_norm_backward(gxn, x, gamma, beta, xhat, inv_std)
+
+    return _make(out_data, (x, gamma, beta, w1, b1, w2, b2), backward)
 
 
 def cosine_pairs(a, left, right) -> Tensor:

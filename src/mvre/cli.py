@@ -101,6 +101,27 @@ def _parse_value(raw: str):
         return raw
 
 
+def _check_type(key: str, value):
+    """Reject a value that the commands could not convert like the default's type."""
+    default = DEFAULTS[key]
+    if isinstance(default, str) or (default is None and value is None):
+        return
+    if isinstance(default, bool):
+        if not isinstance(value, bool):  # bool("false") would be True
+            raise CliError(f"config key {key!r} needs true or false, got {value!r}")
+        return
+    if isinstance(default, list):
+        convert, kind = (lambda v: [int(x) for x in v]), "a list of integers"
+    elif isinstance(default, int):
+        convert, kind = int, "an integer"
+    else:
+        convert, kind = float, "a number"
+    try:
+        convert(value)
+    except (TypeError, ValueError):
+        raise CliError(f"config key {key!r} needs {kind}, got {value!r}") from None
+
+
 def resolve_config(config_path: str | None, overrides: list[str],
                    seed: int | None, command: str) -> dict:
     cfg = dict(DEFAULTS)
@@ -132,6 +153,8 @@ def resolve_config(config_path: str | None, overrides: list[str],
             cfg["protocol.seeds"] = [seed]
         else:
             cfg[_SEED_KEY[command]] = seed
+    for key, value in cfg.items():
+        _check_type(key, value)
     return cfg
 
 
@@ -465,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (MvreError, FileNotFoundError, ValueError) as e:
+    except (MvreError, FileNotFoundError, ValueError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -66,8 +66,8 @@ class TrainConfig:
     def validate(self):
         if self.m < 1:
             raise ValidationError(f"m must be >= 1, got {self.m}")
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

@@ -122,6 +122,12 @@ class MlmModel:
                 raise FloatingPointError(f"parameter {name!r} contains NaN/Inf")
 
 
+# per-block parameter names, in the argument order of the sublayer ops
+_ATTENTION = ("ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk",
+              "attn.wv", "attn.bv", "attn.wo", "attn.bo")
+_FFN = ("ln2.gamma", "ln2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
+
+
 def forward_ids(model: MlmModel, ids: np.ndarray,
                 rng: np.random.Generator | None = None,
                 train: bool = False) -> tuple[Tensor, Tensor]:
@@ -140,27 +146,13 @@ def forward_ids(model: MlmModel, ids: np.ndarray,
     drop = cfg.dropout if (train and rng is not None) else 0.0
 
     x = ad.embedding(p["token_embed"], ids) + ad.index(p["pos_embed"], slice(0, L))
-    n_heads = cfg.n_heads
-    dh = cfg.d // n_heads
-    scale = 1.0 / np.sqrt(dh)
     for i in range(cfg.n_layers):
         b = f"blocks.{i}."
-        xn = ad.layer_norm(x, p[b + "ln1.gamma"], p[b + "ln1.beta"])
-        q = xn @ p[b + "attn.wq"] + p[b + "attn.bq"]
-        k = xn @ p[b + "attn.wk"] + p[b + "attn.bk"]
-        v = xn @ p[b + "attn.wv"] + p[b + "attn.bv"]
-        heads = []
-        for h in range(n_heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-            att = ad.softmax((qh @ kh.T) * scale, axis=-1)
-            heads.append(att @ vh)
-        o = ad.concat(heads, axis=1) @ p[b + "attn.wo"] + p[b + "attn.bo"]
+        o = ad.attention_sublayer(x, *(p[b + n] for n in _ATTENTION), n_heads=cfg.n_heads)
         if drop > 0.0:
             o = ad.dropout(o, drop, rng)
         x = x + o
-        xn2 = ad.layer_norm(x, p[b + "ln2.gamma"], p[b + "ln2.beta"])
-        f = ad.gelu(xn2 @ p[b + "ffn.w1"] + p[b + "ffn.b1"]) @ p[b + "ffn.w2"] + p[b + "ffn.b2"]
+        f = ad.ffn_sublayer(x, *(p[b + n] for n in _FFN))
         if drop > 0.0:
             f = ad.dropout(f, drop, rng)
         x = x + f
@@ -190,26 +182,40 @@ def mask_hidden(hidden: Tensor, prompt: EncodedPrompt, j: int) -> Tensor:
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                state: dict, lr: float, betas: tuple[float, float] = (0.9, 0.999),
                eps: float = 1e-8, weight_decay: float = 0.0):
-    """One decoupled-weight-decay Adam update, in place on params and state."""
+    """One decoupled-weight-decay Adam update, in place on params and state.
+
+    All parameters move as one flat vector (a missing gradient counts as
+    zeros), so ``state`` holds the flat moments of one fixed parameter set.
+    Every element goes through the same expressions as in a per-parameter
+    update, so the result does not depend on the grouping.
+    """
     b1, b2 = betas
+    flat = []
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
+        elif g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} mismatches param {name!r} "
                              f"{p.data.shape}")
-        st = state.setdefault(name, {"m": np.zeros_like(p.data),
-                                     "v": np.zeros_like(p.data), "t": 0})
-        st["t"] += 1
-        t = st["t"]
-        st["m"] = b1 * st["m"] + (1.0 - b1) * g
-        st["v"] = b2 * st["v"] + (1.0 - b2) * (g * g)
-        m_hat = st["m"] / (1.0 - b1 ** t)
-        v_hat = st["v"] / (1.0 - b2 ** t)
-        if weight_decay != 0.0:
-            p.data = p.data - lr * weight_decay * p.data
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        flat.append(g.ravel())
+    g = np.concatenate(flat)
+    w = np.concatenate([p.data.ravel() for p in params.values()])
+    if not state:
+        state.update(m=np.zeros_like(w), v=np.zeros_like(w), t=0)
+    state["t"] += 1
+    t = state["t"]
+    state["m"] = b1 * state["m"] + (1.0 - b1) * g
+    state["v"] = b2 * state["v"] + (1.0 - b2) * (g * g)
+    m_hat = state["m"] / (1.0 - b1 ** t)
+    v_hat = state["v"] / (1.0 - b2 ** t)
+    if weight_decay != 0.0:
+        w = w - lr * weight_decay * w
+    w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+    start = 0
+    for p in params.values():
+        p.data = w[start : start + p.data.size].reshape(p.data.shape)
+        start += p.data.size
 
 
 class AdamW:
@@ -245,6 +251,19 @@ class PretrainConfig:
     seed: int = 0
     log_every: int = 200
 
+    def validate(self):
+        if self.steps < 0:
+            raise ValidationError(f"pretrain steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ValidationError(f"pretrain batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"pretrain lr must be positive and finite, got {self.lr}")
+        if not 0.0 < self.mask_rate <= 1.0:
+            raise ValidationError(f"pretrain mask_rate must be in (0, 1], got {self.mask_rate}")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ValidationError(f"pretrain holdout_fraction must be in [0, 1), "
+                                  f"got {self.holdout_fraction}")
+
 
 @dataclass
 class PretrainResult:
@@ -254,20 +273,14 @@ class PretrainResult:
     step_losses: list[float] = field(default_factory=list)
 
 
-def _maskable_positions(ids: np.ndarray, vocab: Vocab) -> np.ndarray:
-    special = np.array(vocab.special_ids)
-    return np.where(~np.isin(ids, special))[0]
-
-
-def _apply_mlm_mask(ids: np.ndarray, vocab: Vocab, rate: float,
+def _apply_mlm_mask(ids: np.ndarray, candidates: np.ndarray, mask_id: int, rate: float,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replace ~rate of the non-special tokens with [MASK]; at least one."""
-    candidates = _maskable_positions(ids, vocab)
+    """Replace ~rate of the candidate (non-special) positions with [MASK]; at least one."""
     n = max(1, int(round(rate * len(candidates))))
     picked = rng.choice(len(candidates), size=min(n, len(candidates)), replace=False)
     positions = np.sort(candidates[picked])
     corrupted = ids.copy()
-    corrupted[positions] = vocab.mask_id
+    corrupted[positions] = mask_id
     return corrupted, positions, ids[positions]
 
 
@@ -281,30 +294,32 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     """
     if not corpus.instances:
         raise ValueError("pretraining corpus is empty")
-    if config.batch_size < 1:
-        raise ValidationError(f"pretrain batch_size must be >= 1, got {config.batch_size}")
+    config.validate()
     rng = np.random.default_rng([config.seed, 0xA11])
     encoded = [encode_sentence(inst, vocab) for inst in corpus.instances]
+    special = np.array(vocab.special_ids)
+    maskable = [np.where(~np.isin(ids, special))[0] for ids in encoded]
     n_hold = int(round(len(encoded) * config.holdout_fraction))
     order = rng.permutation(len(encoded))
     hold_idx = order[:n_hold]
     train_idx = order[n_hold:] if n_hold < len(encoded) else order
-    train_set = [encoded[i] for i in train_idx]
 
     opt = AdamW(model.params(), lr=config.lr, betas=config.betas,
                 weight_decay=config.weight_decay)
     losses: list[float] = []
     for step in range(config.steps):
-        batch_ids = rng.integers(0, len(train_set), size=config.batch_size)
-        terms = []
+        batch_ids = rng.integers(0, len(train_idx), size=config.batch_size)
+        rows, targets = [], []
         for bi in batch_ids:
-            ids = train_set[int(bi)]
-            corrupted, positions, targets = _apply_mlm_mask(ids, vocab, config.mask_rate, rng)
+            i = train_idx[int(bi)]
+            corrupted, positions, target = _apply_mlm_mask(
+                encoded[i], maskable[i], vocab.mask_id, config.mask_rate, rng)
             _, logits = forward_ids(model, corrupted)
-            probs = ad.softmax(ad.index(logits, positions))
-            picked = ad.index(probs, (np.arange(len(positions)), targets))
-            terms.append(-ad.log(picked + 1e-12))
-        loss = ad.tmean(ad.concat(terms))
+            rows.append(ad.index(logits, positions))
+            targets.append(target)
+        probs = ad.softmax(ad.concat(rows))
+        picked = ad.index(probs, (np.arange(probs.shape[0]), np.concatenate(targets)))
+        loss = ad.tmean(-ad.log(picked + 1e-12))
         grads = ad.grad(loss, model.params())
         opt.step(grads)
         losses.append(loss.item())
@@ -315,8 +330,8 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     eval_rng = np.random.default_rng([config.seed, 0xE7A1])
     with ad.no_grad():
         for i in hold_idx:
-            ids = encoded[i]
-            corrupted, positions, targets = _apply_mlm_mask(ids, vocab, config.mask_rate, eval_rng)
+            corrupted, positions, targets = _apply_mlm_mask(
+                encoded[i], maskable[i], vocab.mask_id, config.mask_rate, eval_rng)
             _, logits = forward_ids(model, corrupted)
             preds = logits.data[positions].argmax(axis=-1)
             correct += int((preds == targets).sum())

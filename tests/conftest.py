@@ -66,6 +66,70 @@ def scalar_cosine(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return ad._make(np.asarray(c), (a, b), backward)
 
 
+def reference_forward_ids(model, ids, rng=None, train=False):
+    """The encoder as a graph of small nodes: the former ``forward_ids``.
+
+    ``model.forward_ids`` runs each sublayer as one node and must reproduce
+    this graph bit for bit, in hidden states, logits and every gradient.
+    """
+    cfg, p = model.config, model.params()
+    ids = np.asarray(ids, dtype=np.int64)
+    L = len(ids)
+    drop = cfg.dropout if (train and rng is not None) else 0.0
+    x = ad.embedding(p["token_embed"], ids) + ad.index(p["pos_embed"], slice(0, L))
+    dh = cfg.d // cfg.n_heads
+    scale = 1.0 / np.sqrt(dh)
+    for i in range(cfg.n_layers):
+        b = f"blocks.{i}."
+        xn = ad.layer_norm(x, p[b + "ln1.gamma"], p[b + "ln1.beta"])
+        q = xn @ p[b + "attn.wq"] + p[b + "attn.bq"]
+        k = xn @ p[b + "attn.wk"] + p[b + "attn.bk"]
+        v = xn @ p[b + "attn.wv"] + p[b + "attn.bv"]
+        heads = []
+        for h in range(cfg.n_heads):
+            sl = slice(h * dh, (h + 1) * dh)
+            qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
+            att = ad.softmax((qh @ kh.T) * scale, axis=-1)
+            heads.append(att @ vh)
+        o = ad.concat(heads, axis=1) @ p[b + "attn.wo"] + p[b + "attn.bo"]
+        if drop > 0.0:
+            o = ad.dropout(o, drop, rng)
+        x = x + o
+        xn2 = ad.layer_norm(x, p[b + "ln2.gamma"], p[b + "ln2.beta"])
+        f = ad.gelu(xn2 @ p[b + "ffn.w1"] + p[b + "ffn.b1"]) @ p[b + "ffn.w2"] + p[b + "ffn.b2"]
+        if drop > 0.0:
+            f = ad.dropout(f, drop, rng)
+        x = x + f
+    hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"])
+    logits = hidden @ p["token_embed"].T + p["head_bias"]
+    return hidden, logits
+
+
+def reference_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
+                         weight_decay=0.0):
+    """AdamW one parameter at a time: the former ``adamw_step``.
+
+    ``model.adamw_step`` updates all parameters as one flat vector and must
+    give the same bits.
+    """
+    b1, b2 = betas
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p.data)
+        st = state.setdefault(name, {"m": np.zeros_like(p.data),
+                                     "v": np.zeros_like(p.data), "t": 0})
+        st["t"] += 1
+        t = st["t"]
+        st["m"] = b1 * st["m"] + (1.0 - b1) * g
+        st["v"] = b2 * st["v"] + (1.0 - b2) * (g * g)
+        m_hat = st["m"] / (1.0 - b1 ** t)
+        v_hat = st["v"] / (1.0 - b2 ** t)
+        if weight_decay != 0.0:
+            p.data = p.data - lr * weight_decay * p.data
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

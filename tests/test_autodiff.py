@@ -120,6 +120,29 @@ class TestStructuredGradients:
         assert_grads_close(lambda: ad.tsum(ad.layer_norm(x, gamma, beta) * w),
                            {"x": x, "gamma": gamma, "beta": beta})
 
+    def test_attention_sublayer(self, rng):
+        L, d = 3, 4
+        names = ("x", "gamma", "beta", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+        shapes = {"x": (L, d), "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d)}
+        args = {n: ad.parameter(rng.normal(size=shapes.get(n, (d,)))) for n in names}
+        w = rng.normal(size=(L, d))
+        # the key bias shifts a whole row of scores, which softmax ignores:
+        # its gradient is zero, checked apart from the relative comparison
+        checked = {n: t for n, t in args.items() if n != "bk"}
+        for n_heads in (1, 2):
+            def f():
+                return ad.tsum(ad.attention_sublayer(*args.values(), n_heads=n_heads) * w)
+            assert_grads_close(f, checked)
+            np.testing.assert_allclose(ad.grad(f(), args)["bk"], 0.0, atol=1e-12)
+
+    def test_ffn_sublayer(self, rng):
+        L, d, h = 3, 4, 6
+        shapes = {"x": (L, d), "gamma": (d,), "beta": (d,), "w1": (d, h), "b1": (h,),
+                  "w2": (h, d), "b2": (d,)}
+        args = {n: ad.parameter(rng.normal(size=s)) for n, s in shapes.items()}
+        w = rng.normal(size=(L, d))
+        assert_grads_close(lambda: ad.tsum(ad.ffn_sublayer(*args.values()) * w), args)
+
     def test_cosine_pairs(self, rng):
         a = ad.parameter(rng.normal(size=(4, 6)))
         left, right = np.array([0, 1, 2, 3, 0]), np.array([1, 1, 0, 2, 3])

@@ -53,6 +53,24 @@ class TestConfigResolution:
         assert resolve_config(None, [], 7, "train")["train.seed"] == 7
         assert resolve_config(None, [], 7, "sweep-m")["sweep.seeds"] == [7]
 
+    def test_non_numeric_value_names_key(self):
+        with pytest.raises(CliError, match="train.m"):
+            resolve_config(None, ["train.m=abc"], None, "train")
+        with pytest.raises(CliError, match="train.lr"):
+            resolve_config(None, ["train.lr=null"], None, "train")
+        with pytest.raises(CliError, match="sweep.seeds"):
+            resolve_config(None, ["sweep.seeds=3"], None, "sweep-m")
+
+    def test_boolean_needs_true_or_false(self):
+        with pytest.raises(CliError, match="train.entity_markers"):
+            resolve_config(None, ["train.entity_markers=no"], None, "train")
+        assert resolve_config(None, ["train.entity_markers=false"], None,
+                              "train")["train.entity_markers"] is False
+
+    def test_optional_number_accepts_null(self):
+        cfg = resolve_config(None, ["train.alpha=null", "train.beta=0.5"], None, "train")
+        assert cfg["train.alpha"] is None and cfg["train.beta"] == 0.5
+
     def test_string_values_pass_through(self):
         cfg = resolve_config(None, ["train.init_mode=dynamic"], None, "train")
         assert cfg["train.init_mode"] == "dynamic"
@@ -101,6 +119,11 @@ class TestGenerateCorpus:
                    "--set", "corpus.n_relations=0")
         assert code != 0
         assert "n_relations" in capsys.readouterr().err
+
+    def test_non_numeric_override_exits_2_naming_key(self, tmp_path, capsys):
+        code = run("train", "--out", str(tmp_path / "o"), "--set", "train.m=abc")
+        assert code == 2
+        assert "train.m" in capsys.readouterr().err
 
     def test_idempotent_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -178,6 +201,26 @@ class TestPretrainCommand:
         assert (out / "pretrained.ckpt").exists()
         payload = json.loads((out / "pretrain.json").read_text())
         assert "holdout_accuracy" in payload
+
+    @pytest.mark.parametrize("override,field", [
+        ("pretrain.steps=-3", "steps"), ("pretrain.lr=nan", "lr"),
+        ("pretrain.mask_rate=0", "mask_rate"),
+        ("pretrain.holdout_fraction=1.0", "holdout_fraction")])
+    def test_bad_pretrain_value_exits_1_naming_field(self, tmp_path, capsys,
+                                                      override, field):
+        out = tmp_path / "p"
+        code = run("pretrain", "--out", str(out), *FAST_SETS, "--set", override)
+        assert code == 1
+        assert f"error: pretrain {field}" in capsys.readouterr().err
+        assert not (out / "pretrained.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameters_exit_1(self, tmp_path, capsys):
+        # steps of 1e300 overflow the parameters to NaN/Inf within three steps
+        code = run("pretrain", "--out", str(tmp_path / "p"), *FAST_SETS,
+                   "--set", "pretrain.lr=1e300")
+        assert code == 1
+        assert "NaN/Inf" in capsys.readouterr().err
 
     def test_train_from_checkpoint(self, tmp_path):
         pre = tmp_path / "p"

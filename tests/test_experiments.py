@@ -116,6 +116,11 @@ class TestTrain:
         with pytest.raises(ValidationError, match="m="):
             train(episode, schema, fast_config(m=3, epochs=0), pretrained=artifacts)
 
+    @pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ValidationError, match="lr"):
+            TrainConfig(lr=lr).validate()
+
     def test_zero_batch_size_rejected(self):
         spec, ds, schema, splits = small_world()
         episode = sample_kshot(splits, 1, 1)

@@ -12,7 +12,7 @@ from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig, adamw_step
 from mvre.schema import synthetic_schema
 from mvre.vocab import build_vocab, vocab_payload, wrap_template
 
-from conftest import assert_grads_close
+from conftest import assert_grads_close, reference_adamw_step, reference_forward_ids
 
 
 def toy_setup(m=2, n_relations=3, d=16, n_layers=1, n_heads=2, seed=0,
@@ -96,6 +96,70 @@ class TestForward:
         assert_grads_close(f, subset, tol=1e-4)
 
 
+class TestSublayersBitwise:
+    """One node per sublayer gives the bits of the former graph of small nodes."""
+
+    def run(self, forward_fn, model, ids, w, rows, rng=None):
+        hidden, logits = forward_fn(model, ids, rng=rng, train=rng is not None)
+        # reads a few rows of the head, as the masked-token loss does, so most
+        # positions get an exactly zero upstream gradient
+        loss = ad.tsum(ad.index(logits, rows) * w)
+        grads = ad.grad(loss, model.params())
+        return hidden.data, logits.data, grads
+
+    def assert_same(self, cfg, L, seed, dropout_seed=None, upstream=1.0):
+        model = MlmModel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        for p in model.params().values():  # off the initial ones and zeros
+            p.data = p.data + rng.normal(0.0, 0.3, size=p.data.shape)
+        ids = rng.integers(0, cfg.vocab_size, size=L)
+        rows = np.unique(rng.integers(0, L, size=3))
+        w = rng.normal(size=(len(rows), cfg.vocab_size)) * upstream
+
+        def generator():  # a fresh, equal one for each side
+            return None if dropout_seed is None else np.random.default_rng(dropout_seed)
+
+        new = self.run(forward_ids, model, ids, w, rows, generator())
+        old = self.run(reference_forward_ids, model, ids, w, rows, generator())
+        assert new[0].tobytes() == old[0].tobytes()
+        assert new[1].tobytes() == old[1].tobytes()
+        assert new[2].keys() == old[2].keys()
+        for name in old[2]:
+            assert new[2][name].tobytes() == old[2][name].tobytes(), name
+
+    # dh = 16 makes the score scale 1/4, exact; dh = 8 makes it round
+    @pytest.mark.parametrize("d,n_heads,L", [(32, 2, 13), (64, 4, 21), (16, 1, 9),
+                                             (24, 3, 10), (32, 2, 1)])
+    def test_values_and_gradients(self, d, n_heads, L):
+        cfg = ModelConfig(d=d, n_layers=2, n_heads=n_heads, max_len=32, vocab_size=40)
+        for seed in range(3):
+            self.assert_same(cfg, L, seed)
+
+    @pytest.mark.parametrize("L", [1, 9])
+    def test_zero_upstream_gradient(self, L):
+        # every gradient is zero, so the sign of each zero must match too:
+        # where the old graph stored a node's gradient, -0.0 became +0.0
+        cfg = ModelConfig(d=32, n_layers=2, n_heads=2, max_len=32, vocab_size=40)
+        for seed in range(3):
+            self.assert_same(cfg, L, seed, upstream=0.0)
+
+    def test_dropout_with_equal_generators(self):
+        cfg = ModelConfig(d=32, n_layers=2, n_heads=2, max_len=32, vocab_size=40,
+                          dropout=0.1)
+        for seed in range(3):
+            self.assert_same(cfg, 11, seed, dropout_seed=seed + 10)
+
+    def test_no_grad_forward(self):
+        _, _, _, _, _, model = toy_setup(d=32, n_layers=2, n_heads=2)
+        ids = np.arange(1, 12)
+        with ad.no_grad():
+            hidden, logits = forward_ids(model, ids)
+            ref_hidden, ref_logits = reference_forward_ids(model, ids)
+        assert hidden._parents == () and not logits.requires_grad
+        assert hidden.data.tobytes() == ref_hidden.data.tobytes()
+        assert logits.data.tobytes() == ref_logits.data.tobytes()
+
+
 class TestAdamW:
     def test_zero_grad_no_decay_fixed_point(self):
         p = ad.parameter(np.array([1.0, -2.0]))
@@ -139,6 +203,21 @@ class TestAdamW:
             ref = ref - 0.01 * mh / (np.sqrt(vh) + 1e-8)
         np.testing.assert_allclose(p.data, ref, rtol=1e-12)
 
+    def test_flat_update_matches_per_parameter_update(self):
+        rng = np.random.default_rng(5)
+        shapes = {"a": (16, 24), "b": (24,), "c": (), "d": (8, 8)}
+        start = {k: rng.normal(size=s) for k, s in shapes.items()}
+        flat = {k: ad.parameter(v) for k, v in start.items()}
+        ref = {k: ad.parameter(v) for k, v in start.items()}
+        flat_state, ref_state = {}, {}
+        for _ in range(5):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items() if k != "b"}
+            adamw_step(flat, grads, flat_state, lr=0.01, weight_decay=0.1)
+            reference_adamw_step(ref, grads, ref_state, lr=0.01, weight_decay=0.1)
+            for k in shapes:
+                assert flat[k].data.shape == shapes[k]
+                assert flat[k].data.tobytes() == ref[k].data.tobytes(), k
+
 
 class TestPretrain:
     def setup_method(self):
@@ -155,6 +234,19 @@ class TestPretrain:
     def test_zero_batch_size_rejected(self):
         with pytest.raises(ValidationError, match="batch_size"):
             pretrain_mlm(self.model, self.ds, self.vocab, PretrainConfig(batch_size=0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("steps", -3), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
+        ("lr", float("inf")), ("mask_rate", 0.0), ("mask_rate", 1.5),
+        ("mask_rate", float("nan")), ("holdout_fraction", 1.0),
+        ("holdout_fraction", -0.1)])
+    def test_bad_config_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            pretrain_mlm(self.model, self.ds, self.vocab,
+                         PretrainConfig(**{field: value}))
+
+    def test_edge_values_accepted(self):
+        PretrainConfig(steps=0, mask_rate=1.0, holdout_fraction=0.0).validate()
 
     def test_deterministic(self):
         m1 = self.model.copy()
