@@ -7,11 +7,15 @@ created with ``requires_grad=True``.
 
 The op set is deliberately small: elementwise arithmetic, matmul,
 embedding gather / indexing, softmax, layer norm, GELU/tanh, sigmoid,
-log/exp, row-pair cosine similarity (``cosine_pairs``), sum/mean
-reductions, and the two transformer sublayers of one sequence as single
-nodes: ``attention_sublayer`` (layer norm, Q/K/V, every head and the output
-projection) and ``ffn_sublayer`` (layer norm, two linear maps around a
-GELU), each bit for bit equal to the graph of small ops it replaces.
+log/exp, row-pair cosine similarity (``cosine_pairs``), per-row dots
+(``row_dots``), sum/mean reductions, and the transformer's parts as single
+nodes over a packed batch of sequences: ``attention_sublayer`` (layer norm,
+Q/K/V, every head and the output projection), ``ffn_sublayer`` (layer norm,
+two linear maps around a GELU) and ``TiedEmbedding`` (token plus position
+embedding, and the tied output head). A packed batch stacks the rows of all
+its sequences into one [sum L, d] array: row-wise math runs once per batch,
+every matmul once per sequence, and each op gives the bits of the graph of
+small ops, one graph per sequence, that it replaces (see "packed sequences").
 Everything runs in the dtype of its inputs (float64 by default throughout
 the package).
 
@@ -468,121 +472,258 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)``, same bits, without numpy's Python-level
+    ``_mean`` wrapper (a sum, then a division by the count)."""
+    return np.add.reduce(a, -1, keepdims=True) / a.shape[-1]
+
+
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                 eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm of an array over its last axis, with the normalized input
     and the inverse standard deviation that the backward pass reuses."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    centered = x - _mean_last(x)
+    inv_std = 1.0 / np.sqrt(_mean_last(centered * centered) + eps)
     xhat = centered * inv_std
     return gamma * xhat + beta, xhat, inv_std
 
 
 def _layer_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
-                         xhat: np.ndarray, inv_std: np.ndarray):
-    if gamma.requires_grad:
-        gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
-    if beta.requires_grad:
-        beta._accumulate(_unbroadcast(g, beta.data.shape))
+                         xhat: np.ndarray, inv_std: np.ndarray, rows):
+    _accumulate_sums(gamma, g * xhat, rows)
+    _accumulate_sums(beta, g, rows)
     if x.requires_grad:
         dxhat = g * gamma.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        term = dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat)
         x._accumulate(term * inv_std)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(x, gamma, beta, eps: float = 1e-5, rows=None) -> Tensor:
+    """Normalize the rows of ``x`` [n, d], then scale and shift. ``rows``
+    marks packed sequences (see below; default: one sequence)."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    rows = [slice(0, x.data.shape[0])] if rows is None else rows
     out_data, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data, eps)
     return _make(out_data, (x, gamma, beta),
-                 lambda g: _layer_norm_backward(g, x, gamma, beta, xhat, inv_std))
+                 lambda g: _layer_norm_backward(g, x, gamma, beta, xhat, inv_std, rows))
 
 
-# -- transformer sublayers ---------------------------------------------------
+# -- packed sequences ----------------------------------------------------------
 #
-# Each sublayer of one sequence is one node whose forward and backward replay
-# the numpy calls of the graph of small nodes it stands for, operand layouts
-# included, so values and gradients keep their bits. That graph stored every
-# intermediate gradient with ``+ 0.0`` (-0.0 became +0.0); the replay skips
-# it, because the sign of a zero changes no nonzero result of the sums and
-# products below, and every gradient that leaves the node is stored through
-# ``_accumulate``, which makes the same -0.0 -> +0.0 change.
+# A batch of sequences runs packed: the rows of every sequence stacked into one
+# [sum L, d] array, sequence s in the row block ``rows[s]`` (a slice). Row-wise
+# and elementwise math (layer norm, bias adds, GELU, residual adds, dropout)
+# runs once over the packed array. Every matmul runs per sequence on its row
+# block, because BLAS does not promise a row its bits when the number of rows
+# changes, and attention mixes the rows of one sequence only. A parameter's
+# gradient is a sum of per-sequence terms (``x[s].T @ g[s]``,
+# ``g[s].sum(axis=0)``) added in batch order. So each sequence gets the bits
+# it gets when it runs alone, and each gradient the bits of one graph per
+# sequence whose backward pass visits the sequences in batch order.
+#
+# The transformer sublayers are one node each, and their forward and backward
+# replay the numpy calls of the graph of small nodes they stand for, operand
+# layouts included. That graph stored every intermediate gradient with
+# ``+ 0.0`` (-0.0 became +0.0); the replay skips it, because the sign of a
+# zero changes no nonzero result of the sums and products below, and every
+# gradient that leaves a node is stored through ``_accumulate``, which makes
+# the same -0.0 -> +0.0 change.
 
 
-def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
-    """Backward of the node pair ``x @ w + b`` for a 2-D ``x``: accumulates the
-    bias and weight gradients and returns the gradient of ``x``."""
-    if b.requires_grad:
-        b._accumulate(_unbroadcast(g, b.data.shape))
+def packed_rows(lengths: Sequence[int]) -> list[slice]:
+    """Row block of each sequence in a packed array, in order."""
+    ends = np.cumsum(lengths, dtype=np.int64)
+    return [slice(int(e - n), int(e)) for n, e in zip(lengths, ends)]
+
+
+def _matmul_rows(x: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
+    """``x[r] @ w`` for every row block ``r``, written into one packed array."""
+    out = np.empty((x.shape[0], w.shape[1]), dtype=np.result_type(x, w))
+    for r in rows:
+        np.matmul(x[r], w, out=out[r])
+    return out
+
+
+def _accumulate_sums(p: Tensor, g: np.ndarray, rows):
+    """Gradient of a parameter broadcast over the rows of ``g``: the column
+    sums of each row block, accumulated in batch order. (``np.add.reduceat``
+    would sum the same blocks with other bits.)"""
+    if p.requires_grad:
+        for r in rows:
+            p._accumulate(np.add.reduce(g[r], 0))  # g[r].sum(axis=0) without its wrapper
+
+
+def _linear_backward(g: np.ndarray, x: np.ndarray, w: Tensor, b: Tensor, rows) -> np.ndarray:
+    """Backward of ``x @ w + b`` over packed rows: accumulates the bias and
+    weight gradients and returns the gradient of ``x``."""
+    _accumulate_sums(b, g, rows)
     if w.requires_grad:
-        w._accumulate(x.T @ g)
-    return g @ w.data.T
+        for r in rows:
+            w._accumulate(x[r].T @ g[r])
+    return _matmul_rows(g, w.data.T, rows)
+
+
+def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """[L, d] -> a contiguous [H, L, dh] stack, head h holding columns h*dh:(h+1)*dh."""
+    return np.ascontiguousarray(a.reshape(a.shape[0], n_heads, -1).transpose(1, 0, 2))
+
+
+def _merge_heads(out: np.ndarray, heads: np.ndarray):
+    """Write an [H, L, dh] stack into the C-ordered [L, d] block ``out``. (A
+    reshape of the transposed stack can return an F-ordered view, whose column
+    sums, e.g. a bias gradient, have other bits.)"""
+    out.reshape(out.shape[0], heads.shape[0], -1)[...] = heads.transpose(1, 0, 2)
 
 
 def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
-                       n_heads: int) -> Tensor:
-    """Pre-norm multi-head self-attention of one sequence ``x`` [L, d], one node.
+                       n_heads: int, rows=None) -> Tensor:
+    """Pre-norm multi-head self-attention of packed sequences ``x`` [sum L, d], one node.
 
     With ``xn = layer_norm(x, gamma, beta)`` and ``q, k, v = xn @ w + b``,
     head h reads the columns ``h*dh:(h+1)*dh`` (``dh = d / n_heads``) and
-    gives ``softmax(qh @ kh.T * dh**-0.5) @ vh``; the heads are concatenated
-    and projected, ``@ wo + bo``. Replays the former per-head graph: each
-    head's q, k and v are contiguous copies, scores are ``(qh @ kh.T) *
-    scale``, the key gradient is ``(qh.T @ g).T`` and the gradient of ``xn``
-    sums the q, k and v paths in that order.
+    gives ``softmax(qh @ kh.T * dh**-0.5) @ vh`` within each sequence; the
+    heads are concatenated and projected, ``@ wo + bo``. ``rows`` holds each
+    sequence's row block (default: one sequence, all rows). Replays the
+    per-head graph: each sequence's heads run as one contiguous [H, L, dh]
+    stack, scores are ``(qh @ kh.T) * scale``, the key gradient is
+    ``(qh.T @ g).T`` and the gradient of ``xn`` sums the q, k and v paths in
+    that order.
     """
     x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo = map(
         _as_tensor, (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo))
     d = x.data.shape[1]
     if d % n_heads != 0:
         raise ValueError(f"width {d} not divisible by n_heads={n_heads}")
-    dh = d // n_heads
-    scale = 1.0 / np.sqrt(dh)
+    rows = [slice(0, x.data.shape[0])] if rows is None else rows
+    scale = 1.0 / np.sqrt(d // n_heads)
     xn, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data)
-    q = xn @ wq.data + bq.data
-    k = xn @ wk.data + bk.data
-    v = xn @ wv.data + bv.data
-    cols = [slice(h * dh, (h + 1) * dh) for h in range(n_heads)]
-    qs, ks, vs = ([np.array(a[:, c]) for c in cols] for a in (q, k, v))
-    atts = [_softmax((qh @ kh.T) * scale, -1) for qh, kh in zip(qs, ks)]
-    cat = np.concatenate([att @ vh for att, vh in zip(atts, vs)], axis=1)
-    out_data = cat @ wo.data + bo.data
+    q, k, v = (_matmul_rows(xn, w.data, rows) + b.data
+               for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    cat = np.empty_like(q)
+    stacks = []
+    for r in rows:
+        qs, ks, vs = (_split_heads(a[r], n_heads) for a in (q, k, v))
+        att = _softmax(np.matmul(qs, ks.transpose(0, 2, 1)) * scale, -1)
+        _merge_heads(cat[r], np.matmul(att, vs))
+        stacks.append((qs, ks, vs, att))
+    out_data = _matmul_rows(cat, wo.data, rows)
+    out_data += bo.data
 
     def backward(g):
-        gcat = _linear_backward(g, cat, wo, bo)
+        gcat = _linear_backward(g, cat, wo, bo, rows)
         gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        for c, qh, kh, vh, att in zip(cols, qs, ks, vs, atts):
-            gh = np.array(gcat[:, c])  # contiguous, as the head node stored it
-            gs = _softmax_grad(gh @ vh.T, att, -1) * scale
-            gq[:, c] = gs @ kh
-            gk[:, c] = (qh.T @ gs).T
-            gv[:, c] = att.T @ gh
-        gxn = _linear_backward(gq, xn, wq, bq)
-        gxn += _linear_backward(gk, xn, wk, bk)
-        gxn += _linear_backward(gv, xn, wv, bv)
-        _layer_norm_backward(gxn, x, gamma, beta, xhat, inv_std)
+        for r, (qs, ks, vs, att) in zip(rows, stacks):
+            gh = _split_heads(gcat[r], n_heads)
+            gs = _softmax_grad(np.matmul(gh, vs.transpose(0, 2, 1)), att, -1) * scale
+            _merge_heads(gq[r], np.matmul(gs, ks))
+            _merge_heads(gk[r], np.matmul(qs.transpose(0, 2, 1), gs).transpose(0, 2, 1))
+            _merge_heads(gv[r], np.matmul(att.transpose(0, 2, 1), gh))
+        gxn = _linear_backward(gq, xn, wq, bq, rows)
+        gxn += _linear_backward(gk, xn, wk, bk, rows)
+        gxn += _linear_backward(gv, xn, wv, bv, rows)
+        _layer_norm_backward(gxn, x, gamma, beta, xhat, inv_std, rows)
 
     return _make(out_data, (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
-def ffn_sublayer(x, gamma, beta, w1, b1, w2, b2) -> Tensor:
-    """Pre-norm position-wise feed-forward of ``x`` [L, d], one node:
-    ``gelu(layer_norm(x, gamma, beta) @ w1 + b1) @ w2 + b2``."""
+def ffn_sublayer(x, gamma, beta, w1, b1, w2, b2, rows=None) -> Tensor:
+    """Pre-norm position-wise feed-forward of packed ``x`` [sum L, d], one node:
+    ``gelu(layer_norm(x, gamma, beta) @ w1 + b1) @ w2 + b2``, each matmul per
+    row block of ``rows`` (default: all rows)."""
     x, gamma, beta, w1, b1, w2, b2 = map(_as_tensor, (x, gamma, beta, w1, b1, w2, b2))
+    rows = [slice(0, x.data.shape[0])] if rows is None else rows
     xn, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data)
-    a = xn @ w1.data + b1.data
+    a = _matmul_rows(xn, w1.data, rows)
+    a += b1.data
     h, cdf = _gelu(a)
-    out_data = h @ w2.data + b2.data
+    out_data = _matmul_rows(h, w2.data, rows)
+    out_data += b2.data
 
     def backward(g):
-        ga = _gelu_grad(_linear_backward(g, h, w2, b2), a, cdf)
-        gxn = _linear_backward(ga, xn, w1, b1)
-        _layer_norm_backward(gxn, x, gamma, beta, xhat, inv_std)
+        ga = _gelu_grad(_linear_backward(g, h, w2, b2, rows), a, cdf)
+        gxn = _linear_backward(ga, xn, w1, b1, rows)
+        _layer_norm_backward(gxn, x, gamma, beta, xhat, inv_std, rows)
 
     return _make(out_data, (x, gamma, beta, w1, b1, w2, b2), backward)
+
+
+class TiedEmbedding:
+    """Input embedding and tied output head of packed sequences, two nodes.
+
+    ``embed`` gathers token rows of ``table`` plus position rows of
+    ``pos_table``; ``head`` projects hidden states on ``table.T`` and adds a
+    bias. One graph per sequence sums ``table``'s gradient interleaved:
+    the gather of sequence 0, the head of sequence 0, the gather of sequence
+    1, and so on. To keep those bits the head node holds its per-sequence
+    parts of that gradient, and the embed node adds them in that order. Its
+    backward pass runs after the head's, since the head reads states computed
+    from the embedding; ``head`` must be given such states.
+    """
+
+    def __init__(self, table, pos_table, rows):
+        self.table, self.pos_table = _as_tensor(table), _as_tensor(pos_table)
+        self.rows = rows
+        self._held: list[np.ndarray] | None = None
+
+    def embed(self, ids: np.ndarray) -> Tensor:
+        """Token plus position embedding of packed ids; positions restart at 0
+        in each row block."""
+        table, pos, rows = self.table, self.pos_table, self.rows
+        positions = np.concatenate([np.arange(r.stop - r.start) for r in rows])
+        out_data = table.data[ids] + pos.data[positions]
+
+        def backward(g):
+            held, self._held = self._held, None
+            if table.requires_grad:
+                if table.grad is None:
+                    table.grad = np.zeros_like(table.data)
+                for s, r in enumerate(rows):
+                    np.add.at(table.grad, ids[r], g[r])
+                    if held is not None:
+                        table._accumulate(held[s].T)
+            if pos.requires_grad:
+                if pos.grad is None:
+                    pos.grad = np.zeros_like(pos.data)
+                for r in rows:
+                    pos.grad[: r.stop - r.start] += g[r]
+
+        return _make(out_data, (table, pos), backward)
+
+    def head(self, hidden, bias) -> Tensor:
+        """Logits ``hidden @ table.T + bias`` of packed hidden states."""
+        hidden, bias, table, rows = _as_tensor(hidden), _as_tensor(bias), self.table, self.rows
+        out_data = _matmul_rows(hidden.data, table.data.T, rows)
+        out_data += bias.data
+
+        def backward(g):
+            _accumulate_sums(bias, g, rows)
+            if table.requires_grad:
+                self._held = [hidden.data[r].T @ g[r] for r in rows]
+            if hidden.requires_grad:
+                hidden._accumulate(_matmul_rows(g, table.data, rows))
+
+        return _make(out_data, (hidden, table, bias), backward)
+
+
+def row_dots(a, w) -> Tensor:
+    """``a[..., i, :] @ w`` for every row of ``a``, shape ``a.shape[:-1]``.
+
+    Each row is one 1-D BLAS dot, the bits of a loop of vector dots (a
+    matrix-vector product runs gemv, whose bits differ). ``w``'s gradient
+    adds the rows' terms one at a time, in row order.
+    """
+    a, w = _as_tensor(a), _as_tensor(w)
+    flat = a.data.reshape(-1, a.data.shape[-1])
+    out_data = np.array([w.data @ row for row in flat]).reshape(a.data.shape[:-1])
+
+    def backward(g):
+        if w.requires_grad:
+            for gi, row in zip(g.reshape(-1), flat):
+                w._accumulate(gi * row)
+        if a.requires_grad:
+            a._accumulate(g[..., None] * w.data)
+
+    return _make(out_data, (a, w), backward)
 
 
 def cosine_pairs(a, left, right) -> Tensor:
@@ -648,12 +789,14 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, ts, backward)
 
 
-def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with an explicit generator; identity when rate is 0."""
+def dropout(a, rate: float, rng) -> Tensor:
+    """Inverted dropout; identity when rate is 0. ``rng`` is a generator, or
+    an array of uniform draws of ``a``'s shape drawn from one."""
     a = _as_tensor(a)
     if rate <= 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype) / (1.0 - rate)
+    draws = rng.random(a.data.shape) if isinstance(rng, np.random.Generator) else rng
+    keep = (draws >= rate).astype(a.data.dtype) / (1.0 - rate)
     out_data = a.data * keep
 
     def backward(g):

@@ -21,14 +21,14 @@ from .data import (CorpusSpec, corpus_aspect_groups, generate_corpus, load_jsonl
                    make_splits, sample_kshot, save_jsonl)
 from .errors import MvreError
 from .experiments import (TrainConfig, evaluate, grid_rows_csv, heatmap_csv,
-                          micro_f1, run_similarity_protocol, sweep_m, train,
+                          run_similarity_protocol, sweep_m, train,
                           view_aspect_heatmap, write_json, TrainedArtifacts)
 from .init_schemes import dynamic_init, save_probe_report
-from .losses import ViewPosteriorHead, infer
+from .losses import ViewPosteriorHead
 from .model import (ModelConfig, MlmModel, PretrainConfig, load_checkpoint,
                     pretrain_mlm, save_checkpoint)
 from .schema import RelationSchema, load_schema, save_schema, synthetic_schema
-from .vocab import build_vocab, vocab_from_payload, vocab_payload, wrap_template
+from .vocab import build_vocab, vocab_from_payload, vocab_payload
 
 DEFAULTS: dict[str, object] = {
     "corpus.n_relations": 8,
@@ -101,6 +101,14 @@ def _parse_value(raw: str):
         return raw
 
 
+def _integer(value) -> int:
+    """``int(value)`` that refuses to truncate (``int(2.7)`` would train 2 epochs)."""
+    n = int(value)
+    if n != float(value):
+        raise ValueError(f"{value!r} is not integral")
+    return n
+
+
 def _check_type(key: str, value):
     """Reject a value that the commands could not convert like the default's type."""
     default = DEFAULTS[key]
@@ -111,14 +119,14 @@ def _check_type(key: str, value):
             raise CliError(f"config key {key!r} needs true or false, got {value!r}")
         return
     if isinstance(default, list):
-        convert, kind = (lambda v: [int(x) for x in v]), "a list of integers"
+        convert, kind = (lambda v: [_integer(x) for x in v]), "a list of integers"
     elif isinstance(default, int):
-        convert, kind = int, "an integer"
+        convert, kind = _integer, "an integer"
     else:
         convert, kind = float, "a number"
     try:
         convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise CliError(f"config key {key!r} needs {kind}, got {value!r}") from None
 
 
@@ -171,7 +179,7 @@ def _corpus_spec(cfg: dict) -> CorpusSpec:
 
 
 def _model_config(cfg: dict, vocab_size: int = 0) -> ModelConfig:
-    return ModelConfig(
+    mc = ModelConfig(
         d=int(cfg["model.d"]),
         n_layers=int(cfg["model.n_layers"]),
         n_heads=int(cfg["model.n_heads"]),
@@ -180,6 +188,11 @@ def _model_config(cfg: dict, vocab_size: int = 0) -> ModelConfig:
         dtype=str(cfg["model.dtype"]),
         dropout=float(cfg["model.dropout"]),
     )
+    try:
+        replace(mc, vocab_size=max(vocab_size, 1)).validate()  # the vocabulary may come later
+    except ValueError as e:
+        raise CliError(f"model config: {e}") from None
+    return mc
 
 
 def _train_config(cfg: dict) -> TrainConfig:
@@ -333,23 +346,21 @@ def cmd_eval(args, cfg: dict) -> int:
     dataset = load_jsonl(args.dataset, na_label=extra.get("schema", {}).get("na_label"))
     tc = replace(_train_config(cfg), m=artifacts.verbalizer.m,
                  max_len=artifacts.model.config.max_len)
-    prompts = [wrap_template(inst, artifacts.vocab, tc.m, tc.max_len,
-                             order=tc.entity_order, entity_markers=tc.entity_markers)
-               for inst in dataset.instances]
-    preds = [infer(artifacts.model, artifacts.head, p, artifacts.verbalizer,
-                   mode=tc.score_mode)[0] for p in prompts]
-    golds = [inst.label for inst in dataset.instances]
+    if not dataset.instances:
+        raise CliError(f"dataset {args.dataset} holds no instances")
     na = extra.get("schema", {}).get("na_label")
-    f1 = micro_f1(preds, golds, na, include_na=bool(cfg["eval.include_na"]))
+    f1 = evaluate(artifacts, dataset, tc, na, include_na=bool(cfg["eval.include_na"]))
     out = _out_dir(args)
     _echo_config(cfg, out)
-    write_json({"config": cfg, "micro_f1": f1, "n_instances": len(golds),
+    write_json({"config": cfg, "micro_f1": f1, "n_instances": len(dataset),
                 "dataset": str(args.dataset)}, out / "eval.json")
     print(f"micro_f1: {f1:.4f}")
     return 0
 
 
 def cmd_sweep_m(args, cfg: dict) -> int:
+    if not cfg["sweep.m_values"]:
+        raise CliError("sweep.m_values is empty: give at least one mask count")
     dataset, schema = _load_corpus_and_schema(args, cfg)
     splits = _splits(dataset, cfg)
     tc = _train_config(cfg)

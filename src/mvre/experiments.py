@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .data import Dataset, DatasetSplits, Episode, merge_datasets, sample_kshot
 from .errors import AnalysisError, UndefinedRatioError, ValidationError
 from .init_schemes import COMBINED, DYNAMIC, INIT_MODES, apply_init
-from .losses import (MIXTURE, ViewPosteriorHead, infer, local_loss, global_loss,
+from .losses import (MIXTURE, ViewPosteriorHead, infer_batch, local_loss, global_loss,
                      mvdl_loss, verbalizer_embeddings, view_scores)
 from .model import AdamW, MlmModel, ModelConfig, PretrainConfig, pretrain_mlm
 from .schema import RelationSchema
@@ -70,6 +70,13 @@ class TrainConfig:
             raise ValidationError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("alpha", "beta", "weight_decay", "pretrain_steps"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # NaN fails too
+                raise ValidationError(f"{name} must be >= 0, got {value}")
+        if not (np.isfinite(self.pretrain_lr) and self.pretrain_lr > 0):
+            raise ValidationError(f"pretrain_lr must be positive and finite, "
+                                  f"got {self.pretrain_lr}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.init_mode not in INIT_MODES:
@@ -147,13 +154,21 @@ def _encode_all(dataset: Dataset, vocab: Vocab, config: TrainConfig):
             for inst in dataset.instances]
 
 
-def evaluate(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig,
-             na_label: str | None) -> float:
+def predict(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig) -> list[str]:
+    """Predicted relation of every instance, in packed batches of
+    ``config.batch_size`` prompts, so memory stays at a training step's."""
     prompts = _encode_all(dataset, artifacts.vocab, config)
-    preds = [infer(artifacts.model, artifacts.head, pr, artifacts.verbalizer,
-                   mode=config.score_mode)[0] for pr in prompts]
+    return [label for start in range(0, len(prompts), config.batch_size)
+            for label, _ in infer_batch(artifacts.model, artifacts.head,
+                                        prompts[start : start + config.batch_size],
+                                        artifacts.verbalizer, mode=config.score_mode)]
+
+
+def evaluate(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig,
+             na_label: str | None, include_na: bool = False) -> float:
+    """Micro F1 of ``predict`` on a dataset; ``include_na`` as in ``micro_f1``."""
     golds = [inst.label for inst in dataset.instances]
-    return micro_f1(preds, golds, na_label)
+    return micro_f1(predict(artifacts, dataset, config), golds, na_label, include_na)
 
 
 def train(episode: Episode, schema: RelationSchema, config: TrainConfig,
@@ -210,10 +225,9 @@ def train(episode: Episode, schema: RelationSchema, config: TrainConfig,
         batch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            terms = [mvdl_loss(view_scores(model, head, prompts[i], verbalizer,
-                                           rng=drop_rng, train=True), labels[i])
-                     for i in batch]
-            loss = ad.tmean(ad.stack(terms))
+            scores = view_scores(model, head, [prompts[i] for i in batch], verbalizer,
+                                 rng=drop_rng, train=True)
+            loss = ad.tmean(mvdl_loss(scores, [labels[i] for i in batch]))
             if alpha != 0.0:
                 emb = verbalizer_embeddings(model, verbalizer)
                 loss = loss + alpha * local_loss(emb, n_rel, config.m)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InitError
-from .model import MlmModel, forward_ids
+from .model import MlmModel, forward_batch
 from .schema import MASK_PLACEHOLDER, RelationSchema
 from .vocab import CLS, MASK, SEP, EncodedPrompt, Verbalizer, Vocab
 
@@ -101,15 +101,17 @@ def _dynamic_vectors(schema: RelationSchema, vocab: Vocab, model: MlmModel) -> t
     banned = np.zeros(len(vocab.words), dtype=bool)
     banned[list(vocab.special_ids)] = True
     banned[vocab.base_size :] = True  # virtual words are never initialization donors
-    for ri, rel in enumerate(schema.relations):
+    prompts = []
+    for rel in schema.relations:
         template = schema.probe_templates.get(rel)
         if not template:
             raise InitError(f"relation {rel!r} has no probe template")
-        prompt = encode_probe_template(template, vocab, m, model.config.max_len)
-        with ad.no_grad():
-            _, logits = forward_ids(model, prompt.ids[: prompt.attention_length])
+        prompts.append(encode_probe_template(template, vocab, m, model.config.max_len))
+    with ad.no_grad():
+        _, logits, starts = forward_batch(model, [p.ids[: p.attention_length] for p in prompts])
+    for ri, (rel, prompt, start) in enumerate(zip(schema.relations, prompts, starts)):
         for j in range(1, m + 1):
-            row = logits.data[prompt.mask_positions[j - 1]]
+            row = logits.data[start + prompt.mask_positions[j - 1]]
             shifted = row - row.max()
             probs = np.exp(shifted)
             probs /= probs.sum()

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import MlmModel, forward, mask_hidden
+from .model import MlmModel, forward_batch
 from .vocab import EncodedPrompt, Verbalizer
 
 MVDL_EPS = 1e-12
@@ -39,21 +39,38 @@ class ViewPosteriorHead:
 
 @dataclass
 class ViewScores:
-    """Posterior over views plus per-view relation probabilities for one prompt."""
+    """Posterior over views plus per-view relation probabilities.
 
-    posterior: Tensor        # shape [m]
-    per_view: Tensor         # shape [m, |Y|]
+    For one prompt the shapes are [m] and [m, |Y|]; for a batch of B
+    prompts [B, m] and [B, m, |Y|].
+    """
+
+    posterior: Tensor
+    per_view: Tensor
 
 
-def view_posterior(head: ViewPosteriorHead, view_states: list[Tensor]) -> Tensor:
-    """Normalized sigmoid scores of each view state; sums to one."""
-    if not view_states:
-        raise ValueError("need at least one view state")
-    for h in view_states:
-        if h.shape != (head.d,):
-            raise ValueError(f"view state shape {h.shape} mismatches head dim {head.d}")
-    sig = ad.stack([ad.sigmoid(ad.dot(head.w, h)) for h in view_states])
-    return sig / ad.tsum(sig)
+def view_posterior(head: ViewPosteriorHead, view_states) -> Tensor:
+    """Normalized sigmoid scores of each view state; sums to one over the views.
+
+    ``view_states`` is a list of m state vectors [d], or one tensor of
+    states [..., m, d] (a batch's), giving a posterior [..., m].
+    """
+    if isinstance(view_states, (list, tuple)):
+        if not view_states:
+            raise ValueError("need at least one view state")
+        view_states = ad.stack(view_states)
+    if view_states.ndim < 2 or view_states.shape[-1] != head.d:
+        raise ValueError(f"view states of shape {view_states.shape} mismatch head dim {head.d}")
+    sig = ad.sigmoid(ad.row_dots(view_states, head.w))
+    return sig / ad.tsum(sig, axis=-1, keepdims=True)
+
+
+def _label_probs(logits: Tensor, rows: np.ndarray, verbalizer: Verbalizer) -> Tensor:
+    """Per-view relation probabilities read at the mask rows ``rows`` [..., m]
+    of ``logits``; shape [..., m, |Y|]."""
+    probs = ad.softmax(ad.index(logits, rows.ravel()))
+    ids = np.stack([verbalizer.view_ids(j) for j in range(1, rows.shape[-1] + 1)])
+    return ad.index(probs, (np.arange(rows.size).reshape(rows.shape)[..., None], ids))
 
 
 def per_view_label_probs(logits: Tensor, prompt: EncodedPrompt,
@@ -64,33 +81,41 @@ def per_view_label_probs(logits: Tensor, prompt: EncodedPrompt,
     of relation y's j-th virtual word; rows therefore need not sum to one
     across relations.
     """
-    probs = ad.softmax(ad.index(logits, np.asarray(prompt.mask_positions)))
-    ids = np.stack([verbalizer.view_ids(j) for j in range(1, prompt.m + 1)])
-    return ad.index(probs, (np.arange(prompt.m)[:, None], ids))
+    return _label_probs(logits, np.asarray(prompt.mask_positions), verbalizer)
 
 
-def view_scores(model: MlmModel, head: ViewPosteriorHead, prompt: EncodedPrompt,
+def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
                 verbalizer: Verbalizer, rng=None, train: bool = False) -> ViewScores:
-    """Forward one prompt and package posterior + per-view relation probabilities.
+    """Forward one prompt, or a list of prompts as one packed batch, and
+    package posterior + per-view relation probabilities (see ``ViewScores``).
 
     ``rng``/``train`` activate dropout when the model config enables it.
     """
-    if prompt.m != verbalizer.m:
-        raise ValueError(f"prompt has {prompt.m} masks but verbalizer expects {verbalizer.m}")
-    hidden, logits = forward(model, prompt, rng=rng, train=train)
-    states = [mask_hidden(hidden, prompt, j) for j in range(1, prompt.m + 1)]
-    posterior = view_posterior(head, states)
-    per_view = per_view_label_probs(logits, prompt, verbalizer)
-    return ViewScores(posterior, per_view)
+    single = isinstance(prompts, EncodedPrompt)
+    batch = [prompts] if single else list(prompts)
+    for prompt in batch:
+        if prompt.m != verbalizer.m:
+            raise ValueError(f"prompt has {prompt.m} masks but verbalizer expects "
+                             f"{verbalizer.m}")
+    hidden, logits, starts = forward_batch(
+        model, [pr.ids[: pr.attention_length] for pr in batch], rng=rng, train=train)
+    rows = np.stack([s + np.asarray(pr.mask_positions) for s, pr in zip(starts, batch)])
+    if single:
+        rows = rows[0]
+    return ViewScores(view_posterior(head, ad.index(hidden, rows)),
+                      _label_probs(logits, rows, verbalizer))
 
 
-def mvdl_loss(scores: ViewScores, y: int, eps: float = MVDL_EPS) -> Tensor:
-    """Multi-view decoupled NLL for one example: sum_j -log(p_j * q_j(y) + eps)."""
-    n_rel = scores.per_view.shape[1]
-    if not (0 <= y < n_rel):
+def mvdl_loss(scores: ViewScores, y, eps: float = MVDL_EPS) -> Tensor:
+    """Multi-view decoupled NLL, sum_j -log(p_j * q_j(y) + eps), per example:
+    a scalar for one prompt's scores, [B] for a batch's (``y`` holds B labels)."""
+    y = np.asarray(y)
+    n_rel = scores.per_view.shape[-1]
+    if np.any((y < 0) | (y >= n_rel)):
         raise IndexError(f"relation index {y} out of range [0, {n_rel})")
-    joint = scores.posterior * scores.per_view[:, y]
-    return ad.tsum(-ad.log(joint + eps))
+    entries = np.indices(scores.posterior.shape, sparse=True)  # each [prompt,] view
+    joint = scores.posterior * ad.index(scores.per_view, (*entries, y[..., None]))
+    return ad.tsum(-ad.log(joint + eps), axis=-1)
 
 
 def mvdl_dataset_loss(all_scores: list[ViewScores], labels: list[int],
@@ -163,11 +188,20 @@ def relation_scores(scores: ViewScores, mode: str = MIXTURE) -> np.ndarray:
     raise ValueError(f"unknown score mode {mode!r}")
 
 
+def infer_batch(model: MlmModel, head: ViewPosteriorHead, prompts,
+                verbalizer: Verbalizer, mode: str = MIXTURE) -> list[tuple[str, np.ndarray]]:
+    """Predict a relation for each prompt of a batch, run packed: (label,
+    relation scores) per prompt; ties break toward the lowest index."""
+    with ad.no_grad():
+        scores = view_scores(model, head, list(prompts), verbalizer)
+    out = []
+    for post, per_view in zip(scores.posterior.data, scores.per_view.data):
+        s = relation_scores(ViewScores(post, per_view), mode)
+        out.append((verbalizer.relation_order[int(np.argmax(s))], s))
+    return out
+
+
 def infer(model: MlmModel, head: ViewPosteriorHead, prompt: EncodedPrompt,
           verbalizer: Verbalizer, mode: str = MIXTURE) -> tuple[str, np.ndarray]:
     """Predict a relation for one prompt; ties break toward the lowest index."""
-    with ad.no_grad():
-        scores = view_scores(model, head, prompt, verbalizer)
-    s = relation_scores(scores, mode)
-    pred = int(np.argmax(s))
-    return verbalizer.relation_order[pred], s
+    return infer_batch(model, head, [prompt], verbalizer, mode)[0]

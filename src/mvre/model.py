@@ -5,9 +5,13 @@ transposed token embedding plus a per-token bias, so anything written into
 an embedding row (e.g. virtual-word initialization) shapes both input and
 output behavior at once.
 
-Everything runs in float64 by default; forward passes are deterministic
-functions of (parameters, input), and padded positions are simply trimmed
-before the encoder, which keeps them out of attention entirely.
+Everything runs in float64; forward passes are deterministic functions of
+(parameters, input), and padded positions are simply trimmed before the
+encoder, which keeps them out of attention entirely. A batch runs packed
+(``forward_batch``): the live tokens of all its sequences form one
+[sum L, d] matrix, so row-wise math runs once per batch while every matmul
+and each sequence's attention run per sequence; each sequence gets the bits
+it gets alone, and each gradient the bits of one graph per sequence.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ class ModelConfig:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
         if self.vocab_size <= 0:
             raise ValueError("vocab_size must be set before building a model")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError(f"unsupported dtype {self.dtype!r}")
+        if self.dtype != "float64":  # kept as a field so checkpoint headers keep their bytes
+            raise ValueError(f"unsupported dtype {self.dtype!r}: every parameter is float64")
 
 
 def param_table(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
@@ -84,12 +88,11 @@ class MlmModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
         config.validate()
         self.config = config
-        dtype = np.dtype(config.dtype)
         rng = np.random.default_rng(seed)
         make = {"normal": lambda shape: rng.normal(0.0, config.init_scale, size=shape),
                 "zeros": np.zeros, "ones": np.ones}
         self._params: dict[str, Tensor] = {
-            name: ad.parameter(make[init](shape).astype(dtype))
+            name: ad.parameter(make[init](shape))
             for name, (shape, init) in param_table(config).items()}
 
     def params(self) -> dict[str, Tensor]:
@@ -128,36 +131,61 @@ _ATTENTION = ("ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk
 _FFN = ("ln2.gamma", "ln2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
+def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = None,
+                  train: bool = False) -> tuple[Tensor, Tensor, np.ndarray]:
+    """Run the encoder over a batch of raw (unpadded) id sequences, packed.
+
+    The live tokens of all sequences are stacked into one [sum L, d] matrix
+    (``autodiff`` describes the packed layout): layer norms, bias adds, GELU,
+    residual adds and the embedding gather run once per batch, every matmul
+    and each sequence's attention per sequence. Returns (hidden, logits,
+    starts): packed post-norm hidden states [sum L, d], the logits the head
+    reads [sum L, V], and each sequence's first row. Every value and
+    gradient has the bits of one graph per sequence, and dropout draws its
+    masks in that graph's order: sequence, then layer, then attention
+    before FFN.
+    """
+    cfg = model.config
+    seqs = [np.asarray(ids, dtype=np.int64) for ids in id_seqs]
+    if not seqs:
+        raise ValueError("forward_batch needs at least one sequence")
+    for ids in seqs:
+        if len(ids) > cfg.max_len:
+            raise ValueError(f"sequence length {len(ids)} exceeds max_len {cfg.max_len}")
+        if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
+            raise ValueError("token id out of vocabulary range")
+    p = model._params
+    rows = ad.packed_rows([len(ids) for ids in seqs])
+    drop = cfg.dropout if (train and rng is not None) else 0.0
+    if drop > 0.0:
+        draws = [rng.random((2 * cfg.n_layers, len(ids), cfg.d)) for ids in seqs]
+
+    tied = ad.TiedEmbedding(p["token_embed"], p["pos_embed"], rows)
+    x = tied.embed(np.concatenate(seqs))
+    for i in range(cfg.n_layers):
+        b = f"blocks.{i}."
+        o = ad.attention_sublayer(x, *(p[b + n] for n in _ATTENTION), n_heads=cfg.n_heads,
+                                  rows=rows)
+        if drop > 0.0:
+            o = ad.dropout(o, drop, np.concatenate([u[2 * i] for u in draws]))
+        x = x + o
+        f = ad.ffn_sublayer(x, *(p[b + n] for n in _FFN), rows=rows)
+        if drop > 0.0:
+            f = ad.dropout(f, drop, np.concatenate([u[2 * i + 1] for u in draws]))
+        x = x + f
+    hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"], rows=rows)
+    logits = tied.head(hidden, p["head_bias"])
+    return hidden, logits, np.array([r.start for r in rows])
+
+
 def forward_ids(model: MlmModel, ids: np.ndarray,
                 rng: np.random.Generator | None = None,
                 train: bool = False) -> tuple[Tensor, Tensor]:
-    """Run the encoder over a raw (unpadded) id sequence.
+    """Run the encoder over one raw (unpadded) id sequence: a batch of one.
 
     Returns (hidden, logits); hidden is the post-norm state the head reads.
     """
-    cfg = model.config
-    ids = np.asarray(ids, dtype=np.int64)
-    L = len(ids)
-    if L > cfg.max_len:
-        raise ValueError(f"sequence length {L} exceeds max_len {cfg.max_len}")
-    if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
-        raise ValueError("token id out of vocabulary range")
-    p = model._params
-    drop = cfg.dropout if (train and rng is not None) else 0.0
-
-    x = ad.embedding(p["token_embed"], ids) + ad.index(p["pos_embed"], slice(0, L))
-    for i in range(cfg.n_layers):
-        b = f"blocks.{i}."
-        o = ad.attention_sublayer(x, *(p[b + n] for n in _ATTENTION), n_heads=cfg.n_heads)
-        if drop > 0.0:
-            o = ad.dropout(o, drop, rng)
-        x = x + o
-        f = ad.ffn_sublayer(x, *(p[b + n] for n in _FFN))
-        if drop > 0.0:
-            f = ad.dropout(f, drop, rng)
-        x = x + f
-    hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"])
-    logits = hidden @ p["token_embed"].T + p["head_bias"]
+    hidden, logits, _ = forward_batch(model, [ids], rng=rng, train=train)
     return hidden, logits
 
 
@@ -300,25 +328,33 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     special = np.array(vocab.special_ids)
     maskable = [np.where(~np.isin(ids, special))[0] for ids in encoded]
     n_hold = int(round(len(encoded) * config.holdout_fraction))
+    if n_hold >= len(encoded):
+        raise ValidationError(f"pretrain holdout_fraction={config.holdout_fraction} holds out "
+                              f"all {len(encoded)} sentences, leaving none to train on")
     order = rng.permutation(len(encoded))
-    hold_idx = order[:n_hold]
-    train_idx = order[n_hold:] if n_hold < len(encoded) else order
+    hold_idx, train_idx = order[:n_hold], order[n_hold:]
+
+    def masked_batch(indices, mask_rng):
+        """Mask each sentence in turn; the packed rows and targets of the masks."""
+        seqs, positions, targets = [], [], []
+        for i in indices:
+            corrupted, pos, target = _apply_mlm_mask(
+                encoded[i], maskable[i], vocab.mask_id, config.mask_rate, mask_rng)
+            seqs.append(corrupted)
+            positions.append(pos)
+            targets.append(target)
+        _, logits, starts = forward_batch(model, seqs)
+        rows = np.concatenate([s + pos for s, pos in zip(starts, positions)])
+        return logits, rows, np.concatenate(targets)
 
     opt = AdamW(model.params(), lr=config.lr, betas=config.betas,
                 weight_decay=config.weight_decay)
     losses: list[float] = []
     for step in range(config.steps):
         batch_ids = rng.integers(0, len(train_idx), size=config.batch_size)
-        rows, targets = [], []
-        for bi in batch_ids:
-            i = train_idx[int(bi)]
-            corrupted, positions, target = _apply_mlm_mask(
-                encoded[i], maskable[i], vocab.mask_id, config.mask_rate, rng)
-            _, logits = forward_ids(model, corrupted)
-            rows.append(ad.index(logits, positions))
-            targets.append(target)
-        probs = ad.softmax(ad.concat(rows))
-        picked = ad.index(probs, (np.arange(probs.shape[0]), np.concatenate(targets)))
+        logits, rows, targets = masked_batch(train_idx[batch_ids], rng)
+        probs = ad.softmax(ad.index(logits, rows))
+        picked = ad.index(probs, (np.arange(len(rows)), targets))
         loss = ad.tmean(-ad.log(picked + 1e-12))
         grads = ad.grad(loss, model.params())
         opt.step(grads)
@@ -329,12 +365,10 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     correct = total = 0
     eval_rng = np.random.default_rng([config.seed, 0xE7A1])
     with ad.no_grad():
-        for i in hold_idx:
-            corrupted, positions, targets = _apply_mlm_mask(
-                encoded[i], maskable[i], vocab.mask_id, config.mask_rate, eval_rng)
-            _, logits = forward_ids(model, corrupted)
-            preds = logits.data[positions].argmax(axis=-1)
-            correct += int((preds == targets).sum())
+        for start in range(0, n_hold, config.batch_size):
+            logits, rows, targets = masked_batch(hold_idx[start : start + config.batch_size],
+                                                 eval_rng)
+            correct += int((logits.data[rows].argmax(axis=-1) == targets).sum())
             total += len(targets)
     accuracy = correct / total if total else 0.0
     logger.info("pretrain held-out masked-token accuracy: %.4f (%d predictions)",

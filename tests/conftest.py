@@ -105,6 +105,13 @@ def reference_forward_ids(model, ids, rng=None, train=False):
     return hidden, logits
 
 
+def reference_view_posterior(head, states):
+    """The view posterior as one dot and one sigmoid node per view state: the
+    former ``losses.view_posterior``."""
+    sig = ad.stack([ad.sigmoid(ad.matmul(head.w, h)) for h in states])
+    return sig / ad.tsum(sig)
+
+
 def reference_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
                          weight_decay=0.0):
     """AdamW one parameter at a time: the former ``adamw_step``.

@@ -125,6 +125,25 @@ class TestGenerateCorpus:
         assert code == 2
         assert "train.m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["train.epochs=2.7", "data.k=1.5",
+                                          "sweep.seeds=[1, 2.5]"])
+    def test_non_integral_integer_exits_2_naming_key(self, tmp_path, capsys, override):
+        # int() would truncate: train.epochs=2.7 used to train 2 epochs
+        code = run("train", "--out", str(tmp_path / "o"), "--set", override)
+        assert code == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_accepted(self):
+        assert resolve_config(None, ["train.epochs=3.0"], None, "train")["train.epochs"] == 3.0
+
+    def test_float32_dtype_exits_2(self, tmp_path, capsys):
+        code = run("train", "--out", str(tmp_path / "o"), *FAST_SETS,
+                   "--set", "model.dtype=float32")
+        assert code == 2
+        assert "float32" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_idempotent_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -188,6 +207,17 @@ class TestTrainEvalRound:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_empty_dataset_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert run("train", "--out", str(out), *FAST_SETS, "--set", "train.epochs=0") == 0
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code = run("eval", "--out", str(tmp_path / "e"), *FAST_SETS,
+                   "--checkpoint", str(out / "model.ckpt"), "--dataset", str(empty))
+        assert code == 2
+        assert "no instances" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "eval.json").exists()
+
     def test_eval_requires_arguments(self, tmp_path, capsys):
         code = run("eval", "--out", str(tmp_path / "e"))
         assert code == 2
@@ -243,6 +273,13 @@ class TestReportCommands:
         payload = json.loads((out / "sweep.json").read_text())
         assert [r["m"] for r in payload["rows"]] == [1, 2]
         assert payload["config"]["train.epochs"] == 1
+
+    def test_sweep_m_without_m_values_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = run("sweep-m", "--out", str(out), *FAST_SETS, "--set", "sweep.m_values=[]")
+        assert code == 2
+        assert "sweep.m_values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sim_protocol_report(self, tmp_path):
         out = tmp_path / "sp"

@@ -7,13 +7,14 @@ import mvre.experiments as exp
 from mvre.data import (CorpusSpec, Dataset, RelationInstance, generate_corpus,
                        make_splits, sample_kshot)
 from mvre.errors import AnalysisError, UndefinedRatioError, ValidationError
-from mvre.experiments import (GridRow, TrainConfig, micro_f1, run_grid,
-                              run_similarity_protocol, similarity_ratio,
+from mvre.experiments import (GridRow, TrainConfig, evaluate, micro_f1, predict,
+                              run_grid, run_similarity_protocol, similarity_ratio,
                               sweep_m, train, view_aspect_heatmap,
                               _population_std, grid_rows_csv, heatmap_csv)
+from mvre.losses import infer
 from mvre.model import MlmModel, ModelConfig
 from mvre.schema import synthetic_schema
-from mvre.vocab import build_vocab
+from mvre.vocab import build_vocab, wrap_template
 
 
 def fast_config(**kw):
@@ -128,6 +129,38 @@ class TestTrain:
             TrainConfig(batch_size=0).validate()
         with pytest.raises(ValidationError, match="batch_size"):
             train(episode, schema, fast_config(batch_size=0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", -1.0), ("beta", -0.1), ("alpha", float("nan")),
+        ("weight_decay", -0.01), ("pretrain_steps", -1),
+        ("pretrain_lr", 0.0), ("pretrain_lr", -2e-3), ("pretrain_lr", float("nan")),
+        ("pretrain_lr", float("inf"))])
+    def test_bad_field_rejected(self, field, value):
+        # a negative alpha or beta would silently turn a regularizer around
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    def test_zero_weights_and_unset_alpha_beta_accepted(self):
+        TrainConfig(alpha=0.0, beta=0.0, weight_decay=0.0, pretrain_steps=0).validate()
+        TrainConfig(alpha=None, beta=None).validate()
+
+    def test_evaluate_batches_like_one_at_a_time(self):
+        # evaluate runs packed chunks of batch_size prompts; with include_na
+        # the score is the accuracy of the per-prompt predictions
+        spec, ds, schema, splits = small_world(n_relations=3, instances_per_relation=8)
+        episode = sample_kshot(splits, 1, 1)
+        artifacts, _ = train(episode, schema, fast_config(epochs=1))
+        data = splits.test
+        for batch_size in (1, 3, 64):
+            cfg = fast_config(batch_size=batch_size)
+            preds = predict(artifacts, data, cfg)
+            prompts = [wrap_template(inst, artifacts.vocab, 2, 48) for inst in data.instances]
+            assert preds == [infer(artifacts.model, artifacts.head, p, artifacts.verbalizer)[0]
+                             for p in prompts]
+            golds = [inst.label for inst in data.instances]
+            accuracy = sum(p == g for p, g in zip(preds, golds)) / len(golds)
+            assert evaluate(artifacts, data, cfg, data.relations[0],
+                            include_na=True) == pytest.approx(accuracy, abs=1e-15)
 
     def test_alpha_beta_defaults_switch_with_init_mode(self):
         assert TrainConfig(init_mode="static").resolved_alpha_beta() == (2.0, 0.1)

@@ -9,14 +9,15 @@ from mvre import autodiff as ad
 from mvre.data import CorpusSpec, generate_corpus
 from mvre.errors import NumericError
 from mvre.losses import (MVDL_EPS, ViewPosteriorHead, ViewScores, global_loss,
-                         infer, local_loss, mvdl_dataset_loss, mvdl_loss,
+                         infer, infer_batch, local_loss, mvdl_dataset_loss, mvdl_loss,
                          per_view_label_probs, relation_scores, total_loss,
                          verbalizer_embeddings, view_posterior, view_scores)
 from mvre.model import AdamW, MlmModel, ModelConfig, forward
 from mvre.schema import synthetic_schema
 from mvre.vocab import EncodedPrompt, Verbalizer, build_vocab, wrap_template
 
-from conftest import assert_grads_close, scalar_cosine
+from conftest import (assert_grads_close, reference_forward_ids, reference_view_posterior,
+                      scalar_cosine)
 
 
 def head_with(w):
@@ -493,3 +494,84 @@ class TestBitwiseAgainstScalarGraphs:
             step(per_view_label_probs, mvdl_loss, local_loss, global_loss),
             step(scalar_per_view_label_probs, scalar_mvdl_loss,
                  scalar_local_loss, scalar_global_loss))
+
+
+class TestPackedBatchAgainstPerSequenceGraphs:
+    """A packed fine-tuning step gives the bits of one graph per prompt."""
+
+    def setup_method(self):
+        spec = CorpusSpec(n_relations=4, instances_per_relation=3, aspects_per_relation=2,
+                          vocab_pool_size=12, sentence_length_range=(6, 14))
+        self.ds = generate_corpus(spec, seed=11)
+        self.schema = synthetic_schema(spec, self.ds, 3)
+        self.vocab, self.verb = build_vocab(self.ds, self.schema)
+        # prompts of unequal lengths, labels given by position
+        self.prompts = [wrap_template(inst, self.vocab, 3, 40) for inst in self.ds.instances[:5]]
+        assert len({p.attention_length for p in self.prompts}) > 1
+        self.labels = [i % 4 for i in range(5)]
+
+    def objective(self, packed, model, head, rng):
+        """``experiments.train``'s loss of one batch, MVDL + local + global."""
+        verb = self.verb
+        if packed:
+            scores = view_scores(model, head, self.prompts, verb, rng=rng, train=True)
+            mvdl = ad.tmean(mvdl_loss(scores, self.labels))
+            local_fn, global_fn = local_loss, global_loss
+        else:
+            terms = []
+            for prompt, y in zip(self.prompts, self.labels):
+                hidden, logits = reference_forward_ids(
+                    model, prompt.ids[: prompt.attention_length], rng=rng, train=True)
+                states = [ad.index(hidden, pos) for pos in prompt.mask_positions]
+                scores = ViewScores(reference_view_posterior(head, states),
+                                    scalar_per_view_label_probs(logits, prompt, verb))
+                terms.append(scalar_mvdl_loss(scores, y))
+            mvdl = ad.tmean(ad.stack(terms))
+            local_fn, global_fn = scalar_local_loss, scalar_global_loss
+        loss = mvdl + 1.2 * local_fn(verbalizer_embeddings(model, verb), 4, 3)
+        return loss + 0.7 * global_fn(verbalizer_embeddings(model, verb), 4, 3)
+
+    def evaluate(self, packed, dropout, seed):
+        cfg = ModelConfig(d=24, n_layers=2, n_heads=3, max_len=40,
+                          vocab_size=len(self.vocab), dropout=dropout)
+        model = MlmModel(cfg, seed=seed)
+        head = head_with(np.random.default_rng(seed).normal(size=cfg.d))
+        params = dict(model.params())
+        params.update(head.params())
+        rng = np.random.default_rng(seed + 10) if dropout else None
+        loss = self.objective(packed, model, head, rng)
+        return loss, {k: g.copy() for k, g in ad.grad(loss, params).items()}
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_training_objective(self, dropout):
+        for seed in range(2):
+            assert_same_bits(self.evaluate(True, dropout, seed),
+                             self.evaluate(False, dropout, seed))
+
+    def test_batched_posterior_matches_per_state_graph(self, rng):
+        head = head_with(rng.normal(size=6))
+        for m in (1, 3, 9):
+            arrays = {f"h{j}": rng.normal(size=6) * 2 for j in range(m)}
+            weights = rng.normal(size=m)
+            new, old = [self.posterior_grads(fn, head, arrays, weights)
+                        for fn in (view_posterior, reference_view_posterior)]
+            assert_same_bits(new, old)
+
+    @staticmethod
+    def posterior_grads(fn, head, arrays, weights):
+        params = {k: ad.parameter(v) for k, v in arrays.items()}
+        params["w"] = head.w
+        head.w.zero_grad()
+        loss = ad.tsum(fn(head, [params[k] for k in arrays]) * weights)
+        return loss, {k: g.copy() for k, g in ad.grad(loss, params).items()}
+
+    def test_infer_batch_matches_one_prompt_at_a_time(self):
+        model = MlmModel(ModelConfig(d=24, n_layers=2, n_heads=3, max_len=40,
+                                     vocab_size=len(self.vocab)), seed=3)
+        head = head_with(np.random.default_rng(3).normal(size=24))
+        for mode in ("mixture", "product"):
+            batch = infer_batch(model, head, self.prompts, self.verb, mode=mode)
+            for prompt, (label, scores) in zip(self.prompts, batch):
+                one_label, one_scores = infer(model, head, prompt, self.verb, mode=mode)
+                assert label == one_label
+                assert scores.tobytes() == one_scores.tobytes()

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mvre import autodiff as ad
-from mvre.data import CorpusSpec, generate_corpus
+from mvre.data import CorpusSpec, Dataset, generate_corpus
 from mvre.errors import ValidationError
 from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig, adamw_step,
-                        forward, forward_ids, load_checkpoint, mask_hidden,
-                        pretrain_mlm, save_checkpoint)
+                        forward, forward_batch, forward_ids, load_checkpoint,
+                        mask_hidden, pretrain_mlm, save_checkpoint)
 from mvre.schema import synthetic_schema
 from mvre.vocab import build_vocab, vocab_payload, wrap_template
 
@@ -160,6 +160,82 @@ class TestSublayersBitwise:
         assert logits.data.tobytes() == ref_logits.data.tobytes()
 
 
+class TestPackedBatchBitwise:
+    """A packed pretraining step gives the bits of one graph per sequence."""
+
+    LENGTHS = (9, 1, 17, 12, 5, 3)  # unequal, with a 1-token sequence
+
+    def batch(self, cfg, seed):
+        model = MlmModel(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        for p in model.params().values():  # off the initial ones and zeros
+            p.data = p.data + rng.normal(0.0, 0.3, size=p.data.shape)
+        seqs = [rng.integers(0, cfg.vocab_size, size=L) for L in self.LENGTHS]
+        reads = [np.unique(rng.integers(0, L, size=3)) for L in self.LENGTHS]
+        targets = np.concatenate([rng.integers(0, cfg.vocab_size, size=len(r))
+                                  for r in reads])
+        return model, seqs, reads, targets
+
+    def step(self, packed, model, seqs, reads, targets, rng=None):
+        """The masked-token loss of ``pretrain_mlm``: (loss, logits, gradients)."""
+        if packed:
+            _, logits, starts = forward_batch(model, seqs, rng=rng, train=rng is not None)
+            rows = ad.index(logits, np.concatenate([s + r for s, r in zip(starts, reads)]))
+            logits = logits.data
+        else:
+            outs = [reference_forward_ids(model, ids, rng=rng, train=rng is not None)[1]
+                    for ids in seqs]
+            rows = ad.concat([ad.index(lg, r) for lg, r in zip(outs, reads)])
+            logits = np.concatenate([lg.data for lg in outs])
+        probs = ad.softmax(rows)
+        loss = ad.tmean(-ad.log(ad.index(probs, (np.arange(len(targets)), targets)) + 1e-12))
+        grads = ad.grad(loss, model.params()) if loss.requires_grad else {}
+        return loss.data, logits, {k: g.copy() for k, g in grads.items()}
+
+    def assert_same(self, cfg, seed, dropout_seed=None):
+        args = self.batch(cfg, seed)
+
+        def generator():  # a fresh, equal one for each side
+            return None if dropout_seed is None else np.random.default_rng(dropout_seed)
+
+        new = self.step(True, *args, rng=generator())
+        old = self.step(False, *args, rng=generator())
+        assert new[0].tobytes() == old[0].tobytes()
+        assert new[1].tobytes() == old[1].tobytes()
+        assert new[2].keys() == old[2].keys()
+        for name in old[2]:
+            assert new[2][name].tobytes() == old[2][name].tobytes(), name
+
+    @pytest.mark.parametrize("d,n_heads", [(32, 2), (64, 4), (24, 3)])
+    def test_loss_logits_and_gradients(self, d, n_heads):
+        cfg = ModelConfig(d=d, n_layers=2, n_heads=n_heads, max_len=32, vocab_size=40)
+        for seed in range(3):
+            self.assert_same(cfg, seed)
+
+    def test_dropout_with_equal_generators(self):
+        cfg = ModelConfig(d=32, n_layers=2, n_heads=2, max_len=32, vocab_size=40,
+                          dropout=0.1)
+        for seed in range(3):
+            self.assert_same(cfg, seed, dropout_seed=seed + 10)
+
+    def test_no_grad(self):
+        cfg = ModelConfig(d=32, n_layers=2, n_heads=2, max_len=32, vocab_size=40)
+        args = self.batch(cfg, 0)
+        with ad.no_grad():
+            hidden, logits, starts = forward_batch(args[0], args[1])
+            assert hidden._parents == () and not logits.requires_grad
+            new, old = self.step(True, *args), self.step(False, *args)
+        assert new[0].tobytes() == old[0].tobytes()
+        assert new[1].tobytes() == old[1].tobytes()
+        assert new[2] == old[2] == {}
+        assert list(starts) == [0, 9, 10, 27, 39, 44]
+
+    def test_empty_batch_rejected(self):
+        cfg = ModelConfig(d=8, n_layers=1, n_heads=2, max_len=8, vocab_size=10)
+        with pytest.raises(ValueError, match="at least one sequence"):
+            forward_batch(MlmModel(cfg), [])
+
+
 class TestAdamW:
     def test_zero_grad_no_decay_fixed_point(self):
         p = ad.parameter(np.array([1.0, -2.0]))
@@ -245,6 +321,14 @@ class TestPretrain:
             pretrain_mlm(self.model, self.ds, self.vocab,
                          PretrainConfig(**{field: value}))
 
+    def test_holdout_taking_every_sentence_rejected(self):
+        # round(3 * 0.9) = 3 would leave nothing to train on, and the
+        # "held-out" accuracy would be measured on training sentences
+        corpus = Dataset(self.ds.instances[:3], self.ds.relations)
+        with pytest.raises(ValidationError, match="holdout_fraction=0.9 holds out all 3"):
+            pretrain_mlm(self.model, corpus, self.vocab,
+                         PretrainConfig(steps=1, holdout_fraction=0.9))
+
     def test_edge_values_accepted(self):
         PretrainConfig(steps=0, mask_rate=1.0, holdout_fraction=0.0).validate()
 
@@ -276,6 +360,16 @@ class TestPretrain:
         assert result.holdout_accuracy >= 50.0 * uniform, (
             f"accuracy {result.holdout_accuracy:.4f} below 50x uniform "
             f"{50.0 * uniform:.4f}")
+
+
+class TestModelConfig:
+    def test_float32_rejected(self):
+        # every parameter is float64, so another dtype would be a silent lie
+        cfg = ModelConfig(d=8, n_heads=2, vocab_size=10, dtype="float32")
+        with pytest.raises(ValueError, match="float32"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="float32"):
+            MlmModel(cfg)
 
 
 class TestCheckpoint:
