@@ -5,10 +5,10 @@ Calling :meth:`Tensor.backward` on a scalar walks the recorded graph in
 reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``.
 
-The op set is deliberately small: elementwise arithmetic, matmul,
-embedding gather / indexing, softmax, layer norm, GELU/tanh, sigmoid,
-log/exp, row-pair cosine similarity (``cosine_pairs``), per-row dots
-(``row_dots``), sum/mean reductions, and the transformer's parts as single
+The op set is deliberately small: elementwise arithmetic and powers,
+embedding gather / indexing, softmax, layer norm, sigmoid, log, row-pair
+cosine similarity (``cosine_pairs``), per-row dots (``row_dots``), sum/mean
+reductions, stack/concat, dropout, and the transformer's parts as single
 nodes over a packed batch of sequences: ``attention_sublayer`` (layer norm,
 Q/K/V, every head and the output projection), ``ffn_sublayer`` (layer norm,
 two linear maps around a GELU) and ``TiedEmbedding`` (token plus position
@@ -17,7 +17,9 @@ its sequences into one [sum L, d] array: row-wise math runs once per batch,
 every matmul once per sequence, and each op gives the bits of the graph of
 small ops, one graph per sequence, that it replaces (see "packed sequences").
 Everything runs in the dtype of its inputs (float64 by default throughout
-the package).
+the package). A model's parameters are packed into an ``Arena``, one flat
+vector with a parallel gradient vector (see "parameter arenas"); a packed
+parameter's ``.data`` must never be rebound.
 
 Division propagates gradients through the already-computed quotient
 (``d(a/b)/db = -(a/b)/b``) rather than recomputing ``a/b**2``; besides
@@ -28,6 +30,7 @@ which downstream code relies on for bit-reproducible degenerate cases.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,10 +54,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -83,10 +82,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def item(self) -> float:
         return float(self.data)
@@ -153,9 +148,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -270,54 +262,6 @@ def power(a, exponent: float) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ValueError(f"matmul supports 1-D/2-D operands, got {a.ndim}-D @ {b.ndim}-D")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.ndim == 2 and b.ndim == 2:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(np.outer(a.data, g))
-        elif a.ndim == 2 and b.ndim == 1:
-            if a.requires_grad:
-                a._accumulate(np.outer(g, b.data))
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        else:  # dot product of two vectors
-            if a.requires_grad:
-                a._accumulate(g * b.data)
-            if b.requires_grad:
-                b._accumulate(g * a.data)
-
-    return _make(out_data, (a, b), backward)
-
-
-def dot(a, b) -> Tensor:
-    return matmul(a, b)
-
-
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-    out_data = a.data.T
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return _make(out_data, (a,), backward)
-
-
 # -- indexing -----------------------------------------------------------
 
 def index(a, key) -> Tensor:
@@ -355,17 +299,6 @@ def log(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     out_data = 1.0 / (1.0 + np.exp(-a.data))
@@ -373,17 +306,6 @@ def sigmoid(a) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), backward)
 
@@ -397,18 +319,6 @@ def _gelu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gelu_grad(g: np.ndarray, a: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     pdf = np.exp(-0.5 * a * a) * _INV_SQRT_2PI
     return g * (cdf + a * pdf)
-
-
-def gelu(a) -> Tensor:
-    """Gaussian error linear unit, exact erf form."""
-    a = _as_tensor(a)
-    out_data, cdf = _gelu(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_gelu_grad(g, a.data, cdf))
-
-    return _make(out_data, (a,), backward)
 
 
 # -- reductions -----------------------------------------------------------
@@ -806,24 +716,107 @@ def dropout(a, rate: float, rng) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+# -- parameter arenas ----------------------------------------------------------
+#
+# An arena packs parameters into one flat float64 vector: each ``.data`` is a
+# view into it, and a parallel vector holds the gradients. ``grad`` zeroes that
+# vector and binds each ``.grad`` to its view, so the backward pass adds into it
+# (``0.0 + g`` has the bits of a fresh ``g + 0.0``, -0.0 becoming +0.0, and a
+# parameter the loss never reaches reads zeros); an optimizer then updates the
+# vector in place. Packing is the last rebind of ``.data``: write into it
+# instead. Every whole-arena read (``Arena.flat``) checks the views, so a
+# rebound parameter raises rather than leaving a stale copy in training. A
+# registry, not ``Tensor``, maps each packed parameter to its arena.
+
+_ARENA_OF: "weakref.WeakValueDictionary[int, Arena]" = weakref.WeakValueDictionary()
+
+
+class Arena(dict):
+    """Name -> leaf ``Tensor``, packed in order. ``values`` maps names to arrays,
+    which become new parameters, or to parameters, which are packed."""
+
+    def __init__(self, values: dict):
+        super().__init__()
+        arrays = [np.asarray(v.data if isinstance(v, Tensor) else v) for v in values.values()]
+        starts = np.cumsum([0] + [a.size for a in arrays])
+        self._layout = [(n, slice(s, s + a.size), a.shape)
+                        for n, a, s in zip(values, arrays, starts)]
+        self._flat, self._grad = np.empty(starts[-1]), np.zeros(starts[-1])
+        self._views = tuple(self.unflatten(self._flat).values())
+        self._grads = tuple(self.unflatten(self._grad).values())
+        for (name, value), a, view in zip(values.items(), arrays, self._views):
+            view[...] = a
+            self[name] = p = value if isinstance(value, Tensor) else Tensor(view, True)
+            p.data = view
+            _ARENA_OF[id(p)] = self
+
+    def __reduce__(self):  # unpickled, the views would be loose copies: repack them
+        return Arena, (dict(self),)
+
+    def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> view of a flat vector laid out like this arena."""
+        return {name: vec[sl].reshape(shape) for name, sl, shape in self._layout}
+
+    def flat(self) -> np.ndarray:
+        """The parameter vector, once every parameter is checked to view it."""
+        for (name, p), view in zip(self.items(), self._views):
+            if p.data is not view:
+                raise ValueError(f"parameter {name!r} no longer views its arena: .data rebound")
+        return self._flat
+
+    def load_grads(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """The gradient vector holding ``grads`` by name, a missing one as
+        zeros (the views ``grad`` returns are in place already)."""
+        for name, view in zip(self, self._grads):
+            g = grads.get(name)
+            if g is None:
+                view.fill(0.0)
+            elif np.shape(g) != view.shape:
+                raise ValueError(f"gradient shape {np.shape(g)} mismatches param "
+                                 f"{name!r} {view.shape}")
+            elif g is not view:
+                view[...] = g
+        return self._grad
+
+    def check_finite(self, when: str = ""):
+        if not np.isfinite(self.flat()).all():
+            name = next(n for n, p in self.items() if not np.isfinite(p.data).all())
+            raise FloatingPointError(f"parameter {name!r} contains NaN/Inf{when}")
+
+
+def _arenas_of(params: dict[str, Tensor]) -> list[Arena]:
+    found = (_ARENA_OF.get(id(p)) for p in params.values())
+    return list({id(a): a for a in found if a is not None}.values())
+
+
+def arenas(params: dict[str, Tensor]) -> list[Arena]:
+    """The arenas that ``params`` holds whole, under their own names, then one
+    new arena packing the rest of ``params``."""
+    whole = [a for a in _arenas_of(params) if all(params.get(n) is p for n, p in a.items())]
+    held = {id(p) for a in whole for p in a.values()}
+    rest = {n: p for n, p in params.items() if id(p) not in held}
+    return whole + ([Arena(rest)] if rest else [])
+
+
 # -- gradient helpers ---------------------------------------------------------
-
-def zero_grads(params: dict[str, Tensor]):
-    for p in params.values():
-        p.zero_grad()
-
 
 def grad(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss for every registered parameter.
 
-    Parameters the loss does not depend on receive zero arrays of the
-    matching shape.
+    Every arena holding one of ``params`` gets its gradient vector zeroed and
+    bound first, so a packed parameter's gradient is its view of that vector.
+    Parameters the loss does not depend on receive zeros of matching shape.
     """
     if not isinstance(loss, Tensor):
         raise ValueError("loss must be a Tensor")
     if loss.data.size != 1:
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
-    zero_grads(params)
+    for p in params.values():
+        p.grad = None
+    for arena in _arenas_of(params):
+        arena._grad.fill(0.0)
+        for p, view in zip(arena.values(), arena._grads):
+            p.grad = view
     loss.backward()
     return {
         name: (p.grad if p.grad is not None else np.zeros_like(p.data))

@@ -261,7 +261,7 @@ def _artifacts_from_checkpoint(path: str) -> tuple[TrainedArtifacts, dict]:
     vocab, verbalizer = vocab_from_payload(ckpt.vocab_payload)
     head = ViewPosteriorHead(ckpt.model.config.d)
     if ckpt.head_w is not None:
-        head.w.data = ckpt.head_w.copy()
+        head.w.data[...] = ckpt.head_w
     return TrainedArtifacts(ckpt.model, head, vocab, verbalizer), ckpt.extra
 
 

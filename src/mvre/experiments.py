@@ -218,7 +218,8 @@ def train(episode: Episode, schema: RelationSchema, config: TrainConfig,
     n_rel = len(schema.relations)
 
     artifacts = TrainedArtifacts(model, head, vocab, verbalizer)
-    best = None  # (dev_f1, param snapshot)
+    arenas = (model.params(), head.params())
+    best = None  # (dev_f1, a copy of each arena)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(prompts))
@@ -241,11 +242,11 @@ def train(episode: Episode, schema: RelationSchema, config: TrainConfig,
         if config.best_dev_selection and episode.dev.instances:
             dev_f1 = evaluate(artifacts, episode.dev, config, schema.na_label)
             if best is None or dev_f1 > best[0]:
-                best = (dev_f1, model.param_values(), head.w.data.copy())
+                best = (dev_f1, [a.flat().copy() for a in arenas])
 
     if best is not None:
-        model.load_param_values(best[1])
-        head.w.data = best[2]
+        for arena, values in zip(arenas, best[1]):
+            arena.flat()[...] = values
     model.check_finite()
 
     f1 = evaluate(artifacts, episode.test, config, schema.na_label)

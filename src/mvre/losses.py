@@ -24,13 +24,15 @@ MVDL_EPS = 1e-12
 
 
 class ViewPosteriorHead:
-    """The learned weighting vector over view states; starts uniform (all zeros)."""
+    """The learned weighting vector over view states; starts uniform (all zeros).
+    ``w`` is packed in an ``ad.Arena`` of its own: write into ``w.data``."""
 
     def __init__(self, d: int):
-        self.w = ad.parameter(np.zeros(d))
+        self._params = ad.Arena({"view_head.w": np.zeros(d)})
+        self.w = self._params["view_head.w"]
 
-    def params(self) -> dict[str, Tensor]:
-        return {"view_head.w": self.w}
+    def params(self) -> ad.Arena:
+        return self._params
 
     @property
     def d(self) -> int:

@@ -12,11 +12,13 @@ encoder, which keeps them out of attention entirely. A batch runs packed
 [sum L, d] matrix, so row-wise math runs once per batch while every matmul
 and each sequence's attention run per sequence; each sequence gets the bits
 it gets alone, and each gradient the bits of one graph per sequence.
+
+The parameters live in one flat vector (an ``autodiff.Arena``), so AdamW,
+snapshots, the finiteness check and checkpoints each touch one array.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import struct
@@ -83,19 +85,23 @@ def param_table(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
 
 
 class MlmModel:
-    """Parameter store plus forward pass. Parameters live in a flat name->Tensor map."""
+    """Parameter store plus forward pass. The parameters form one ``ad.Arena``
+    in ``param_table`` order, drawn from ``seed`` or copied from ``values``
+    (name -> array). Write parameter values in place; never rebind ``.data``."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 values: dict[str, np.ndarray] | None = None):
         config.validate()
         self.config = config
-        rng = np.random.default_rng(seed)
-        make = {"normal": lambda shape: rng.normal(0.0, config.init_scale, size=shape),
-                "zeros": np.zeros, "ones": np.ones}
-        self._params: dict[str, Tensor] = {
-            name: ad.parameter(make[init](shape))
-            for name, (shape, init) in param_table(config).items()}
+        table = param_table(config)
+        if values is None:
+            rng = np.random.default_rng(seed)
+            make = {"normal": lambda shape: rng.normal(0.0, config.init_scale, size=shape),
+                    "zeros": np.zeros, "ones": np.ones}
+            values = {name: make[init](shape) for name, (shape, init) in table.items()}
+        self._params = ad.Arena({name: values[name] for name in table})
 
-    def params(self) -> dict[str, Tensor]:
+    def params(self) -> ad.Arena:
         return self._params
 
     @property
@@ -103,26 +109,24 @@ class MlmModel:
         return self._params["token_embed"]
 
     def param_values(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self._params.items()}
+        """A copy of every parameter: views into one copy of the arena."""
+        return self._params.unflatten(self._params.flat().copy())
 
     def load_param_values(self, values: dict[str, np.ndarray]):
+        """Write parameter values in place."""
+        views = self._params.unflatten(self._params.flat())
         for k, v in values.items():
-            if k not in self._params:
+            if k not in views:
                 raise ValueError(f"unknown parameter {k!r}")
-            if self._params[k].data.shape != v.shape:
-                raise ValueError(f"shape mismatch for {k!r}: "
-                                 f"{self._params[k].data.shape} vs {v.shape}")
-            self._params[k].data = v.astype(self._params[k].data.dtype, copy=True)
+            if views[k].shape != v.shape:
+                raise ValueError(f"shape mismatch for {k!r}: {views[k].shape} vs {v.shape}")
+            views[k][...] = v
 
     def copy(self) -> "MlmModel":
-        clone = MlmModel(self.config, seed=0)
-        clone.load_param_values(self.param_values())
-        return clone
+        return MlmModel(self.config, values=self.param_values())
 
     def check_finite(self):
-        for name, p in self._params.items():
-            if not np.all(np.isfinite(p.data)):
-                raise FloatingPointError(f"parameter {name!r} contains NaN/Inf")
+        self._params.check_finite()
 
 
 # per-block parameter names, in the argument order of the sublayer ops
@@ -212,42 +216,41 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                eps: float = 1e-8, weight_decay: float = 0.0):
     """One decoupled-weight-decay Adam update, in place on params and state.
 
-    All parameters move as one flat vector (a missing gradient counts as
-    zeros), so ``state`` holds the flat moments of one fixed parameter set.
-    Every element goes through the same expressions as in a per-parameter
-    update, so the result does not depend on the grouping.
+    The first call groups ``params`` into arenas (``ad.arenas``), kept in
+    ``state`` with their flat moments; each step updates every arena's vector
+    in place through two scratch vectors (a missing gradient counts as
+    zeros). Each element goes through the expressions of a per-parameter
+    update in the same association, so the grouping does not change a bit.
     """
     b1, b2 = betas
-    flat = []
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} mismatches param {name!r} "
-                             f"{p.data.shape}")
-        flat.append(g.ravel())
-    g = np.concatenate(flat)
-    w = np.concatenate([p.data.ravel() for p in params.values()])
     if not state:
-        state.update(m=np.zeros_like(w), v=np.zeros_like(w), t=0)
+        groups = ad.arenas(params)
+        n = max((a.flat().size for a in groups), default=0)
+        state.update(groups=groups, m=[np.zeros_like(a.flat()) for a in groups],
+                     v=[np.zeros_like(a.flat()) for a in groups], t=0, scratch=np.empty((2, n)))
     state["t"] += 1
     t = state["t"]
-    state["m"] = b1 * state["m"] + (1.0 - b1) * g
-    state["v"] = b2 * state["v"] + (1.0 - b2) * (g * g)
-    m_hat = state["m"] / (1.0 - b1 ** t)
-    v_hat = state["v"] / (1.0 - b2 ** t)
-    if weight_decay != 0.0:
-        w = w - lr * weight_decay * w
-    w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
-    start = 0
-    for p in params.values():
-        p.data = w[start : start + p.data.size].reshape(p.data.shape)
-        start += p.data.size
+    for arena, m, v in zip(state["groups"], state["m"], state["v"]):
+        w, g = arena.flat(), arena.load_grads(grads)
+        s, u = state["scratch"][:, : w.size]
+        if weight_decay != 0.0:
+            w -= np.multiply(w, lr * weight_decay, out=s)  # w - lr * weight_decay * w
+        m *= b1  # m = b1 * m + (1 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=s)
+        v *= b2  # v = b2 * v + (1 - b2) * (g * g)
+        v += np.multiply(np.multiply(g, g, out=s), 1.0 - b2, out=s)
+        np.divide(m, 1.0 - b1 ** t, out=s)  # m_hat
+        np.divide(v, 1.0 - b2 ** t, out=u)  # v_hat
+        np.sqrt(u, out=u)  # w - lr * m_hat / (sqrt(v_hat) + eps)
+        u += eps
+        s *= lr
+        s /= u
+        w -= s
 
 
 class AdamW:
-    """Stateful wrapper around :func:`adamw_step` for a fixed parameter set."""
+    """Stateful wrapper around :func:`adamw_step` for a fixed parameter set;
+    a step that leaves a non-finite value raises, naming the parameter."""
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -262,6 +265,8 @@ class AdamW:
     def step(self, grads: dict[str, np.ndarray]):
         adamw_step(self.params, grads, self.state, self.lr, self.betas,
                    self.eps, self.weight_decay)
+        for arena in self.state["groups"]:
+            arena.check_finite(f" after AdamW step {self.state['t']}")
 
 
 # -- masked-token pretraining ---------------------------------------------------
@@ -312,6 +317,13 @@ def _apply_mlm_mask(ids: np.ndarray, candidates: np.ndarray, mask_id: int, rate:
     return corrupted, positions, ids[positions]
 
 
+def maskable_positions(encoded: list[np.ndarray], vocab: Vocab) -> list[np.ndarray]:
+    """The non-special positions of each id sequence, through one boolean lookup."""
+    special = np.zeros(len(vocab), dtype=bool)
+    special[list(vocab.special_ids)] = True
+    return [np.where(~special[ids])[0] for ids in encoded]
+
+
 def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
                  config: PretrainConfig) -> PretrainResult:
     """Masked-token prediction training on a corpus' sentences.
@@ -325,8 +337,7 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     config.validate()
     rng = np.random.default_rng([config.seed, 0xA11])
     encoded = [encode_sentence(inst, vocab) for inst in corpus.instances]
-    special = np.array(vocab.special_ids)
-    maskable = [np.where(~np.isin(ids, special))[0] for ids in encoded]
+    maskable = maskable_positions(encoded, vocab)
     n_hold = int(round(len(encoded) * config.holdout_fraction))
     if n_hold >= len(encoded):
         raise ValidationError(f"pretrain holdout_fraction={config.holdout_fraction} holds out "
@@ -387,25 +398,19 @@ def save_checkpoint(path: str | Path, model: MlmModel,
                     vocab_payload: dict | None = None,
                     extra: dict | None = None):
     """Single-file checkpoint: JSON header plus raw little-endian float64 arrays."""
-    arrays: list[tuple[str, np.ndarray]] = [
-        (name, p.data) for name, p in model.params().items()
-    ]
+    shapes = [(name, p.data.shape) for name, p in model.params().items()]
+    blobs = [np.ascontiguousarray(model.params().flat(), dtype="<f8").tobytes()]
     if head_w is not None:
-        arrays.append(("view_head.w", np.asarray(head_w, dtype=np.float64)))
+        shapes.append(("view_head.w", np.shape(head_w)))
+        blobs.append(np.ascontiguousarray(head_w, dtype="<f8").tobytes())
     header = {
         "config": asdict(model.config),
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in arrays],
+        "arrays": [{"name": n, "shape": list(s)} for n, s in shapes],
         "vocab": vocab_payload,
         "extra": extra or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<Q", len(blob)))
-    buf.write(blob)
-    for _, a in arrays:
-        buf.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    Path(path).write_bytes(b"".join([_MAGIC, struct.pack("<Q", len(blob)), blob, *blobs]))
 
 
 @dataclass
@@ -449,10 +454,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if shape != expected[name]:
             raise ValueError(f"checkpoint array {name!r} has shape {shape}, "
                              f"config implies {expected[name]}")
-        values[name] = arr.astype(np.float64)
+        values[name] = arr
     missing = set(expected) - set(values)
     if missing:
         raise ValueError(f"checkpoint missing arrays: {sorted(missing)}")
-    model = MlmModel(config, seed=0)
-    model.load_param_values(values)
-    return Checkpoint(model, head_w, header.get("vocab"), header.get("extra", {}))
+    return Checkpoint(MlmModel(config, values=values), head_w, header.get("vocab"),
+                      header.get("extra", {}))

@@ -83,6 +83,13 @@ class TestTrain:
         artifacts2, result2 = train(episode, schema, cfg)
         assert result.micro_f1 == result2.micro_f1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_fails_at_once(self):
+        spec, ds, schema, splits = small_world()
+        cfg = fast_config(lr=1e300, epochs=20)
+        with pytest.raises(FloatingPointError, match=r"NaN/Inf after AdamW step [1-3]$"):
+            train(sample_kshot(splits, 2, 1), schema, cfg)
+
     def test_deterministic_end_to_end(self):
         spec, ds, schema, splits = small_world()
         episode = sample_kshot(splits, 2, 3)

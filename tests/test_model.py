@@ -1,17 +1,23 @@
 """Forward-pass contracts, optimizer arithmetic, pretraining, checkpoints."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from mvre import autodiff as ad
-from mvre.data import CorpusSpec, Dataset, generate_corpus
+from mvre.cli import _artifacts_from_checkpoint
+from mvre.data import CorpusSpec, Dataset, generate_corpus, make_splits, sample_kshot
 from mvre.errors import ValidationError
+from mvre.experiments import TrainConfig, train
+from mvre.losses import ViewPosteriorHead
 from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig, adamw_step,
                         forward, forward_batch, forward_ids, load_checkpoint,
-                        mask_hidden, pretrain_mlm, save_checkpoint)
+                        mask_hidden, maskable_positions, pretrain_mlm, save_checkpoint)
 from mvre.schema import synthetic_schema
-from mvre.vocab import build_vocab, vocab_payload, wrap_template
+from mvre.vocab import build_vocab, encode_sentence, vocab_payload, wrap_template
 
+from acceptance_workloads import TREND_M_HIGH, trend_world
 from conftest import assert_grads_close, reference_adamw_step, reference_forward_ids
 
 
@@ -295,6 +301,107 @@ class TestAdamW:
                 assert flat[k].data.tobytes() == ref[k].data.tobytes(), k
 
 
+def assert_packed(params: ad.Arena):
+    """Every parameter's ``.data`` is its own slice of the arena's one vector."""
+    flat, start = params.flat(), 0
+    for name, p in params.items():
+        assert p.data.base is flat, name
+        assert np.shares_memory(p.data, flat[start : start + p.data.size]), name
+        assert not np.shares_memory(p.data, flat[start + p.data.size :]), name
+        start += p.data.size
+    assert start == flat.size
+
+
+def masked_token_loss(model, prompts, targets):
+    hidden, logits, starts = forward_batch(model, [p.ids[: p.attention_length]
+                                                   for p in prompts])
+    rows = [s + p.mask_positions[0] for s, p in zip(starts, prompts)]
+    probs = ad.softmax(ad.index(logits, np.array(rows)))
+    return ad.tmean(-ad.log(ad.index(probs, (np.arange(len(rows)), targets)) + 1e-12))
+
+
+class TestParameterArena:
+    def setup_method(self):
+        (self.spec, self.ds, self.schema, self.vocab,
+         self.verb, self.model) = toy_setup()
+
+    def test_packed_after_construction_and_copy(self):
+        assert_packed(self.model.params())
+        clone = self.model.copy()
+        assert_packed(clone.params())
+        assert not np.shares_memory(clone.params().flat(), self.model.params().flat())
+        assert clone.params().flat().tobytes() == self.model.params().flat().tobytes()
+        head = ViewPosteriorHead(self.model.config.d)
+        assert_packed(head.params())
+        assert head.params().flat().shape == (self.model.config.d,)
+
+    def test_packed_after_load_checkpoint_and_cli_artifacts(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        head_w = np.linspace(-1.0, 1.0, self.model.config.d)
+        save_checkpoint(path, self.model, head_w=head_w,
+                        vocab_payload=vocab_payload(self.vocab, self.verb))
+        ckpt = load_checkpoint(path)
+        assert_packed(ckpt.model.params())
+        artifacts, _ = _artifacts_from_checkpoint(str(path))
+        for params in (artifacts.model.params(), artifacts.head.params()):
+            assert_packed(params)
+        assert artifacts.head.w.data.tobytes() == head_w.tobytes()
+        assert (artifacts.model.params().flat().tobytes()
+                == self.model.params().flat().tobytes())
+
+    def test_packed_after_best_dev_selection_train(self):
+        splits = make_splits(self.ds, seed=0)
+        cfg = TrainConfig(m=2, lr=5e-3, epochs=3, max_len=48, init_mode="static",
+                          best_dev_selection=True,
+                          model=ModelConfig(d=12, n_layers=1, n_heads=2, max_len=48))
+        artifacts, _ = train(sample_kshot(splits, 2, 1), self.schema, cfg)
+        assert_packed(artifacts.model.params())
+        assert_packed(artifacts.head.params())
+
+    def test_adamw_steps_in_place_match_per_parameter_update(self):
+        ref = self.model.copy()
+        prompts = [wrap_template(i, self.vocab, 2, 48) for i in self.ds.instances[:4]]
+        targets = np.array([self.verb.virtual_id_by_index(i % 3, 1) for i in range(4)])
+        opt, ref_state = AdamW(self.model.params(), lr=0.01, weight_decay=0.01), {}
+        flat = self.model.params().flat()
+        for _ in range(5):
+            opt.step(ad.grad(masked_token_loss(self.model, prompts, targets),
+                             self.model.params()))
+            grads = ad.grad(masked_token_loss(ref, prompts, targets), ref.params())
+            reference_adamw_step(ref.params(), grads, ref_state, lr=0.01,
+                                 weight_decay=0.01)
+        assert self.model.params().flat() is flat
+        assert_packed(self.model.params())
+        for name, p in self.model.params().items():
+            assert p.data.tobytes() == ref.params()[name].data.tobytes(), name
+
+    def test_packed_after_pickling(self):
+        head = ViewPosteriorHead(self.model.config.d)
+        model, head = pickle.loads(pickle.dumps((self.model, head)))
+        assert_packed(model.params())
+        assert_packed(head.params())
+        assert head.w is head.params()["view_head.w"]
+        assert model.params().flat().tobytes() == self.model.params().flat().tobytes()
+
+    def test_rebound_data_raises_naming_the_parameter(self, tmp_path):
+        opt = AdamW(self.model.params(), lr=0.01)
+        p = self.model.params()["blocks.0.attn.wq"]
+        p.data = p.data.copy()
+        for whole_arena_read in (self.model.param_values, self.model.copy,
+                                 self.model.check_finite, lambda: opt.step({}),
+                                 lambda: save_checkpoint(tmp_path / "x.ckpt", self.model)):
+            with pytest.raises(ValueError, match="'blocks.0.attn.wq' no longer views"):
+                whole_arena_read()
+
+    def test_grad_binds_views_of_one_gradient_vector(self):
+        params = self.model.params()
+        prompts = [wrap_template(i, self.vocab, 2, 48) for i in self.ds.instances[:2]]
+        grads = ad.grad(masked_token_loss(self.model, prompts, np.array([3, 4])), params)
+        base = grads["token_embed"].base
+        assert all(g.base is base and params[n].grad is g for n, g in grads.items())
+        assert base.size == params.flat().size
+
+
 class TestPretrain:
     def setup_method(self):
         (self.spec, self.ds, self.schema, self.vocab,
@@ -331,6 +438,22 @@ class TestPretrain:
 
     def test_edge_values_accepted(self):
         PretrainConfig(steps=0, mask_rate=1.0, holdout_fraction=0.0).validate()
+
+    def test_maskable_positions_match_isin(self):
+        spec, dataset, _, full = trend_world()
+        vocab, _ = build_vocab(full, synthetic_schema(spec, dataset, TREND_M_HIGH))
+        encoded = [encode_sentence(inst, vocab) for inst in full.instances]
+        special = np.array(vocab.special_ids)
+        for ids, got in zip(encoded, maskable_positions(encoded, vocab)):
+            want = np.where(~np.isin(ids, special))[0]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_fails_at_once(self):
+        # steps of 1e300 overflow token_embed after step 2; training stops there
+        cfg = PretrainConfig(steps=50, lr=1e300, log_every=0)
+        with pytest.raises(FloatingPointError, match=r"NaN/Inf after AdamW step [123]$"):
+            pretrain_mlm(self.model, self.ds, self.vocab, cfg)
 
     def test_deterministic(self):
         m1 = self.model.copy()
