@@ -15,7 +15,7 @@ from mvre import (CorpusSpec, MlmModel, ModelConfig, build_vocab, forward,
 # --- gradients by hand vs by engine ------------------------------------------
 w = ad.parameter(np.array([1.0, -2.0, 0.5]))
 x = np.array([0.3, 0.1, -0.4])
-loss = ad.sigmoid(ad.tsum(w * x)) ** 2
+loss = ad.sigmoid(ad.dot(w, ad.tensor(x))) ** 2
 loss.backward()
 z = float(w.data @ x)
 s = 1.0 / (1.0 + np.exp(-z))

@@ -5,10 +5,10 @@ Calling :meth:`Tensor.backward` on a scalar walks the recorded graph in
 reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``.
 
-The op set is deliberately small: elementwise arithmetic and powers,
-embedding gather / indexing, softmax, layer norm, sigmoid, log, row-pair
-cosine similarity (``cosine_pairs``), per-row dots (``row_dots``), sum/mean
-reductions, stack/concat, dropout, and the transformer's parts as single
+The op set is deliberately small: elementwise arithmetic, matmul,
+embedding gather / indexing, softmax, layer norm, GELU/tanh, sigmoid,
+log/exp, row-pair cosine similarity (``cosine_pairs``), per-row dots
+(``row_dots``), sum/mean reductions, and the transformer's parts as single
 nodes over a packed batch of sequences: ``attention_sublayer`` (layer norm,
 Q/K/V, every head and the output projection), ``ffn_sublayer`` (layer norm,
 two linear maps around a GELU) and ``TiedEmbedding`` (token plus position
@@ -30,7 +30,6 @@ which downstream code relies on for bit-reproducible degenerate cases.
 from __future__ import annotations
 
 import contextlib
-import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,6 +81,10 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
+
+    @property
+    def T(self) -> "Tensor":
+        return transpose(self)
 
     def item(self) -> float:
         return float(self.data)
@@ -148,6 +151,9 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -262,6 +268,54 @@ def power(a, exponent: float) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def matmul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        raise ValueError(f"matmul supports 1-D/2-D operands, got {a.ndim}-D @ {b.ndim}-D")
+    out_data = a.data @ b.data
+
+    def backward(g):
+        if a.ndim == 2 and b.ndim == 2:
+            if a.requires_grad:
+                a._accumulate(g @ b.data.T)
+            if b.requires_grad:
+                b._accumulate(a.data.T @ g)
+        elif a.ndim == 1 and b.ndim == 2:
+            if a.requires_grad:
+                a._accumulate(g @ b.data.T)
+            if b.requires_grad:
+                b._accumulate(np.outer(a.data, g))
+        elif a.ndim == 2 and b.ndim == 1:
+            if a.requires_grad:
+                a._accumulate(np.outer(g, b.data))
+            if b.requires_grad:
+                b._accumulate(a.data.T @ g)
+        else:  # dot product of two vectors
+            if a.requires_grad:
+                a._accumulate(g * b.data)
+            if b.requires_grad:
+                b._accumulate(g * a.data)
+
+    return _make(out_data, (a, b), backward)
+
+
+def dot(a, b) -> Tensor:
+    return matmul(a, b)
+
+
+def transpose(a) -> Tensor:
+    a = _as_tensor(a)
+    if a.ndim != 2:
+        raise ValueError("transpose expects a 2-D tensor")
+    out_data = a.data.T
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.T)
+
+    return _make(out_data, (a,), backward)
+
+
 # -- indexing -----------------------------------------------------------
 
 def index(a, key) -> Tensor:
@@ -299,6 +353,17 @@ def log(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def exp(a) -> Tensor:
+    a = _as_tensor(a)
+    out_data = np.exp(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * out_data)
+
+    return _make(out_data, (a,), backward)
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     out_data = 1.0 / (1.0 + np.exp(-a.data))
@@ -306,6 +371,17 @@ def sigmoid(a) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * out_data * (1.0 - out_data))
+
+    return _make(out_data, (a,), backward)
+
+
+def tanh(a) -> Tensor:
+    a = _as_tensor(a)
+    out_data = np.tanh(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), backward)
 
@@ -319,6 +395,18 @@ def _gelu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gelu_grad(g: np.ndarray, a: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     pdf = np.exp(-0.5 * a * a) * _INV_SQRT_2PI
     return g * (cdf + a * pdf)
+
+
+def gelu(a) -> Tensor:
+    """Gaussian error linear unit, exact erf form."""
+    a = _as_tensor(a)
+    out_data, cdf = _gelu(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_gelu_grad(g, a.data, cdf))
+
+    return _make(out_data, (a,), backward)
 
 
 # -- reductions -----------------------------------------------------------
@@ -725,33 +813,27 @@ def dropout(a, rate: float, rng) -> Tensor:
 # parameter the loss never reaches reads zeros); an optimizer then updates the
 # vector in place. Packing is the last rebind of ``.data``: write into it
 # instead. Every whole-arena read (``Arena.flat``) checks the views, so a
-# rebound parameter raises rather than leaving a stale copy in training. A
-# registry, not ``Tensor``, maps each packed parameter to its arena.
-
-_ARENA_OF: "weakref.WeakValueDictionary[int, Arena]" = weakref.WeakValueDictionary()
-
+# rebound parameter raises rather than leaving a stale copy in training.
+# Callers hand arenas to ``grad`` and the optimizer themselves: a parameter
+# does not know its arena.
 
 class Arena(dict):
-    """Name -> leaf ``Tensor``, packed in order. ``values`` maps names to arrays,
-    which become new parameters, or to parameters, which are packed."""
+    """Name -> new leaf ``Tensor`` holding ``values[name]``, packed in order."""
 
-    def __init__(self, values: dict):
+    def __init__(self, values: dict[str, np.ndarray]):
         super().__init__()
-        arrays = [np.asarray(v.data if isinstance(v, Tensor) else v) for v in values.values()]
-        starts = np.cumsum([0] + [a.size for a in arrays])
-        self._layout = [(n, slice(s, s + a.size), a.shape)
-                        for n, a, s in zip(values, arrays, starts)]
+        starts = np.cumsum([0] + [np.size(v) for v in values.values()])
+        self._layout = [(name, slice(s, e), np.shape(v))
+                        for (name, v), s, e in zip(values.items(), starts, starts[1:])]
         self._flat, self._grad = np.empty(starts[-1]), np.zeros(starts[-1])
         self._views = tuple(self.unflatten(self._flat).values())
         self._grads = tuple(self.unflatten(self._grad).values())
-        for (name, value), a, view in zip(values.items(), arrays, self._views):
-            view[...] = a
-            self[name] = p = value if isinstance(value, Tensor) else Tensor(view, True)
-            p.data = view
-            _ARENA_OF[id(p)] = self
+        for (name, v), view in zip(values.items(), self._views):
+            view[...] = v
+            self[name] = Tensor(view, requires_grad=True)
 
     def __reduce__(self):  # unpickled, the views would be loose copies: repack them
-        return Arena, (dict(self),)
+        return Arena, (self.unflatten(self.flat()),)
 
     def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Name -> view of a flat vector laid out like this arena."""
@@ -764,61 +846,58 @@ class Arena(dict):
                 raise ValueError(f"parameter {name!r} no longer views its arena: .data rebound")
         return self._flat
 
-    def load_grads(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        """The gradient vector holding ``grads`` by name, a missing one as
-        zeros (the views ``grad`` returns are in place already)."""
+    def grad_vector(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """The gradient vector, once ``grads`` is checked to hold its views, as
+        :func:`grad` returns them."""
         for name, view in zip(self, self._grads):
-            g = grads.get(name)
-            if g is None:
-                view.fill(0.0)
-            elif np.shape(g) != view.shape:
-                raise ValueError(f"gradient shape {np.shape(g)} mismatches param "
-                                 f"{name!r} {view.shape}")
-            elif g is not view:
-                view[...] = g
+            if grads.get(name) is not view:
+                raise ValueError(f"gradient of {name!r} is not its arena view: "
+                                 f"pass the gradients grad() returns for this arena")
         return self._grad
 
-    def check_finite(self, when: str = ""):
-        if not np.isfinite(self.flat()).all():
-            name = next(n for n, p in self.items() if not np.isfinite(p.data).all())
-            raise FloatingPointError(f"parameter {name!r} contains NaN/Inf{when}")
+
+def param_groups(params) -> list[dict[str, Tensor]]:
+    """``params`` as a list of name -> parameter dicts: it is one such dict (an
+    ``Arena`` or a plain dict) or a sequence of them."""
+    return [params] if isinstance(params, dict) else list(params)
 
 
-def _arenas_of(params: dict[str, Tensor]) -> list[Arena]:
-    found = (_ARENA_OF.get(id(p)) for p in params.values())
-    return list({id(a): a for a in found if a is not None}.values())
-
-
-def arenas(params: dict[str, Tensor]) -> list[Arena]:
-    """The arenas that ``params`` holds whole, under their own names, then one
-    new arena packing the rest of ``params``."""
-    whole = [a for a in _arenas_of(params) if all(params.get(n) is p for n, p in a.items())]
-    held = {id(p) for a in whole for p in a.values()}
-    rest = {n: p for n, p in params.items() if id(p) not in held}
-    return whole + ([Arena(rest)] if rest else [])
+def check_finite(params, when: str = ""):
+    """Raise ``FloatingPointError`` naming the first parameter holding NaN/Inf;
+    an arena is checked as one vector first."""
+    for group in param_groups(params):
+        if isinstance(group, Arena) and np.isfinite(group.flat()).all():
+            continue
+        for name, p in group.items():
+            if not np.isfinite(p.data).all():
+                raise FloatingPointError(f"parameter {name!r} contains NaN/Inf{when}")
 
 
 # -- gradient helpers ---------------------------------------------------------
 
-def grad(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss for every registered parameter.
+def grad(loss: Tensor, params) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss for every parameter in ``params`` (one name
+    -> parameter dict or a sequence of them, see :func:`param_groups`).
 
-    Every arena holding one of ``params`` gets its gradient vector zeroed and
-    bound first, so a packed parameter's gradient is its view of that vector.
-    Parameters the loss does not depend on receive zeros of matching shape.
+    An ``Arena``'s gradient vector is zeroed and each parameter's ``.grad``
+    bound to its view first, so the arrays returned for an arena's parameters
+    are those views: the next ``grad`` on that arena overwrites them, so copy
+    any that must outlive it. Parameters the loss does not depend on receive
+    zeros of matching shape.
     """
     if not isinstance(loss, Tensor):
         raise ValueError("loss must be a Tensor")
     if loss.data.size != 1:
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
-    for p in params.values():
-        p.grad = None
-    for arena in _arenas_of(params):
-        arena._grad.fill(0.0)
-        for p, view in zip(arena.values(), arena._grads):
-            p.grad = view
+    groups = param_groups(params)
+    for group in groups:
+        if isinstance(group, Arena):
+            group._grad.fill(0.0)
+            for p, view in zip(group.values(), group._grads):
+                p.grad = view
+        else:
+            for p in group.values():
+                p.grad = None
     loss.backward()
-    return {
-        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
+    return {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+            for group in groups for name, p in group.items()}

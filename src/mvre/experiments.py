@@ -210,15 +210,13 @@ def train(episode: Episode, schema: RelationSchema, config: TrainConfig,
 
     prompts = _encode_all(episode.train, vocab, config)
     labels = [verbalizer.relation_order.index(inst.label) for inst in episode.train.instances]
-    params = dict(model.params())
-    params.update(head.params())
+    params = (model.params(), head.params())
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     shuffle_rng = np.random.default_rng([config.seed, 0x5F])
     drop_rng = np.random.default_rng([config.seed, 0xD0]) if model.config.dropout > 0 else None
     n_rel = len(schema.relations)
 
     artifacts = TrainedArtifacts(model, head, vocab, verbalizer)
-    arenas = (model.params(), head.params())
     best = None  # (dev_f1, a copy of each arena)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
@@ -242,10 +240,10 @@ def train(episode: Episode, schema: RelationSchema, config: TrainConfig,
         if config.best_dev_selection and episode.dev.instances:
             dev_f1 = evaluate(artifacts, episode.dev, config, schema.na_label)
             if best is None or dev_f1 > best[0]:
-                best = (dev_f1, [a.flat().copy() for a in arenas])
+                best = (dev_f1, [a.flat().copy() for a in params])
 
     if best is not None:
-        for arena, values in zip(arenas, best[1]):
+        for arena, values in zip(params, best[1]):
             arena.flat()[...] = values
     model.check_finite()
 

@@ -29,10 +29,13 @@ class ViewPosteriorHead:
 
     def __init__(self, d: int):
         self._params = ad.Arena({"view_head.w": np.zeros(d)})
-        self.w = self._params["view_head.w"]
 
     def params(self) -> ad.Arena:
         return self._params
+
+    @property
+    def w(self) -> Tensor:
+        return self._params["view_head.w"]
 
     @property
     def d(self) -> int:

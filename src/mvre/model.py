@@ -126,7 +126,7 @@ class MlmModel:
         return MlmModel(self.config, values=self.param_values())
 
     def check_finite(self):
-        self._params.check_finite()
+        ad.check_finite(self._params)
 
 
 # per-block parameter names, in the argument order of the sublayer ops
@@ -211,28 +211,41 @@ def mask_hidden(hidden: Tensor, prompt: EncodedPrompt, j: int) -> Tensor:
 # -- optimizer ------------------------------------------------------------------
 
 
-def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: dict, lr: float, betas: tuple[float, float] = (0.9, 0.999),
-               eps: float = 1e-8, weight_decay: float = 0.0):
+def adamw_step(params, grads: dict[str, np.ndarray], state: dict, lr: float,
+               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
+               weight_decay: float = 0.0):
     """One decoupled-weight-decay Adam update, in place on params and state.
 
-    The first call groups ``params`` into arenas (``ad.arenas``), kept in
-    ``state`` with their flat moments; each step updates every arena's vector
-    in place through two scratch vectors (a missing gradient counts as
-    zeros). Each element goes through the expressions of a per-parameter
-    update in the same association, so the grouping does not change a bit.
+    ``params`` is a name -> parameter dict or a sequence of them, as for
+    ``ad.grad``. An ``ad.Arena`` moves as one vector and reads its gradient
+    vector, so ``grads`` must hold the views ``ad.grad`` returned for it; a
+    plain dict moves parameter by parameter, a missing gradient counting as
+    zeros. Each update runs in place through two scratch vectors, and each
+    element goes through the expressions of a per-parameter update in the
+    same association, so the grouping does not change a bit.
     """
     b1, b2 = betas
+    slots = []  # (values, gradient): one per arena, one per loose parameter
+    for group in ad.param_groups(params):
+        if isinstance(group, ad.Arena):
+            slots.append((group.flat(), group.grad_vector(grads)))
+            continue
+        for name, p in group.items():
+            g = grads.get(name)
+            if g is None:
+                g = np.zeros_like(p.data)
+            elif g.shape != p.data.shape:
+                raise ValueError(f"gradient shape {g.shape} mismatches param {name!r} "
+                                 f"{p.data.shape}")
+            slots.append((p.data, g))
     if not state:
-        groups = ad.arenas(params)
-        n = max((a.flat().size for a in groups), default=0)
-        state.update(groups=groups, m=[np.zeros_like(a.flat()) for a in groups],
-                     v=[np.zeros_like(a.flat()) for a in groups], t=0, scratch=np.empty((2, n)))
+        n = max((w.size for w, _ in slots), default=0)
+        state.update(m=[np.zeros_like(w) for w, _ in slots],
+                     v=[np.zeros_like(w) for w, _ in slots], t=0, scratch=np.empty((2, n)))
     state["t"] += 1
     t = state["t"]
-    for arena, m, v in zip(state["groups"], state["m"], state["v"]):
-        w, g = arena.flat(), arena.load_grads(grads)
-        s, u = state["scratch"][:, : w.size]
+    for (w, g), m, v in zip(slots, state["m"], state["v"]):
+        s, u = (x.reshape(w.shape) for x in state["scratch"][:, : w.size])
         if weight_decay != 0.0:
             w -= np.multiply(w, lr * weight_decay, out=s)  # w - lr * weight_decay * w
         m *= b1  # m = b1 * m + (1 - b1) * g
@@ -252,9 +265,8 @@ class AdamW:
     """Stateful wrapper around :func:`adamw_step` for a fixed parameter set;
     a step that leaves a non-finite value raises, naming the parameter."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params, lr: float, betas: tuple[float, float] = (0.9, 0.999),
+                 eps: float = 1e-8, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.betas = betas
@@ -265,8 +277,7 @@ class AdamW:
     def step(self, grads: dict[str, np.ndarray]):
         adamw_step(self.params, grads, self.state, self.lr, self.betas,
                    self.eps, self.weight_decay)
-        for arena in self.state["groups"]:
-            arena.check_finite(f" after AdamW step {self.state['t']}")
+        ad.check_finite(self.params, f" after AdamW step {self.state['t']}")
 
 
 # -- masked-token pretraining ---------------------------------------------------

@@ -50,85 +50,6 @@ def assert_grads_close(f, params: dict[str, ad.Tensor], tol: float = 1e-4, h: fl
     assert err < tol, f"max relative gradient error {err:.3e} >= {tol}"
 
 
-# Former engine ops that only the oracles below and their gradient checks use.
-
-def matmul(a, b) -> ad.Tensor:
-    a, b = ad._as_tensor(a), ad._as_tensor(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ValueError(f"matmul supports 1-D/2-D operands, got {a.ndim}-D @ {b.ndim}-D")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.ndim == 2 and b.ndim == 2:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(np.outer(a.data, g))
-        elif a.ndim == 2 and b.ndim == 1:
-            if a.requires_grad:
-                a._accumulate(np.outer(g, b.data))
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        else:  # dot product of two vectors
-            if a.requires_grad:
-                a._accumulate(g * b.data)
-            if b.requires_grad:
-                b._accumulate(g * a.data)
-
-    return ad._make(out_data, (a, b), backward)
-
-
-def transpose(a) -> ad.Tensor:
-    a = ad._as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("transpose expects a 2-D tensor")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return ad._make(a.data.T, (a,), backward)
-
-
-def exp(a) -> ad.Tensor:
-    a = ad._as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return ad._make(out_data, (a,), backward)
-
-
-def tanh(a) -> ad.Tensor:
-    a = ad._as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data * out_data))
-
-    return ad._make(out_data, (a,), backward)
-
-
-def gelu(a) -> ad.Tensor:
-    """Gaussian error linear unit, exact erf form."""
-    a = ad._as_tensor(a)
-    out_data, cdf = ad._gelu(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(ad._gelu_grad(g, a.data, cdf))
-
-    return ad._make(out_data, (a,), backward)
-
-
 def scalar_cosine(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     """Cosine of two 1-D tensors as one scalar node: the engine's former op.
 
@@ -161,34 +82,33 @@ def reference_forward_ids(model, ids, rng=None, train=False):
     for i in range(cfg.n_layers):
         b = f"blocks.{i}."
         xn = ad.layer_norm(x, p[b + "ln1.gamma"], p[b + "ln1.beta"])
-        q = matmul(xn, p[b + "attn.wq"]) + p[b + "attn.bq"]
-        k = matmul(xn, p[b + "attn.wk"]) + p[b + "attn.bk"]
-        v = matmul(xn, p[b + "attn.wv"]) + p[b + "attn.bv"]
+        q = xn @ p[b + "attn.wq"] + p[b + "attn.bq"]
+        k = xn @ p[b + "attn.wk"] + p[b + "attn.bk"]
+        v = xn @ p[b + "attn.wv"] + p[b + "attn.bv"]
         heads = []
         for h in range(cfg.n_heads):
             sl = slice(h * dh, (h + 1) * dh)
             qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-            att = ad.softmax(matmul(qh, transpose(kh)) * scale, axis=-1)
-            heads.append(matmul(att, vh))
-        o = matmul(ad.concat(heads, axis=1), p[b + "attn.wo"]) + p[b + "attn.bo"]
+            att = ad.softmax((qh @ kh.T) * scale, axis=-1)
+            heads.append(att @ vh)
+        o = ad.concat(heads, axis=1) @ p[b + "attn.wo"] + p[b + "attn.bo"]
         if drop > 0.0:
             o = ad.dropout(o, drop, rng)
         x = x + o
         xn2 = ad.layer_norm(x, p[b + "ln2.gamma"], p[b + "ln2.beta"])
-        f = gelu(matmul(xn2, p[b + "ffn.w1"]) + p[b + "ffn.b1"])
-        f = matmul(f, p[b + "ffn.w2"]) + p[b + "ffn.b2"]
+        f = ad.gelu(xn2 @ p[b + "ffn.w1"] + p[b + "ffn.b1"]) @ p[b + "ffn.w2"] + p[b + "ffn.b2"]
         if drop > 0.0:
             f = ad.dropout(f, drop, rng)
         x = x + f
     hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"])
-    logits = matmul(hidden, transpose(p["token_embed"])) + p["head_bias"]
+    logits = hidden @ p["token_embed"].T + p["head_bias"]
     return hidden, logits
 
 
 def reference_view_posterior(head, states):
     """The view posterior as one dot and one sigmoid node per view state: the
     former ``losses.view_posterior``."""
-    sig = ad.stack([ad.sigmoid(matmul(head.w, h)) for h in states])
+    sig = ad.stack([ad.sigmoid(ad.matmul(head.w, h)) for h in states])
     return sig / ad.tsum(sig)
 
 

@@ -111,7 +111,7 @@ class TestSublayersBitwise:
         # positions get an exactly zero upstream gradient
         loss = ad.tsum(ad.index(logits, rows) * w)
         grads = ad.grad(loss, model.params())
-        return hidden.data, logits.data, grads
+        return hidden.data, logits.data, {k: g.copy() for k, g in grads.items()}
 
     def assert_same(self, cfg, L, seed, dropout_seed=None, upstream=1.0):
         model = MlmModel(cfg, seed=seed)
@@ -392,6 +392,12 @@ class TestParameterArena:
                                  lambda: save_checkpoint(tmp_path / "x.ckpt", self.model)):
             with pytest.raises(ValueError, match="'blocks.0.attn.wq' no longer views"):
                 whole_arena_read()
+
+    def test_arena_step_takes_only_the_gradient_views_grad_returns(self):
+        opt = AdamW(self.model.params(), lr=0.01)
+        grads = {k: np.zeros_like(p.data) for k, p in self.model.params().items()}
+        with pytest.raises(ValueError, match="'token_embed' is not its arena view"):
+            opt.step(grads)
 
     def test_grad_binds_views_of_one_gradient_vector(self):
         params = self.model.params()
