@@ -15,7 +15,8 @@ from mvre import (CorpusSpec, MlmModel, ModelConfig, build_vocab, forward,
 # --- gradients by hand vs by engine ------------------------------------------
 w = ad.parameter(np.array([1.0, -2.0, 0.5]))
 x = np.array([0.3, 0.1, -0.4])
-loss = ad.sigmoid(ad.dot(w, ad.tensor(x))) ** 2
+s_node = ad.sigmoid(w @ ad.tensor(x))
+loss = s_node * s_node
 loss.backward()
 z = float(w.data @ x)
 s = 1.0 / (1.0 + np.exp(-z))

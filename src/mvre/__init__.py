@@ -21,12 +21,12 @@ from .experiments import (GridRow, RunResult, TrainConfig, TrainedArtifacts,
 from .init_schemes import (ProbeRecord, apply_init, combined_init, dynamic_init,
                            encode_probe_template, static_init)
 from .losses import (ViewPosteriorHead, ViewScores, infer, global_loss, local_loss,
-                     mvdl_dataset_loss, mvdl_loss, per_view_label_probs,
+                     mvdl_loss, per_view_label_probs,
                      relation_scores, total_loss, verbalizer_embeddings,
                      view_posterior, view_scores)
 from .model import (AdamW, Checkpoint, MlmModel, ModelConfig, PretrainConfig,
                     PretrainResult, adamw_step, forward, forward_ids,
-                    load_checkpoint, mask_hidden, pretrain_mlm, save_checkpoint)
+                    load_checkpoint, pretrain_mlm, save_checkpoint)
 from .schema import (RelationSchema, load_schema, save_schema, schema_from_relations,
                      si_tokens_from_label, synthetic_schema)
 from .vocab import (EncodedPrompt, Verbalizer, Vocab, build_vocab, decode,

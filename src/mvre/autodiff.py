@@ -6,8 +6,8 @@ reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``.
 
 The op set is deliberately small: elementwise arithmetic, matmul,
-embedding gather / indexing, softmax, layer norm, GELU/tanh, sigmoid,
-log/exp, row-pair cosine similarity (``cosine_pairs``), per-row dots
+embedding gather / indexing, softmax, layer norm, GELU, sigmoid, log,
+row-pair cosine similarity (``cosine_pairs``), per-row dots
 (``row_dots``), sum/mean reductions, and the transformer's parts as single
 nodes over a packed batch of sequences: ``attention_sublayer`` (layer norm,
 Q/K/V, every head and the output projection), ``ffn_sublayer`` (layer norm,
@@ -155,9 +155,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __getitem__(self, key):
         return index(self, key)
 
@@ -256,18 +253,6 @@ def div(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def power(a, exponent: float) -> Tensor:
-    a = _as_tensor(a)
-    exponent = float(exponent)
-    out_data = a.data ** exponent
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * exponent * a.data ** (exponent - 1.0))
-
-    return _make(out_data, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
@@ -297,10 +282,6 @@ def matmul(a, b) -> Tensor:
                 b._accumulate(g * a.data)
 
     return _make(out_data, (a, b), backward)
-
-
-def dot(a, b) -> Tensor:
-    return matmul(a, b)
 
 
 def transpose(a) -> Tensor:
@@ -353,17 +334,6 @@ def log(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), backward)
-
-
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     out_data = 1.0 / (1.0 + np.exp(-a.data))
@@ -371,17 +341,6 @@ def sigmoid(a) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data * out_data))
 
     return _make(out_data, (a,), backward)
 

@@ -1,11 +1,18 @@
 """Command-line entry point wiring corpora, training, and analyses together.
 
 Configuration is a flat JSON object whose keys are dotted paths
-(``train.lr``, ``corpus.n_relations``, ...). Resolution order: built-in
-defaults, then the ``--config`` file, then repeated ``--set key=value``
-overrides, then ``--seed``. Unknown keys are rejected. Every run echoes its
-fully resolved configuration next to its outputs, and wall-clock data goes
-to a separate log file so the artifact files stay byte-reproducible.
+(``train.lr``, ``corpus.n_relations``, ...). A ``corpus.*``, ``model.*``,
+``pretrain.*`` or ``train.*`` key names a field of ``CorpusSpec``,
+``ModelConfig``, ``PretrainConfig`` or ``TrainConfig`` and takes that field's
+default and type; only the keys no field backs are written out in ``DEFAULTS``.
+Resolution order: defaults, then the ``--config`` file, then repeated
+``--set key=value`` overrides, then ``--seed``. Unknown keys are rejected,
+and every value is type-checked and all four config objects are built and
+validated before any command runs. Exit codes: 0 on success, 1 on a runtime
+failure (including non-finite parameters), 2 on a usage or configuration
+error. Every run echoes its fully resolved configuration next to its
+outputs, and wall-clock data goes to a separate log file so the artifact
+files stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -14,12 +21,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import (CorpusSpec, corpus_aspect_groups, generate_corpus, load_jsonl,
                    make_splits, sample_kshot, save_jsonl)
-from .errors import MvreError
+from .errors import MvreError, ValidationError
 from .experiments import (TrainConfig, evaluate, grid_rows_csv, heatmap_csv,
                           run_similarity_protocol, sweep_m, train,
                           view_aspect_heatmap, write_json, TrainedArtifacts)
@@ -30,46 +37,32 @@ from .model import (ModelConfig, MlmModel, PretrainConfig, load_checkpoint,
 from .schema import RelationSchema, load_schema, save_schema, synthetic_schema
 from .vocab import build_vocab, vocab_from_payload, vocab_payload
 
+# section -> (config class, the fields the command line does not expose)
+_SECTIONS = {
+    "corpus": (CorpusSpec, ("sentence_length_range",)),  # from sentence_length_min/max
+    "model": (ModelConfig, ("vocab_size", "init_scale")),
+    "pretrain": (PretrainConfig, ("betas", "weight_decay", "log_every")),
+    "train": (TrainConfig, ("max_len", "model")),  # both taken from the model section
+}
+
+
+def _field_keys(section: str) -> dict[str, object]:
+    cls, hidden = _SECTIONS[section]
+    return {f"{section}.{f.name}": f.default for f in fields(cls) if f.name not in hidden}
+
+
 DEFAULTS: dict[str, object] = {
-    "corpus.n_relations": 8,
-    "corpus.instances_per_relation": 50,
-    "corpus.aspects_per_relation": 4,
-    "corpus.vocab_pool_size": 200,
-    "corpus.sentence_length_min": 9,
-    "corpus.sentence_length_max": 14,
-    "corpus.na_fraction": 0.0,
+    **_field_keys("corpus"),
+    "corpus.sentence_length_min": CorpusSpec.sentence_length_range[0],
+    "corpus.sentence_length_max": CorpusSpec.sentence_length_range[1],
     "corpus.seed": 1,
     "data.dev_fraction": 0.2,
     "data.test_fraction": 0.2,
     "data.split_seed": 0,
     "data.k": 1,
-    "model.d": 64,
-    "model.n_layers": 2,
-    "model.n_heads": 4,
-    "model.max_len": 128,
-    "model.dtype": "float64",
-    "model.dropout": 0.0,
-    "pretrain.steps": 3000,
-    "pretrain.batch_size": 8,
-    "pretrain.lr": 2e-3,
-    "pretrain.mask_rate": 0.15,
-    "pretrain.holdout_fraction": 0.1,
-    "pretrain.seed": 0,
-    "train.m": 4,
-    "train.alpha": None,
-    "train.beta": None,
-    "train.lr": 3e-5,
-    "train.epochs": 40,
-    "train.batch_size": 8,
-    "train.seed": 1,
-    "train.init_mode": "combined",
-    "train.best_dev_selection": False,
-    "train.score_mode": "mixture",
-    "train.weight_decay": 0.0,
-    "train.entity_order": "sub_obj",
-    "train.entity_markers": True,
-    "train.pretrain_steps": 0,
-    "train.pretrain_lr": 2e-3,
+    **_field_keys("model"),
+    **_field_keys("pretrain"),
+    **_field_keys("train"),
     "sweep.k": 1,
     "sweep.seeds": [1, 2, 3, 4, 5],
     "sweep.m_values": [1, 2, 3, 4, 5],
@@ -79,6 +72,11 @@ DEFAULTS: dict[str, object] = {
     "analysis.top_k": 10,
     "eval.include_na": False,
 }
+
+# Lower bounds of the integer keys no config class validates (of each entry of a list).
+_MINIMUM = {"corpus.seed": 0, "data.split_seed": 0, "data.k": 1, "sweep.k": 1,
+            "sweep.seeds": 0, "sweep.m_values": 1, "protocol.k": 1, "protocol.m": 1,
+            "protocol.seeds": 0, "analysis.top_k": 1}
 
 _SEED_KEY = {
     "generate-corpus": "corpus.seed",
@@ -109,25 +107,50 @@ def _integer(value) -> int:
     return n
 
 
-def _check_type(key: str, value):
-    """Reject a value that the commands could not convert like the default's type."""
-    default = DEFAULTS[key]
-    if isinstance(default, str) or (default is None and value is None):
-        return
+def _integers(value) -> list[int]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{value!r} is not a non-empty list")
+    return [_integer(x) for x in value]
+
+
+def _get(cfg: dict, key: str):
+    """``cfg[key]`` converted to the type of its default (a field's type for a
+    field's key); a ``CliError`` naming the key when it cannot be."""
+    default, value = DEFAULTS[key], cfg[key]
+    if isinstance(default, str):
+        return str(value)
+    if default is None and value is None:
+        return None
     if isinstance(default, bool):
         if not isinstance(value, bool):  # bool("false") would be True
             raise CliError(f"config key {key!r} needs true or false, got {value!r}")
-        return
+        return value
     if isinstance(default, list):
-        convert, kind = (lambda v: [_integer(x) for x in v]), "a list of integers"
+        convert, kind = _integers, "a non-empty list of integers"
     elif isinstance(default, int):
         convert, kind = _integer, "an integer"
     else:
         convert, kind = float, "a number"
     try:
-        convert(value)
+        return convert(value)
     except (TypeError, ValueError, OverflowError):
         raise CliError(f"config key {key!r} needs {kind}, got {value!r}") from None
+
+
+def build_configs(cfg: dict) -> dict:
+    """The ``corpus``, ``model``, ``pretrain`` and ``train`` config objects of a
+    resolved configuration. The model's ``vocab_size`` stays 0: the commands
+    set it once they hold a vocabulary."""
+    def build(section: str, **fixed):
+        cls, hidden = _SECTIONS[section]
+        return cls(**{f.name: _get(cfg, f"{section}.{f.name}")
+                      for f in fields(cls) if f.name not in hidden}, **fixed)
+
+    model = build("model")
+    lengths = (_get(cfg, "corpus.sentence_length_min"), _get(cfg, "corpus.sentence_length_max"))
+    return {"corpus": build("corpus", sentence_length_range=lengths), "model": model,
+            "pretrain": build("pretrain"),
+            "train": build("train", max_len=model.max_len, model=model)}
 
 
 def resolve_config(config_path: str | None, overrides: list[str],
@@ -161,80 +184,38 @@ def resolve_config(config_path: str | None, overrides: list[str],
             cfg["protocol.seeds"] = [seed]
         else:
             cfg[_SEED_KEY[command]] = seed
-    for key, value in cfg.items():
-        _check_type(key, value)
-    return cfg
-
-
-def _corpus_spec(cfg: dict) -> CorpusSpec:
-    return CorpusSpec(
-        n_relations=int(cfg["corpus.n_relations"]),
-        instances_per_relation=int(cfg["corpus.instances_per_relation"]),
-        aspects_per_relation=int(cfg["corpus.aspects_per_relation"]),
-        vocab_pool_size=int(cfg["corpus.vocab_pool_size"]),
-        sentence_length_range=(int(cfg["corpus.sentence_length_min"]),
-                               int(cfg["corpus.sentence_length_max"])),
-        na_fraction=float(cfg["corpus.na_fraction"]),
-    )
-
-
-def _model_config(cfg: dict, vocab_size: int = 0) -> ModelConfig:
-    mc = ModelConfig(
-        d=int(cfg["model.d"]),
-        n_layers=int(cfg["model.n_layers"]),
-        n_heads=int(cfg["model.n_heads"]),
-        max_len=int(cfg["model.max_len"]),
-        vocab_size=vocab_size,
-        dtype=str(cfg["model.dtype"]),
-        dropout=float(cfg["model.dropout"]),
-    )
+    for key in cfg:
+        value, low = _get(cfg, key), _MINIMUM.get(key)
+        if low is not None and min(value if isinstance(value, list) else [value]) < low:
+            raise CliError(f"config key {key!r} must be >= {low}, got {cfg[key]!r}")
     try:
-        replace(mc, vocab_size=max(vocab_size, 1)).validate()  # the vocabulary may come later
-    except ValueError as e:
-        raise CliError(f"model config: {e}") from None
-    return mc
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        m=int(cfg["train.m"]),
-        alpha=None if cfg["train.alpha"] is None else float(cfg["train.alpha"]),
-        beta=None if cfg["train.beta"] is None else float(cfg["train.beta"]),
-        lr=float(cfg["train.lr"]),
-        epochs=int(cfg["train.epochs"]),
-        batch_size=int(cfg["train.batch_size"]),
-        max_len=int(cfg["model.max_len"]),
-        seed=int(cfg["train.seed"]),
-        init_mode=str(cfg["train.init_mode"]),
-        best_dev_selection=bool(cfg["train.best_dev_selection"]),
-        score_mode=str(cfg["train.score_mode"]),
-        weight_decay=float(cfg["train.weight_decay"]),
-        entity_order=str(cfg["train.entity_order"]),
-        entity_markers=bool(cfg["train.entity_markers"]),
-        pretrain_steps=int(cfg["train.pretrain_steps"]),
-        pretrain_lr=float(cfg["train.pretrain_lr"]),
-        model=_model_config(cfg),
-    )
+        configs = build_configs(cfg)
+        replace(configs.pop("model"), vocab_size=1).validate()  # the vocabulary comes later
+        for config in configs.values():
+            config.validate()
+    except (ValidationError, ValueError) as e:
+        raise CliError(str(e)) from None
+    return cfg
 
 
 def _load_corpus_and_schema(args, cfg: dict):
     """Load the given corpus/schema files, or generate both from config."""
-    if args.corpus is not None:
-        dataset = load_jsonl(args.corpus)
-        if args.schema is not None:
-            schema = load_schema(args.schema)
-        else:
-            raise CliError("--schema is required when --corpus is given")
-    else:
-        spec = _corpus_spec(cfg)
-        dataset = generate_corpus(spec, int(cfg["corpus.seed"]))
-        schema = synthetic_schema(spec, dataset, int(cfg["train.m"]))
-    return dataset, schema
+    if args.corpus is None:
+        return _synthetic_corpus(cfg)
+    if args.schema is None:
+        raise CliError("--schema is required when --corpus is given")
+    return load_jsonl(args.corpus), load_schema(args.schema)
+
+
+def _synthetic_corpus(cfg: dict):
+    spec = build_configs(cfg)["corpus"]
+    dataset = generate_corpus(spec, _get(cfg, "corpus.seed"))
+    return dataset, synthetic_schema(spec, dataset, _get(cfg, "train.m"))
 
 
 def _splits(dataset, cfg: dict):
-    return make_splits(dataset, float(cfg["data.dev_fraction"]),
-                       float(cfg["data.test_fraction"]), int(cfg["data.split_seed"]))
+    return make_splits(dataset, _get(cfg, "data.dev_fraction"),
+                       _get(cfg, "data.test_fraction"), _get(cfg, "data.split_seed"))
 
 
 def _out_dir(args) -> Path:
@@ -269,10 +250,7 @@ def _artifacts_from_checkpoint(path: str) -> tuple[TrainedArtifacts, dict]:
 
 
 def cmd_generate_corpus(args, cfg: dict) -> int:
-    spec = _corpus_spec(cfg)
-    spec.validate()
-    dataset = generate_corpus(spec, int(cfg["corpus.seed"]))
-    schema = synthetic_schema(spec, dataset, int(cfg["train.m"]))
+    dataset, schema = _synthetic_corpus(cfg)
     out = _out_dir(args)
     _echo_config(cfg, out)
     save_jsonl(dataset, out / "corpus.jsonl")
@@ -285,16 +263,9 @@ def cmd_pretrain(args, cfg: dict) -> int:
     dataset, schema = _load_corpus_and_schema(args, cfg)
     t0 = time.perf_counter()
     vocab, verbalizer = build_vocab(dataset, schema)
-    mc = _model_config(cfg, vocab_size=len(vocab))
-    model = MlmModel(mc, seed=int(cfg["pretrain.seed"]))
-    pt = PretrainConfig(
-        steps=int(cfg["pretrain.steps"]),
-        batch_size=int(cfg["pretrain.batch_size"]),
-        lr=float(cfg["pretrain.lr"]),
-        mask_rate=float(cfg["pretrain.mask_rate"]),
-        holdout_fraction=float(cfg["pretrain.holdout_fraction"]),
-        seed=int(cfg["pretrain.seed"]),
-    )
+    configs = build_configs(cfg)
+    pt = configs["pretrain"]
+    model = MlmModel(replace(configs["model"], vocab_size=len(vocab)), seed=pt.seed)
     result = pretrain_mlm(model, dataset, vocab, pt)
     out = _out_dir(args)
     _echo_config(cfg, out)
@@ -316,10 +287,10 @@ def cmd_pretrain(args, cfg: dict) -> int:
 
 def cmd_train(args, cfg: dict) -> int:
     dataset, schema = _load_corpus_and_schema(args, cfg)
-    tc = _train_config(cfg)
+    tc = build_configs(cfg)["train"]
     schema = schema.with_m(tc.m)
     splits = _splits(dataset, cfg)
-    episode = sample_kshot(splits, int(cfg["data.k"]), tc.seed)
+    episode = sample_kshot(splits, _get(cfg, "data.k"), tc.seed)
     pretrained = None
     if args.checkpoint is not None:
         pretrained, _ = _artifacts_from_checkpoint(args.checkpoint)
@@ -344,12 +315,12 @@ def cmd_eval(args, cfg: dict) -> int:
         raise CliError("eval requires --dataset")
     artifacts, extra = _artifacts_from_checkpoint(args.checkpoint)
     dataset = load_jsonl(args.dataset, na_label=extra.get("schema", {}).get("na_label"))
-    tc = replace(_train_config(cfg), m=artifacts.verbalizer.m,
+    tc = replace(build_configs(cfg)["train"], m=artifacts.verbalizer.m,
                  max_len=artifacts.model.config.max_len)
     if not dataset.instances:
         raise CliError(f"dataset {args.dataset} holds no instances")
     na = extra.get("schema", {}).get("na_label")
-    f1 = evaluate(artifacts, dataset, tc, na, include_na=bool(cfg["eval.include_na"]))
+    f1 = evaluate(artifacts, dataset, tc, na, include_na=_get(cfg, "eval.include_na"))
     out = _out_dir(args)
     _echo_config(cfg, out)
     write_json({"config": cfg, "micro_f1": f1, "n_instances": len(dataset),
@@ -359,15 +330,11 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_sweep_m(args, cfg: dict) -> int:
-    if not cfg["sweep.m_values"]:
-        raise CliError("sweep.m_values is empty: give at least one mask count")
     dataset, schema = _load_corpus_and_schema(args, cfg)
     splits = _splits(dataset, cfg)
-    tc = _train_config(cfg)
     t0 = time.perf_counter()
-    rows = sweep_m(splits, schema, int(cfg["sweep.k"]),
-                   [int(s) for s in cfg["sweep.seeds"]],
-                   [int(m) for m in cfg["sweep.m_values"]], tc)
+    rows = sweep_m(splits, schema, _get(cfg, "sweep.k"), _get(cfg, "sweep.seeds"),
+                   _get(cfg, "sweep.m_values"), build_configs(cfg)["train"])
     out = _out_dir(args)
     _echo_config(cfg, out)
     (out / "sweep.csv").write_text(grid_rows_csv(rows), encoding="utf-8")
@@ -384,11 +351,10 @@ def cmd_sweep_m(args, cfg: dict) -> int:
 def cmd_sim_protocol(args, cfg: dict) -> int:
     dataset, schema = _load_corpus_and_schema(args, cfg)
     splits = _splits(dataset, cfg)
-    tc = _train_config(cfg)
     t0 = time.perf_counter()
-    report = run_similarity_protocol(splits, schema, int(cfg["protocol.k"]),
-                                     int(cfg["protocol.m"]),
-                                     [int(s) for s in cfg["protocol.seeds"]], tc)
+    report = run_similarity_protocol(splits, schema, _get(cfg, "protocol.k"),
+                                     _get(cfg, "protocol.m"), _get(cfg, "protocol.seeds"),
+                                     build_configs(cfg)["train"])
     out = _out_dir(args)
     _echo_config(cfg, out)
     write_json({"config": cfg, **report}, out / "protocol.json")
@@ -408,14 +374,12 @@ def cmd_probe_init(args, cfg: dict) -> int:
             raise CliError("probe-init with --checkpoint also needs --schema")
     else:
         dataset, schema = _load_corpus_and_schema(args, cfg)
-        schema = schema.with_m(int(cfg["train.m"]))
+        schema = schema.with_m(_get(cfg, "train.m"))
         vocab, verbalizer = build_vocab(dataset, schema)
-        mc = _model_config(cfg, vocab_size=len(vocab))
-        model = MlmModel(mc, seed=int(cfg["pretrain.seed"]))
-        if int(cfg["pretrain.steps"]) > 0:
-            pt = PretrainConfig(steps=int(cfg["pretrain.steps"]),
-                                lr=float(cfg["pretrain.lr"]),
-                                seed=int(cfg["pretrain.seed"]))
+        configs = build_configs(cfg)
+        pt = configs["pretrain"]
+        model = MlmModel(replace(configs["model"], vocab_size=len(vocab)), seed=pt.seed)
+        if pt.steps > 0:
             pretrain_mlm(model, dataset, vocab, pt)
     _, report = dynamic_init(schema, vocab, verbalizer, model)
     out = _out_dir(args)
@@ -435,7 +399,7 @@ def cmd_analyze_views(args, cfg: dict) -> int:
             aspect_sets = json.load(fh)
     else:
         # derive aspect sets from the corpus pools, keeping observed words only
-        spec = _corpus_spec(cfg)
+        spec = build_configs(cfg)["corpus"]
         groups = corpus_aspect_groups(spec)
         aspect_sets: dict[str, list[str]] = {}
         for gi in range(spec.aspects_per_relation):
@@ -446,7 +410,7 @@ def cmd_analyze_views(args, cfg: dict) -> int:
                 aspect_sets[f"aspect{gi}"] = words
     matrix, row_labels, col_labels = view_aspect_heatmap(
         artifacts.model, artifacts.vocab, artifacts.verbalizer, aspect_sets,
-        top_k=int(cfg["analysis.top_k"]))
+        top_k=_get(cfg, "analysis.top_k"))
     out = _out_dir(args)
     _echo_config(cfg, out)
     (out / "heatmap.csv").write_text(heatmap_csv(matrix, row_labels, col_labels),

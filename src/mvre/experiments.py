@@ -25,11 +25,11 @@ from . import autodiff as ad
 from .data import Dataset, DatasetSplits, Episode, merge_datasets, sample_kshot
 from .errors import AnalysisError, UndefinedRatioError, ValidationError
 from .init_schemes import COMBINED, DYNAMIC, INIT_MODES, apply_init
-from .losses import (MIXTURE, ViewPosteriorHead, infer_batch, local_loss, global_loss,
-                     mvdl_loss, verbalizer_embeddings, view_scores)
+from .losses import (MIXTURE, PRODUCT, ViewPosteriorHead, infer_batch, local_loss,
+                     global_loss, mvdl_loss, verbalizer_embeddings, view_scores)
 from .model import AdamW, MlmModel, ModelConfig, PretrainConfig, pretrain_mlm
 from .schema import RelationSchema
-from .vocab import SUB_OBJ, Verbalizer, Vocab, build_vocab, wrap_template
+from .vocab import OBJ_SUB, SUB_OBJ, Verbalizer, Vocab, build_vocab, wrap_template
 
 logger = logging.getLogger(__name__)
 
@@ -68,12 +68,10 @@ class TrainConfig:
             raise ValidationError(f"m must be >= 1, got {self.m}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"lr must be positive and finite, got {self.lr}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("alpha", "beta", "weight_decay", "pretrain_steps"):
+        for name in ("epochs", "seed", "alpha", "beta", "weight_decay", "pretrain_steps"):
             value = getattr(self, name)
-            if value is not None and not value >= 0:  # NaN fails too
-                raise ValidationError(f"{name} must be >= 0, got {value}")
+            if value is not None and not 0 <= value < np.inf:  # NaN fails too
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         if not (np.isfinite(self.pretrain_lr) and self.pretrain_lr > 0):
             raise ValidationError(f"pretrain_lr must be positive and finite, "
                                   f"got {self.pretrain_lr}")
@@ -81,6 +79,10 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.init_mode not in INIT_MODES:
             raise ValidationError(f"unknown init_mode {self.init_mode!r}")
+        if self.score_mode not in (MIXTURE, PRODUCT):
+            raise ValidationError(f"unknown score_mode {self.score_mode!r}")
+        if self.entity_order not in (SUB_OBJ, OBJ_SUB):
+            raise ValidationError(f"unknown entity_order {self.entity_order!r}")
 
     def resolved_alpha_beta(self) -> tuple[float, float]:
         probing = self.init_mode in (DYNAMIC, COMBINED)
@@ -342,33 +344,25 @@ def run_similarity_protocol(splits: DatasetSplits, schema: RelationSchema, k: in
 
     Trains three systems: one mask at k shots (the reference), m masks at
     k/m shots, and one mask at k/m shots; reports each mean F1 and the two
-    ratios against the reference.
+    ratios against the reference. The runs go through ``run_grid`` (so
+    MVRE_THREADS fans them out) in two grids: the reference, then the others.
     """
+    if m < 1:
+        raise ValidationError(f"m must be >= 1, got {m}")
     if k % m != 0:
         raise ValidationError(f"k={k} must be divisible by m={m}")
-    k_small = k // m
-
-    def mean_f1(m_run: int, k_run: int) -> tuple[float, list[float]]:
-        cfg = replace(config, m=m_run)
-        f1s = []
-        for seed in seeds:
-            episode = sample_kshot(splits, k_run, seed)
-            _, result = train(episode, schema, replace(cfg, seed=seed))
-            f1s.append(result.micro_f1)
-        return float(np.mean(f1s)), f1s
-
-    ref_mean, ref_f1s = mean_f1(1, k)
-    multi_mean, multi_f1s = mean_f1(m, k_small)
-    single_mean, single_f1s = mean_f1(1, k_small)
+    single = replace(config, m=1)
+    [ref] = run_grid(splits, schema, [k], seeds, [single])
+    multi, reduced = run_grid(splits, schema, [k // m], seeds, [replace(config, m=m), single])
     return {
         "k": k,
         "m": m,
         "seeds": list(seeds),
-        "reference_single_mask_kshot": {"mean_f1": ref_mean, "f1s": ref_f1s},
-        "multi_mask_reduced_shot": {"mean_f1": multi_mean, "f1s": multi_f1s},
-        "single_mask_reduced_shot": {"mean_f1": single_mean, "f1s": single_f1s},
-        "ratio_multi_mask": similarity_ratio(multi_mean, ref_mean),
-        "ratio_single_mask": similarity_ratio(single_mean, ref_mean),
+        "reference_single_mask_kshot": {"mean_f1": ref.mean_f1, "f1s": ref.f1s},
+        "multi_mask_reduced_shot": {"mean_f1": multi.mean_f1, "f1s": multi.f1s},
+        "single_mask_reduced_shot": {"mean_f1": reduced.mean_f1, "f1s": reduced.f1s},
+        "ratio_multi_mask": similarity_ratio(multi.mean_f1, ref.mean_f1),
+        "ratio_single_mask": similarity_ratio(reduced.mean_f1, ref.mean_f1),
     }
 
 

@@ -123,14 +123,6 @@ def mvdl_loss(scores: ViewScores, y, eps: float = MVDL_EPS) -> Tensor:
     return ad.tsum(-ad.log(joint + eps), axis=-1)
 
 
-def mvdl_dataset_loss(all_scores: list[ViewScores], labels: list[int],
-                      eps: float = MVDL_EPS) -> Tensor:
-    """Sum of per-example decoupled losses over a labeled set."""
-    if len(all_scores) != len(labels):
-        raise ValueError("scores and labels length mismatch")
-    return ad.tsum(ad.stack([mvdl_loss(s, y, eps) for s, y in zip(all_scores, labels)]))
-
-
 def verbalizer_embeddings(model: MlmModel, verbalizer: Verbalizer) -> Tensor:
     """Token-embedding rows of all virtual words, ordered (relation, view)."""
     return ad.embedding(model.token_embed, verbalizer.all_ids())

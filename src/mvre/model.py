@@ -48,8 +48,13 @@ class ModelConfig:
     init_scale: float = 0.02
 
     def validate(self):
+        for name, low in (("d", 1), ("n_layers", 0), ("n_heads", 1), ("max_len", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.vocab_size <= 0:
             raise ValueError("vocab_size must be set before building a model")
         if self.dtype != "float64":  # kept as a field so checkpoint headers keep their bytes
@@ -201,13 +206,6 @@ def forward(model: MlmModel, prompt: EncodedPrompt,
                        train=train)
 
 
-def mask_hidden(hidden: Tensor, prompt: EncodedPrompt, j: int) -> Tensor:
-    """Final-layer hidden state at the j-th mask (1-based view index)."""
-    if not (1 <= j <= prompt.m):
-        raise IndexError(f"view index {j} out of range [1, {prompt.m}]")
-    return ad.index(hidden, prompt.mask_positions[j - 1])
-
-
 # -- optimizer ------------------------------------------------------------------
 
 
@@ -307,6 +305,8 @@ class PretrainConfig:
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValidationError(f"pretrain holdout_fraction must be in [0, 1), "
                                   f"got {self.holdout_fraction}")
+        if self.seed < 0:
+            raise ValidationError(f"pretrain seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Command-line surface: happy paths, exit codes, byte-level reproducibility."""
 
 import json
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from mvre.cli import DEFAULTS, main, resolve_config, CliError
+from mvre.cli import DEFAULTS, build_configs, main, resolve_config, CliError
 
 FAST_SETS = [
     "--set", "corpus.n_relations=3",
@@ -75,6 +77,73 @@ class TestConfigResolution:
         cfg = resolve_config(None, ["train.init_mode=dynamic"], None, "train")
         assert cfg["train.init_mode"] == "dynamic"
 
+    def test_default_configuration_pinned(self):
+        # each field's key takes the dataclass default; these are the frozen values,
+        # compared as the JSON resolved_config.json echoes (0.0 is not 0 there)
+        expected = {
+            "corpus.n_relations": 8, "corpus.instances_per_relation": 50,
+            "corpus.aspects_per_relation": 4, "corpus.vocab_pool_size": 200,
+            "corpus.sentence_length_min": 9, "corpus.sentence_length_max": 14,
+            "corpus.na_fraction": 0.0, "corpus.seed": 1,
+            "data.dev_fraction": 0.2, "data.test_fraction": 0.2, "data.split_seed": 0,
+            "data.k": 1,
+            "model.d": 64, "model.n_layers": 2, "model.n_heads": 4, "model.max_len": 128,
+            "model.dtype": "float64", "model.dropout": 0.0,
+            "pretrain.steps": 3000, "pretrain.batch_size": 8, "pretrain.lr": 2e-3,
+            "pretrain.mask_rate": 0.15, "pretrain.holdout_fraction": 0.1, "pretrain.seed": 0,
+            "train.m": 4, "train.alpha": None, "train.beta": None, "train.lr": 3e-5,
+            "train.epochs": 40, "train.batch_size": 8, "train.seed": 1,
+            "train.init_mode": "combined", "train.best_dev_selection": False,
+            "train.score_mode": "mixture", "train.weight_decay": 0.0,
+            "train.entity_order": "sub_obj", "train.entity_markers": True,
+            "train.pretrain_steps": 0, "train.pretrain_lr": 2e-3,
+            "sweep.k": 1, "sweep.seeds": [1, 2, 3, 4, 5], "sweep.m_values": [1, 2, 3, 4, 5],
+            "protocol.k": 4, "protocol.m": 4, "protocol.seeds": [1, 2, 3],
+            "analysis.top_k": 10, "eval.include_na": False,
+        }
+        got = resolve_config(None, [], None, "train")
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_values_convert_to_field_types(self):
+        cfg = resolve_config(None, ["train.lr=1", "train.epochs=3.0", "model.d=8",
+                                    "model.n_heads=2"], None, "train")
+        assert cfg["train.lr"] == 1 and isinstance(cfg["train.lr"], int)  # echoed as given
+        tc = build_configs(cfg)["train"]
+        assert isinstance(tc.lr, float) and tc.lr == 1.0
+        assert isinstance(tc.epochs, int) and tc.epochs == 3
+        assert tc.max_len == tc.model.max_len == 128 and tc.model.d == 8
+
+
+HOSTILE = ["0", "-1", "2.5", "NaN", "inf", "1e400", "", "foo", "[]", "null", "true"]
+
+
+def assert_rejected_or_valid(overrides):
+    """Resolving either raises CliError or yields four valid config objects."""
+    try:
+        cfg = resolve_config(None, overrides, None, "train")
+    except CliError:
+        return
+    configs = build_configs(cfg)
+    replace(configs.pop("model"), vocab_size=1).validate()
+    for config in configs.values():
+        config.validate()
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("key", sorted(DEFAULTS))
+    def test_each_key_with_hostile_values(self, key):
+        for value in HOSTILE:
+            assert_rejected_or_valid([f"{key}={value}"])
+
+    def test_seeded_multi_key_mutations(self):
+        rng = random.Random(20261018)
+        keys = sorted(DEFAULTS)
+        values = HOSTILE + ["1", "2", "3", "7", "16", "0.5", "0.99", "[0]", "[2, 3]",
+                            "false", "product", "obj_sub", "static"]
+        for _ in range(400):
+            assert_rejected_or_valid([f"{key}={rng.choice(values)}"
+                                      for key in rng.sample(keys, rng.randint(2, 5))])
+
 
 class TestGenerateCorpus:
     def test_writes_corpus_and_schema(self, tmp_path):
@@ -142,6 +211,22 @@ class TestGenerateCorpus:
                    "--set", "model.dtype=float32")
         assert code == 2
         assert "float32" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,override,name", [
+        ("train", "model.dropout=1.5", "dropout"), ("train", "model.dropout=1.0", "dropout"),
+        ("train", "model.n_heads=0", "n_heads"), ("train", "model.n_layers=-1", "n_layers"),
+        ("train", "train.score_mode=foo", "score_mode"),
+        ("train", "train.entity_order=foo", "entity_order"),
+        ("train", "train.init_mode=foo", "init_mode"), ("train", "train.m=0", "m must be"),
+        ("train", "data.k=0", "data.k"), ("sim-protocol", "protocol.m=0", "protocol.m"),
+        ("pretrain", "pretrain.seed=-1", "seed")])
+    def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, command, override,
+                                                name):
+        code = run(command, "--out", str(tmp_path / "o"), *FAST_SETS, "--set", override)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_idempotent_bytes(self, tmp_path):
@@ -236,11 +321,11 @@ class TestPretrainCommand:
         ("pretrain.steps=-3", "steps"), ("pretrain.lr=nan", "lr"),
         ("pretrain.mask_rate=0", "mask_rate"),
         ("pretrain.holdout_fraction=1.0", "holdout_fraction")])
-    def test_bad_pretrain_value_exits_1_naming_field(self, tmp_path, capsys,
+    def test_bad_pretrain_value_exits_2_naming_field(self, tmp_path, capsys,
                                                       override, field):
         out = tmp_path / "p"
         code = run("pretrain", "--out", str(out), *FAST_SETS, "--set", override)
-        assert code == 1
+        assert code == 2
         assert f"error: pretrain {field}" in capsys.readouterr().err
         assert not (out / "pretrained.ckpt").exists()
 
@@ -299,6 +384,14 @@ class TestReportCommands:
         report = json.loads((out / "probe_report.json").read_text())
         assert len(report) == 3 * 2   # relations x views
         assert set(report[0]) == {"relation", "view", "token", "probability"}
+
+    def test_probe_init_honours_pretrain_keys(self, tmp_path):
+        reports = []
+        for name, sets in (("a", []), ("b", ["--set", "pretrain.batch_size=2",
+                                             "--set", "pretrain.mask_rate=0.5"])):
+            assert run("probe-init", "--out", str(tmp_path / name), *FAST_SETS, *sets) == 0
+            reports.append((tmp_path / name / "probe_report.json").read_bytes())
+        assert reports[0] != reports[1]
 
     def test_analyze_views_shape(self, tmp_path):
         pre = tmp_path / "p"

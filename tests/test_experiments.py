@@ -141,7 +141,8 @@ class TestTrain:
         ("alpha", -1.0), ("beta", -0.1), ("alpha", float("nan")),
         ("weight_decay", -0.01), ("pretrain_steps", -1),
         ("pretrain_lr", 0.0), ("pretrain_lr", -2e-3), ("pretrain_lr", float("nan")),
-        ("pretrain_lr", float("inf"))])
+        ("pretrain_lr", float("inf")), ("weight_decay", float("inf")), ("epochs", -1),
+        ("seed", -1), ("score_mode", "foo"), ("entity_order", "foo")])
     def test_bad_field_rejected(self, field, value):
         # a negative alpha or beta would silently turn a regularizer around
         with pytest.raises(ValidationError, match=field):
@@ -278,6 +279,11 @@ class TestSimilarityProtocol:
         with pytest.raises(ValidationError, match="divisible"):
             run_similarity_protocol(splits, schema, 3, 2, [1], fast_config())
 
+    def test_zero_masks_rejected(self):
+        spec, ds, schema, splits = small_world()
+        with pytest.raises(ValidationError, match="m must be >= 1"):
+            run_similarity_protocol(splits, schema, 4, 0, [1], fast_config())
+
     def test_shot_arithmetic(self, monkeypatch):
         seen = []
 
@@ -389,3 +395,11 @@ class TestParallelGrid:
         monkeypatch.setenv("MVRE_THREADS", "2")
         parallel = run_grid(splits, schema, [1], [1, 2], [cfg])
         assert serial[0].f1s == parallel[0].f1s
+
+    def test_similarity_protocol_identical_with_workers(self, monkeypatch):
+        spec, ds, schema, splits = small_world()
+        cfg = fast_config(epochs=2, lr=0.01)
+        monkeypatch.setenv("MVRE_THREADS", "1")
+        serial = run_similarity_protocol(splits, schema, 2, 2, [1, 2], cfg)
+        monkeypatch.setenv("MVRE_THREADS", "2")
+        assert run_similarity_protocol(splits, schema, 2, 2, [1, 2], cfg) == serial

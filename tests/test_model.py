@@ -1,6 +1,7 @@
 """Forward-pass contracts, optimizer arithmetic, pretraining, checkpoints."""
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mvre.experiments import TrainConfig, train
 from mvre.losses import ViewPosteriorHead
 from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig, adamw_step,
                         forward, forward_batch, forward_ids, load_checkpoint,
-                        mask_hidden, maskable_positions, pretrain_mlm, save_checkpoint)
+                        maskable_positions, pretrain_mlm, save_checkpoint)
 from mvre.schema import synthetic_schema
 from mvre.vocab import build_vocab, encode_sentence, vocab_payload, wrap_template
 
@@ -74,15 +75,6 @@ class TestForward:
         ids = np.array([len(self.vocab) + 5])
         with pytest.raises(ValueError, match="vocabulary"):
             forward_ids(self.model, ids)
-
-    def test_mask_hidden_bounds(self):
-        hidden, _ = forward(self.model, self.prompt)
-        v = mask_hidden(hidden, self.prompt, 1)
-        np.testing.assert_array_equal(v.data, hidden.data[self.prompt.mask_positions[0]])
-        v2 = mask_hidden(hidden, self.prompt, 2)
-        np.testing.assert_array_equal(v2.data, hidden.data[self.prompt.mask_positions[1]])
-        with pytest.raises(IndexError):
-            mask_hidden(hidden, self.prompt, 3)
 
     def test_gradients_flow_through_encoder(self):
         small = toy_setup(d=8, n_heads=2, instances_per_relation=2)
@@ -428,7 +420,7 @@ class TestPretrain:
         ("steps", -3), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
         ("lr", float("inf")), ("mask_rate", 0.0), ("mask_rate", 1.5),
         ("mask_rate", float("nan")), ("holdout_fraction", 1.0),
-        ("holdout_fraction", -0.1)])
+        ("holdout_fraction", -0.1), ("seed", -1)])
     def test_bad_config_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             pretrain_mlm(self.model, self.ds, self.vocab,
@@ -499,6 +491,17 @@ class TestModelConfig:
             cfg.validate()
         with pytest.raises(ValueError, match="float32"):
             MlmModel(cfg)
+
+    @pytest.mark.parametrize("field,value", [
+        ("d", 0), ("n_layers", -1), ("n_heads", 0), ("max_len", 0), ("dropout", 1.0),
+        ("dropout", 1.5), ("dropout", -0.1), ("dropout", float("nan"))])
+    def test_bad_field_rejected(self, field, value):
+        # n_heads=0 used to end in a ZeroDivisionError, dropout=1.5 in all-zero masks
+        with pytest.raises(ValueError, match=field):
+            replace(ModelConfig(vocab_size=10), **{field: value}).validate()
+
+    def test_edge_values_accepted(self):
+        ModelConfig(d=1, n_layers=0, n_heads=1, max_len=1, vocab_size=1).validate()
 
 
 class TestCheckpoint:
