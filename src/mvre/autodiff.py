@@ -662,6 +662,15 @@ class TiedEmbedding:
         return _make(out_data, (hidden, table, bias), backward)
 
 
+def _pair_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[i] @ y[i]`` for each row (``y`` may be one broadcast row).
+
+    One stacked matmul of 1 x d by d x 1 products, which numpy hands to
+    the same BLAS dot a loop of 1-D ``x[i] @ y[i]`` calls: the same bits.
+    """
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
 def row_dots(a, w) -> Tensor:
     """``a[..., i, :] @ w`` for every row of ``a``, shape ``a.shape[:-1]``.
 
@@ -671,7 +680,7 @@ def row_dots(a, w) -> Tensor:
     """
     a, w = _as_tensor(a), _as_tensor(w)
     flat = a.data.reshape(-1, a.data.shape[-1])
-    out_data = np.array([w.data @ row for row in flat]).reshape(a.data.shape[:-1])
+    out_data = _pair_dots(flat, w.data[None, :]).reshape(a.data.shape[:-1])
 
     def backward(g):
         if w.requires_grad:
@@ -698,12 +707,13 @@ def cosine_pairs(a, left, right) -> Tensor:
     left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
     if a.ndim != 2 or left.ndim != 1 or left.shape != right.shape:
         raise ValueError("cosine_pairs expects a 2-D tensor and two equal-length index vectors")
-    norms = np.array([np.linalg.norm(row) for row in a.data])
+    rows = np.ascontiguousarray(a.data)  # np.linalg.norm dots a contiguous copy
+    norms = np.sqrt(_pair_dots(rows, rows))
     nl, nr = norms[left], norms[right]
     if np.any(nl == 0.0) or np.any(nr == 0.0):
         raise NumericError("cosine similarity undefined for zero-norm vector")
     x, y = a.data[left], a.data[right]
-    dots = np.array([u @ v for u, v in zip(x, y)])
+    dots = _pair_dots(x, y)
     c = np.where(np.all(x == y, axis=1), 1.0, dots / (nl * nr))
 
     def backward(g):

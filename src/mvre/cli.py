@@ -24,8 +24,8 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .data import (CorpusSpec, corpus_aspect_groups, generate_corpus, load_jsonl,
-                   make_splits, sample_kshot, save_jsonl)
+from .data import (CorpusSpec, check_split_fractions, corpus_aspect_groups, generate_corpus,
+                   load_jsonl, make_splits, sample_kshot, save_jsonl)
 from .errors import MvreError, ValidationError
 from .experiments import (TrainConfig, evaluate, grid_rows_csv, heatmap_csv,
                           run_similarity_protocol, sweep_m, train,
@@ -188,7 +188,11 @@ def resolve_config(config_path: str | None, overrides: list[str],
         value, low = _get(cfg, key), _MINIMUM.get(key)
         if low is not None and min(value if isinstance(value, list) else [value]) < low:
             raise CliError(f"config key {key!r} must be >= {low}, got {cfg[key]!r}")
+    k, m = _get(cfg, "protocol.k"), _get(cfg, "protocol.m")
+    if k % m:
+        raise CliError(f"config key 'protocol.k' ({k}) must be divisible by 'protocol.m' ({m})")
     try:
+        check_split_fractions(_get(cfg, "data.dev_fraction"), _get(cfg, "data.test_fraction"))
         configs = build_configs(cfg)
         replace(configs.pop("model"), vocab_size=1).validate()  # the vocabulary comes later
         for config in configs.values():

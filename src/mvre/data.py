@@ -159,26 +159,21 @@ def corpus_aspect_groups(spec: CorpusSpec) -> dict[str, list[list[str]]]:
     return groups
 
 
-def _filler_pool(spec: CorpusSpec) -> tuple[list[str], np.ndarray]:
-    words = [f"w{i:03d}" for i in range(spec.vocab_pool_size)]
-    ranks = np.arange(1, spec.vocab_pool_size + 1, dtype=np.float64)
-    probs = ranks ** (-_FILLER_ZIPF_EXPONENT)
-    probs /= probs.sum()
-    return words, probs
+def _zipf(n: int, exponent: float) -> np.ndarray:
+    """Rank-frequency probabilities ``rank ** -exponent`` over ``n`` items."""
+    probs = np.arange(1, n + 1, dtype=np.float64) ** (-exponent)
+    return probs / probs.sum()
 
 
-def _entity_pool() -> tuple[list[str], np.ndarray]:
-    """Entity mentions are long-tailed, like real-corpus name frequencies."""
-    words = [f"ent{i}" for i in range(_ENTITY_POOL_SIZE)]
-    ranks = np.arange(1, _ENTITY_POOL_SIZE + 1, dtype=np.float64)
-    probs = ranks ** (-_ENTITY_ZIPF_EXPONENT)
-    probs /= probs.sum()
-    return words, probs
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _assemble_sentence(rng: np.random.Generator, length: int, subj: list[str],
-                       obj: list[str], aspects: list[str],
-                       fillers: list[str], filler_probs: np.ndarray) -> RelationInstance:
+                       obj: list[str], aspects: list[str], fillers: list[str],
+                       filler_cdf: np.ndarray, label: str) -> RelationInstance:
     """Lay out one sentence: filler context around a subj-aspects-obj core.
 
     The relational phrase (one word per aspect group, in group order) sits
@@ -188,7 +183,7 @@ def _assemble_sentence(rng: np.random.Generator, length: int, subj: list[str],
     core = len(subj) + len(obj) + len(aspects)
     length = max(length, core)
     n_fill = length - core
-    fill_ids = rng.choice(len(fillers), size=n_fill, p=filler_probs)
+    fill_ids = filler_cdf.searchsorted(rng.random(n_fill), side="right")
     n_front = int(rng.integers(0, n_fill + 1))
     front = [fillers[i] for i in fill_ids[:n_front]]
     back = [fillers[i] for i in fill_ids[n_front:]]
@@ -201,7 +196,7 @@ def _assemble_sentence(rng: np.random.Generator, length: int, subj: list[str],
         subj_span, obj_span = first_span, second_span
     else:
         subj_span, obj_span = second_span, first_span
-    return RelationInstance(tuple(tokens), subj_span, obj_span, "")
+    return RelationInstance(tuple(tokens), subj_span, obj_span, label)
 
 
 def generate_corpus(spec: CorpusSpec, seed: int) -> Dataset:
@@ -214,30 +209,45 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> Dataset:
     spec.validate()
     rng = np.random.default_rng(seed)
     groups = corpus_aspect_groups(spec)
-    fillers, filler_probs = _filler_pool(spec)
-    entities, entity_probs = _entity_pool()
+    fillers = [f"w{i:03d}" for i in range(spec.vocab_pool_size)]
+    # entity mentions are long-tailed, like real-corpus name frequencies
+    entities = [f"ent{i}" for i in range(_ENTITY_POOL_SIZE)]
+    entity_probs = _zipf(_ENTITY_POOL_SIZE, _ENTITY_ZIPF_EXPONENT)
+    # The draws below are the ones Generator.choice(..., p=...) makes
+    # internally (one rng.random per pick, searched in the normalized CDF),
+    # with each CDF built once per corpus: every corpus keeps its bytes.
+    filler_cdf = _cdf(_zipf(spec.vocab_pool_size, _FILLER_ZIPF_EXPONENT))
+    entity_cdf = _cdf(entity_probs)
+    group_cdf = _cdf(_zipf(_WORDS_PER_ASPECT_GROUP, _ASPECT_ZIPF_EXPONENT))
     lo, hi = spec.sentence_length_range
 
     def draw_entities() -> tuple[list[str], list[str]]:
         n_subj = int(rng.integers(1, 3))
-        n_obj = int(rng.integers(1, 3))
-        picks = rng.choice(len(entities), size=n_subj + n_obj, replace=False,
-                           p=entity_probs)
+        size = n_subj + int(rng.integers(1, 3))
+        # without replacement: redraw the missing picks with the picked
+        # entities' probabilities zeroed, keeping first occurrences in order
+        picks: list[int] = []
+        cdf = entity_cdf
+        while len(picks) < size:
+            if picks:
+                probs = entity_probs.copy()
+                probs[picks] = 0.0
+                cdf = _cdf(probs)
+            for i in cdf.searchsorted(rng.random(size - len(picks)), side="right").tolist():
+                if i not in picks:
+                    picks.append(i)
         return [entities[i] for i in picks[:n_subj]], [entities[i] for i in picks[n_subj:]]
-
-    group_ranks = np.arange(1, _WORDS_PER_ASPECT_GROUP + 1, dtype=np.float64)
-    group_probs = group_ranks ** (-_ASPECT_ZIPF_EXPONENT)
-    group_probs /= group_probs.sum()
 
     instances: list[RelationInstance] = []
     relations = [f"rel{ri}" for ri in range(spec.n_relations)]
     for rel in relations:
         for _ in range(spec.instances_per_relation):
             subj, obj = draw_entities()
-            aspects = [g[int(rng.choice(len(g), p=group_probs))] for g in groups[rel]]
+            picks = group_cdf.searchsorted(rng.random(len(groups[rel])), side="right")
+            aspects = [g[i] for g, i in zip(groups[rel], picks)]
             length = int(rng.integers(lo, hi + 1))
-            inst = _assemble_sentence(rng, length, subj, obj, aspects, fillers, filler_probs)
-            instances.append(RelationInstance(inst.tokens, inst.subj_span, inst.obj_span, rel))
+            instances.append(_assemble_sentence(rng, length, subj, obj, aspects,
+                                                fillers, filler_cdf, rel))
 
     na_label = None
     non_na = len(instances)
@@ -247,8 +257,8 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> Dataset:
         for _ in range(n_na):
             subj, obj = draw_entities()
             length = int(rng.integers(lo, hi + 1))
-            inst = _assemble_sentence(rng, length, subj, obj, [], fillers, filler_probs)
-            instances.append(RelationInstance(inst.tokens, inst.subj_span, inst.obj_span, na_label))
+            instances.append(_assemble_sentence(rng, length, subj, obj, [],
+                                                fillers, filler_cdf, na_label))
         relations = relations + [na_label]
 
     order = rng.permutation(len(instances))
@@ -257,11 +267,20 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> Dataset:
     return dataset
 
 
+def check_split_fractions(dev_fraction: float, test_fraction: float):
+    """Each held-out fraction must be in [0, 1) (not NaN) and leave room for train."""
+    for name, value in (("dev_fraction", dev_fraction), ("test_fraction", test_fraction)):
+        if not 0.0 <= value < 1.0:
+            raise ValidationError(f"{name} must be in [0, 1), got {value}")
+    if dev_fraction + test_fraction >= 1.0:
+        raise ValidationError(f"dev_fraction + test_fraction must leave room for train, "
+                              f"got {dev_fraction} + {test_fraction}")
+
+
 def make_splits(dataset: Dataset, dev_fraction: float = 0.2, test_fraction: float = 0.2,
                 seed: int = 0) -> DatasetSplits:
     """Stratified train/dev/test partition, deterministic per seed."""
-    if dev_fraction + test_fraction >= 1.0:
-        raise ValidationError("dev_fraction + test_fraction must leave room for train")
+    check_split_fractions(dev_fraction, test_fraction)
     rng = np.random.default_rng(seed)
     buckets: dict[str, list[RelationInstance]] = {"train": [], "dev": [], "test": []}
     for rel, insts in dataset.by_relation().items():

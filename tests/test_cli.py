@@ -220,7 +220,12 @@ class TestGenerateCorpus:
         ("train", "train.entity_order=foo", "entity_order"),
         ("train", "train.init_mode=foo", "init_mode"), ("train", "train.m=0", "m must be"),
         ("train", "data.k=0", "data.k"), ("sim-protocol", "protocol.m=0", "protocol.m"),
-        ("pretrain", "pretrain.seed=-1", "seed")])
+        ("pretrain", "pretrain.seed=-1", "seed"),
+        ("train", "data.test_fraction=-1", "test_fraction"),
+        ("train", "data.dev_fraction=-0.5", "dev_fraction"),
+        ("train", "data.dev_fraction=NaN", "dev_fraction"),
+        ("train", "data.dev_fraction=0.8", "leave room for train"),
+        ("sim-protocol", "protocol.k=3", "'protocol.k' (3) must be divisible by 'protocol.m'")])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, command, override,
                                                 name):
         code = run(command, "--out", str(tmp_path / "o"), *FAST_SETS, "--set", override)

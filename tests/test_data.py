@@ -1,5 +1,6 @@
 """Synthetic corpus generation, JSONL round trips, and k-shot sampling."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -97,6 +98,30 @@ class TestGenerateCorpus:
         assert abs(got - 0.25) < 0.05
         for inst in na:
             assert not set(inst.tokens) & aspect_words
+
+    @pytest.mark.parametrize("spec,seed,digest", [
+        (CorpusSpec(), 1,
+         "148fc29c55e22c5ef64a248eca116369c64a4e5312990c3075cadb7f0f78916f"),
+        (CorpusSpec(sentence_length_range=(24, 40), na_fraction=0.2), 0,
+         "8eba57de11183df0be5f14bbffc07e8b876d9904b5f685a236916225da973c5e"),
+        (CorpusSpec(sentence_length_range=(24, 40), na_fraction=0.2), 1,
+         "9eb25f715427914adb1d5aaa295205a975bdcc611bddec2203d8f78b5fa57483"),
+        (CorpusSpec(n_relations=3, instances_per_relation=12, aspects_per_relation=2,
+                    vocab_pool_size=25, sentence_length_range=(6, 10)), 7,
+         "bd4dfef47d848600991c096ce6d435d916b6e992a620d0380474fc1b3a364892"),
+        (CorpusSpec(n_relations=20, instances_per_relation=30, na_fraction=0.5), 3,
+         "ed09acca884e12837b26266a857e83310968f8b2ec659c566d6f200e01373dff"),
+    ])
+    def test_frozen_digests(self, spec, seed, digest):
+        """Pins every corpus byte, NA instances included (the default, infer,
+        probe and a half-NA spec), to the output of numpy's weighted
+        ``Generator.choice`` sampler the generator first used."""
+        ds = generate_corpus(spec, seed)
+        canon = [list(ds.relations), ds.na_label,
+                 [[list(i.tokens), list(i.subj_span), list(i.obj_span), i.label]
+                  for i in ds.instances]]
+        got = hashlib.sha256(json.dumps(canon, separators=(",", ":")).encode()).hexdigest()
+        assert got == digest
 
 
 class TestJsonl:
@@ -243,6 +268,15 @@ class TestSplitsAndMerge:
         by_rel = splits.train.by_relation()
         assert all(len(v) == 12 for v in by_rel.values())
         assert len(splits.dev) == 20 and len(splits.test) == 20
+
+    @pytest.mark.parametrize("dev,test,name", [
+        (0.2, -1.0, "test_fraction"), (-0.5, 0.2, "dev_fraction"),
+        (float("nan"), 0.2, "dev_fraction"), (0.2, float("nan"), "test_fraction"),
+        (1.0, 0.0, "dev_fraction"), (0.6, 0.4, "leave room")])
+    def test_bad_fractions_rejected(self, dev, test, name):
+        ds = tiny_dataset()
+        with pytest.raises(ValidationError, match=name):
+            make_splits(ds, dev_fraction=dev, test_fraction=test)
 
     def test_merge_keeps_first_appearance_order(self):
         a = tiny_dataset(1, ("x", "y"))
