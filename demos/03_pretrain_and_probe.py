@@ -9,9 +9,8 @@ elementwise mean of both.
 
 import numpy as np
 
-from mvre import (CorpusSpec, MlmModel, ModelConfig, PretrainConfig, build_vocab,
-                  combined_init, dynamic_init, generate_corpus, pretrain_mlm,
-                  static_init, synthetic_schema)
+from mvre import (CorpusSpec, MlmModel, ModelConfig, PretrainConfig, apply_init,
+                  build_vocab, generate_corpus, pretrain_mlm, synthetic_schema)
 
 spec = CorpusSpec(n_relations=4, instances_per_relation=30)
 dataset = generate_corpus(spec, seed=1)
@@ -26,14 +25,14 @@ print(f"held-out masked-token accuracy after 800 steps: "
       f"(uniform would be {1 / len(vocab):.4f})\n")
 
 print("probe templates and their top tokens per mask slot:")
-dvec, report = dynamic_init(schema, vocab, verbalizer, model)
+dvec, report = apply_init("dynamic", schema, vocab, verbalizer, model)
 for rel in schema.relations:
     print(f"  {rel}: {schema.probe_templates[rel]!r}")
     row = [r for r in report if r.relation == rel]
     print("    -> " + "  ".join(f"{r.token}({r.probability:.2f})" for r in row))
 
-si = static_init(schema, vocab, verbalizer, model)
-combined, _ = combined_init(schema, vocab, verbalizer, model)
+si, _ = apply_init("static", schema, vocab, verbalizer, model)
+combined, _ = apply_init("combined", schema, vocab, verbalizer, model)
 print(f"\nstatic vectors {si.shape}; combined == elementwise mean of both: "
       f"{np.allclose(combined, 0.5 * (si + dvec))}")
 vid = verbalizer.virtual_id(schema.relations[0], 1)

@@ -9,17 +9,15 @@ masked language model with exact reverse-mode gradients.
 """
 
 from . import autodiff
-from .data import (CorpusSpec, Dataset, DatasetSplits, Episode, RelationInstance,
-                   generate_corpus, load_jsonl, make_splits, merge_datasets,
-                   sample_kshot, save_jsonl)
+from .data import (CorpusSpec, Dataset, DatasetSplits, RelationInstance, generate_corpus,
+                   load_jsonl, make_splits, merge_datasets, sample_kshot, save_jsonl)
 from .errors import (AnalysisError, EncodingError, InitError, LoadError, MvreError,
                      NumericError, SamplingError, UndefinedRatioError,
                      ValidationError)
 from .experiments import (GridRow, RunResult, TrainConfig, TrainedArtifacts,
                           evaluate, micro_f1, run_grid, run_similarity_protocol,
                           similarity_ratio, sweep_m, train, view_aspect_heatmap)
-from .init_schemes import (ProbeRecord, apply_init, combined_init, dynamic_init,
-                           encode_probe_template, static_init)
+from .init_schemes import ProbeRecord, apply_init, dynamic_init, encode_probe_template
 from .losses import (ViewPosteriorHead, ViewScores, infer, global_loss, local_loss,
                      mvdl_loss, per_view_label_probs,
                      relation_scores, total_loss, verbalizer_embeddings,
@@ -30,6 +28,6 @@ from .model import (AdamW, Checkpoint, MlmModel, ModelConfig, PretrainConfig,
 from .schema import (RelationSchema, load_schema, save_schema, schema_from_relations,
                      si_tokens_from_label, synthetic_schema)
 from .vocab import (EncodedPrompt, Verbalizer, Vocab, build_vocab, decode,
-                    encode_sentence, load_vocab, save_vocab, wrap_template)
+                    encode_sentence, wrap_template)
 
 __version__ = "0.1.0"

@@ -100,6 +100,12 @@ class Tensor:
         else:
             self.grad += g
 
+    def _scatter(self, key, g: np.ndarray):
+        """``grad[key] += g`` with repeated indices adding up, from zeros if unset."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        np.add.at(self.grad, key, g)
+
     def backward(self):
         """Backpropagate from this scalar through the recorded graph."""
         if self.data.size != 1:
@@ -306,9 +312,7 @@ def index(a, key) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, key, g)
+            a._scatter(key, g)
 
     return _make(out_data, (a,), backward)
 
@@ -389,18 +393,14 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """Mean of every element."""
     a = _as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.data.shape[ax] for ax in axes]))
+    out_data = a.data.mean()
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.data.shape, axis, keepdims) / n)
+            a._accumulate(np.broadcast_to(g / a.data.size, a.data.shape))
 
     return _make(out_data, (a,), backward)
 
@@ -632,10 +632,8 @@ class TiedEmbedding:
         def backward(g):
             held, self._held = self._held, None
             if table.requires_grad:
-                if table.grad is None:
-                    table.grad = np.zeros_like(table.data)
                 for s, r in enumerate(rows):
-                    np.add.at(table.grad, ids[r], g[r])
+                    table._scatter(ids[r], g[r])
                     if held is not None:
                         table._accumulate(held[s].T)
             if pos.requires_grad:
@@ -721,10 +719,8 @@ def cosine_pairs(a, left, right) -> Tensor:
             gp, cp, nlr = g[:, None], c[:, None], (nl * nr)[:, None]
             gx = gp * (y / nlr - cp * x / (nl * nl)[:, None])
             gy = gp * (x / nlr - cp * y / (nr * nr)[:, None])
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, np.stack([left, right], axis=1).ravel(),
-                      np.stack([gx, gy], axis=1).reshape(-1, a.data.shape[1]))
+            a._scatter(np.stack([left, right], axis=1).ravel(),
+                       np.stack([gx, gy], axis=1).reshape(-1, a.data.shape[1]))
 
     return _make(c, (a,), backward)
 

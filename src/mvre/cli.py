@@ -218,8 +218,17 @@ def _synthetic_corpus(cfg: dict):
 
 
 def _splits(dataset, cfg: dict):
-    return make_splits(dataset, _get(cfg, "data.dev_fraction"),
-                       _get(cfg, "data.test_fraction"), _get(cfg, "data.split_seed"))
+    """The corpus's splits; an empty test split, or an empty dev split under
+    best-dev selection, is a configuration error (it would score a silent 0)."""
+    splits = make_splits(dataset, _get(cfg, "data.dev_fraction"),
+                         _get(cfg, "data.test_fraction"), _get(cfg, "data.split_seed"))
+    if not splits.test.instances:
+        raise CliError(f"the test split is empty (data.test_fraction="
+                       f"{_get(cfg, 'data.test_fraction')}): nothing to evaluate on")
+    if _get(cfg, "train.best_dev_selection") and not splits.dev.instances:
+        raise CliError(f"the dev split is empty (data.dev_fraction="
+                       f"{_get(cfg, 'data.dev_fraction')}) and train.best_dev_selection is true")
+    return splits
 
 
 def _out_dir(args) -> Path:
@@ -237,6 +246,13 @@ def _log(out: Path, lines: list[str]):
         stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
         for line in lines:
             fh.write(f"{stamp} {line}\n")
+
+
+def _save_checkpoint(path: Path, model, vocab, verbalizer, schema, head_w=None):
+    """A checkpoint that carries the vocabulary and the schema's relations, m and NA label."""
+    save_checkpoint(path, model, head_w=head_w, vocab_payload=vocab_payload(vocab, verbalizer),
+                    extra={"schema": {"relations": list(schema.relations),
+                                      "m": schema.m, "na_label": schema.na_label}})
 
 
 def _artifacts_from_checkpoint(path: str) -> tuple[TrainedArtifacts, dict]:
@@ -273,10 +289,7 @@ def cmd_pretrain(args, cfg: dict) -> int:
     result = pretrain_mlm(model, dataset, vocab, pt)
     out = _out_dir(args)
     _echo_config(cfg, out)
-    save_checkpoint(out / "pretrained.ckpt", model,
-                    vocab_payload=vocab_payload(vocab, verbalizer),
-                    extra={"schema": {"relations": list(schema.relations),
-                                      "m": schema.m, "na_label": schema.na_label}})
+    _save_checkpoint(out / "pretrained.ckpt", model, vocab, verbalizer, schema)
     write_json({
         "config": cfg,
         "holdout_accuracy": result.holdout_accuracy,
@@ -301,11 +314,8 @@ def cmd_train(args, cfg: dict) -> int:
     artifacts, result = train(episode, schema, tc, pretrained=pretrained)
     out = _out_dir(args)
     _echo_config(cfg, out)
-    save_checkpoint(out / "model.ckpt", artifacts.model,
-                    head_w=artifacts.head.w.data,
-                    vocab_payload=vocab_payload(artifacts.vocab, artifacts.verbalizer),
-                    extra={"schema": {"relations": list(schema.relations),
-                                      "m": schema.m, "na_label": schema.na_label}})
+    _save_checkpoint(out / "model.ckpt", artifacts.model, artifacts.vocab,
+                     artifacts.verbalizer, schema, head_w=artifacts.head.w.data)
     write_json(result.payload(), out / "result.json")
     _log(out, [f"train finished in {result.wall_time:.1f}s micro_f1={result.micro_f1:.4f}"])
     print(f"micro_f1: {result.micro_f1:.4f}")
@@ -318,12 +328,12 @@ def cmd_eval(args, cfg: dict) -> int:
     if args.dataset is None:
         raise CliError("eval requires --dataset")
     artifacts, extra = _artifacts_from_checkpoint(args.checkpoint)
-    dataset = load_jsonl(args.dataset, na_label=extra.get("schema", {}).get("na_label"))
+    na = extra.get("schema", {}).get("na_label")
+    dataset = load_jsonl(args.dataset, na_label=na)
     tc = replace(build_configs(cfg)["train"], m=artifacts.verbalizer.m,
                  max_len=artifacts.model.config.max_len)
     if not dataset.instances:
         raise CliError(f"dataset {args.dataset} holds no instances")
-    na = extra.get("schema", {}).get("na_label")
     f1 = evaluate(artifacts, dataset, tc, na, include_na=_get(cfg, "eval.include_na"))
     out = _out_dir(args)
     _echo_config(cfg, out)

@@ -1,5 +1,8 @@
 """Relation-extraction datasets: synthetic corpora, JSONL I/O, k-shot episodes.
 
+A k-shot episode is a ``DatasetSplits`` whose train split holds k instances
+per relation (``sample_kshot``).
+
 The synthetic generator produces sentences whose only label signal lives in
 per-relation "aspect" word pools (e.g. a time-ish group, a place-ish group).
 Every instance of a relation contains at least one word from each of that
@@ -124,22 +127,11 @@ class CorpusSpec:
 
 @dataclass(frozen=True)
 class DatasetSplits:
-    """Train/dev/test partition of one corpus."""
+    """Train/dev/test partition of one corpus, or a k-shot episode of one."""
 
     train: Dataset
     dev: Dataset
     test: Dataset
-
-
-@dataclass(frozen=True)
-class Episode:
-    """A k-shot training split plus the dev/test sets it is evaluated on."""
-
-    train: Dataset
-    dev: Dataset
-    test: Dataset
-    k: int
-    seed: int
 
 
 def corpus_aspect_groups(spec: CorpusSpec) -> dict[str, list[list[str]]]:
@@ -298,36 +290,29 @@ def make_splits(dataset: Dataset, dev_fraction: float = 0.2, test_fraction: floa
     return DatasetSplits(make("train"), make("dev"), make("test"))
 
 
-def sample_kshot(source: DatasetSplits, k: int, seed: int,
-                 dev_k: int | None = None) -> Episode:
-    """Sample k train instances per relation, without replacement.
+def sample_kshot(source: DatasetSplits, k: int, seed: int) -> DatasetSplits:
+    """A k-shot episode: k train instances per relation, without replacement,
+    with ``source``'s dev and test splits unchanged.
 
     Each relation draws from its own generator seeded by (seed, relation
     index), so editing the relation set never perturbs the other relations'
-    draws. Dev and test pass through unchanged unless ``dev_k`` asks for a
-    matching k-shot dev split.
+    draws.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if not source.train.instances:
         raise SamplingError("source train split is empty")
-
-    def pick(split: Dataset, count: int, salt: int) -> Dataset:
-        grouped = split.by_relation()
-        chosen: list[RelationInstance] = []
-        for ri, rel in enumerate(split.relations):
-            pool = grouped.get(rel, [])
-            if not pool:
-                raise SamplingError(f"relation {rel!r} has no instances to sample from")
-            rng = np.random.default_rng([seed, ri, salt])
-            take = min(count, len(pool))
-            idx = rng.choice(len(pool), size=take, replace=False)
-            chosen.extend(pool[i] for i in sorted(int(j) for j in idx))
-        return Dataset(tuple(chosen), split.relations, split.na_label)
-
-    train = pick(source.train, k, 0)
-    dev = pick(source.dev, dev_k, 1) if dev_k is not None else source.dev
-    return Episode(train, dev, source.test, k, seed)
+    grouped = source.train.by_relation()
+    chosen: list[RelationInstance] = []
+    for ri, rel in enumerate(source.train.relations):
+        pool = grouped.get(rel, [])
+        if not pool:
+            raise SamplingError(f"relation {rel!r} has no instances to sample from")
+        rng = np.random.default_rng([seed, ri, 0])  # the 0 keeps the frozen episodes
+        idx = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
+        chosen.extend(pool[i] for i in sorted(int(j) for j in idx))
+    train = Dataset(tuple(chosen), source.train.relations, source.train.na_label)
+    return DatasetSplits(train, source.dev, source.test)
 
 
 # -- JSONL I/O ----------------------------------------------------------------

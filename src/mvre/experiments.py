@@ -2,9 +2,10 @@
 seeded grids, the mask-count sweep, the low-vs-high-resource similarity
 protocol, and the virtual-word/aspect relevance heatmap.
 
-Every run is a pure function of (episode, schema, config): model init,
-batching order, and masking all derive from the config seed, so identical
-inputs reproduce identical results bit for bit.
+An episode is a ``DatasetSplits`` from ``sample_kshot``. Every run is a pure
+function of (episode, schema, config): model init, batching order, and
+masking all derive from the config seed, so identical inputs reproduce
+identical results bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import Dataset, DatasetSplits, Episode, merge_datasets, sample_kshot
+from .data import Dataset, DatasetSplits, merge_datasets, sample_kshot
 from .errors import AnalysisError, UndefinedRatioError, ValidationError
 from .init_schemes import COMBINED, DYNAMIC, INIT_MODES, apply_init
 from .losses import (MIXTURE, PRODUCT, ViewPosteriorHead, infer_batch, local_loss,
@@ -104,17 +105,10 @@ class RunResult:
     config: dict
     wall_time: float
 
-    def payload(self, include_wall_time: bool = False) -> dict:
-        """JSON form; wall time stays out of artifact files by default."""
-        out = {
-            "micro_f1": self.micro_f1,
-            "per_epoch_losses": self.per_epoch_losses,
-            "seed": self.seed,
-            "config": self.config,
-        }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
+    def payload(self) -> dict:
+        """JSON form; wall time stays out of artifact files."""
+        return {"micro_f1": self.micro_f1, "per_epoch_losses": self.per_epoch_losses,
+                "seed": self.seed, "config": self.config}
 
 
 @dataclass
@@ -173,7 +167,7 @@ def evaluate(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig,
     return micro_f1(predict(artifacts, dataset, config), golds, na_label, include_na)
 
 
-def train(episode: Episode, schema: RelationSchema, config: TrainConfig,
+def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
           pretrained: TrainedArtifacts | None = None) -> tuple[TrainedArtifacts, RunResult]:
     """Prompt-tune on a k-shot episode and evaluate on its test split.
 
@@ -322,12 +316,11 @@ def run_grid(splits: DatasetSplits, schema: RelationSchema, ks: list[int],
 
 def sweep_m(splits: DatasetSplits, schema: RelationSchema, k: int, seeds: list[int],
             m_values: list[int], base_config: TrainConfig) -> list[GridRow]:
-    """Vary only the mask count; one aggregated row per m, ascending."""
-    rows: list[GridRow] = []
-    for m in sorted(m_values):
-        cfg = replace(base_config, m=m)
-        rows.extend(run_grid(splits, schema, [k], seeds, [cfg], labels=[f"m={m}"]))
-    return rows
+    """Vary only the mask count; one aggregated row per m, ascending, from one
+    ``run_grid`` over every (m, seed)."""
+    ms = sorted(m_values)
+    return run_grid(splits, schema, [k], seeds, [replace(base_config, m=m) for m in ms],
+                    labels=[f"m={m}" for m in ms])
 
 
 def similarity_ratio(f1_low: float, f1_high: float) -> float:

@@ -122,55 +122,31 @@ def _dynamic_vectors(schema: RelationSchema, vocab: Vocab, model: MlmModel) -> t
     return out, report
 
 
-def _write_virtual_rows(model: MlmModel, verbalizer: Verbalizer, vectors: np.ndarray):
-    te = model.token_embed
-    for ri in range(vectors.shape[0]):
-        for j in range(1, vectors.shape[1] + 1):
-            vid = verbalizer.virtual_id_by_index(ri, j)
-            te.data[vid] = vectors[ri, j - 1].astype(te.data.dtype)
-
-
-def static_init(schema: RelationSchema, vocab: Vocab, verbalizer: Verbalizer,
-                model: MlmModel) -> np.ndarray:
-    """Write seed-word mean embeddings into the virtual rows; returns [|Y|, m, d]."""
-    vectors = _static_vectors(schema, vocab, model)
-    _write_virtual_rows(model, verbalizer, vectors)
-    return vectors
+def apply_init(mode: str, schema: RelationSchema, vocab: Vocab, verbalizer: Verbalizer,
+               model: MlmModel) -> tuple[np.ndarray | None, list[ProbeRecord]]:
+    """Write the mode's virtual-word vectors into the model; returns them, [|Y|, m, d],
+    plus the probe report (empty for 'static'). 'random' keeps the model's own
+    initialization and returns ``(None, [])``."""
+    if mode == RANDOM:
+        return None, []
+    if mode == STATIC:
+        vectors, report = _static_vectors(schema, vocab, model), []
+    elif mode == DYNAMIC:
+        vectors, report = _dynamic_vectors(schema, vocab, model)
+    elif mode == COMBINED:
+        static = _static_vectors(schema, vocab, model)
+        probed, report = _dynamic_vectors(schema, vocab, model)
+        vectors = 0.5 * (static + probed)  # elementwise mean per (relation, view)
+    else:
+        raise InitError(f"unknown init mode {mode!r}; expected one of {INIT_MODES}")
+    model.token_embed.data[verbalizer.all_ids()] = vectors.reshape(-1, vectors.shape[-1])
+    return vectors, report
 
 
 def dynamic_init(schema: RelationSchema, vocab: Vocab, verbalizer: Verbalizer,
                  model: MlmModel) -> tuple[np.ndarray, list[ProbeRecord]]:
-    """Write probed-token embeddings into the virtual rows; returns them plus the report."""
-    vectors, report = _dynamic_vectors(schema, vocab, model)
-    _write_virtual_rows(model, verbalizer, vectors)
-    return vectors, report
-
-
-def combined_init(schema: RelationSchema, vocab: Vocab, verbalizer: Verbalizer,
-                  model: MlmModel) -> tuple[np.ndarray, list[ProbeRecord]]:
-    """Elementwise mean of the static and dynamic vectors per (relation, view)."""
-    s = _static_vectors(schema, vocab, model)
-    dvec, report = _dynamic_vectors(schema, vocab, model)
-    vectors = 0.5 * (s + dvec)
-    _write_virtual_rows(model, verbalizer, vectors)
-    return vectors, report
-
-
-def apply_init(mode: str, schema: RelationSchema, vocab: Vocab,
-               verbalizer: Verbalizer, model: MlmModel) -> list[ProbeRecord]:
-    """Dispatch on init mode; 'random' keeps the model's own initialization."""
-    if mode == RANDOM:
-        return []
-    if mode == STATIC:
-        static_init(schema, vocab, verbalizer, model)
-        return []
-    if mode == DYNAMIC:
-        _, report = dynamic_init(schema, vocab, verbalizer, model)
-        return report
-    if mode == COMBINED:
-        _, report = combined_init(schema, vocab, verbalizer, model)
-        return report
-    raise InitError(f"unknown init mode {mode!r}; expected one of {INIT_MODES}")
+    """``apply_init(DYNAMIC, ...)``: the probed-token embeddings plus the report."""
+    return apply_init(DYNAMIC, schema, vocab, verbalizer, model)
 
 
 def save_probe_report(report: list[ProbeRecord], path: str | Path):
@@ -178,8 +154,3 @@ def save_probe_report(report: list[ProbeRecord], path: str | Path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([asdict(r) for r in report], fh, ensure_ascii=False, indent=2)
         fh.write("\n")
-
-
-def load_probe_report(path: str | Path) -> list[ProbeRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return [ProbeRecord(**rec) for rec in json.load(fh)]

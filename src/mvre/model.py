@@ -117,16 +117,6 @@ class MlmModel:
         """A copy of every parameter: views into one copy of the arena."""
         return self._params.unflatten(self._params.flat().copy())
 
-    def load_param_values(self, values: dict[str, np.ndarray]):
-        """Write parameter values in place."""
-        views = self._params.unflatten(self._params.flat())
-        for k, v in values.items():
-            if k not in views:
-                raise ValueError(f"unknown parameter {k!r}")
-            if views[k].shape != v.shape:
-                raise ValueError(f"shape mismatch for {k!r}: {views[k].shape} vs {v.shape}")
-            views[k][...] = v
-
     def copy(self) -> "MlmModel":
         return MlmModel(self.config, values=self.param_values())
 

@@ -15,9 +15,7 @@ with the suffix entity order flippable for reversed-direction relations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -70,20 +68,8 @@ class Vocab:
         return self._id_of[PAD]
 
     @property
-    def cls_id(self) -> int:
-        return self._id_of[CLS]
-
-    @property
-    def sep_id(self) -> int:
-        return self._id_of[SEP]
-
-    @property
     def mask_id(self) -> int:
         return self._id_of[MASK]
-
-    @property
-    def unk_id(self) -> int:
-        return self._id_of[UNK]
 
     @property
     def special_ids(self) -> tuple[int, ...]:
@@ -121,10 +107,6 @@ class Verbalizer:
         """All virtual ids, ordered (relation, view): row-major over the grid."""
         n = len(self.relation_order) * self.m
         return np.arange(self.base_size, self.base_size + n)
-
-    @property
-    def n_relations(self) -> int:
-        return len(self.relation_order)
 
 
 def build_vocab(dataset: Dataset, schema) -> tuple[Vocab, Verbalizer]:
@@ -257,19 +239,8 @@ def encode_sentence(instance: RelationInstance, vocab: Vocab,
     return np.array(vocab.encode_words([CLS] + words + [SEP]), dtype=np.int64)
 
 
-def save_vocab(vocab: Vocab, verbalizer: Verbalizer, path: str | Path):
-    """JSON form sufficient to rebuild both maps bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vocab_payload(vocab, verbalizer), fh, ensure_ascii=False)
-
-
-def load_vocab(path: str | Path) -> tuple[Vocab, Verbalizer]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return vocab_from_payload(payload)
-
-
 def vocab_payload(vocab: Vocab, verbalizer: Verbalizer) -> dict:
+    """JSON form that rebuilds both maps exactly; checkpoints carry it."""
     return {
         "words": list(vocab.words),
         "base_size": vocab.base_size,

@@ -176,7 +176,6 @@ class TestStructuredGradients:
     def test_reductions(self, rng):
         x = ad.parameter(rng.normal(size=(3, 4)))
         assert_grads_close(lambda: ad.tmean(x), {"x": x})
-        assert_grads_close(lambda: sum_of_squares(ad.tmean(x, axis=0)), {"x": x})
         assert_grads_close(lambda: sum_of_squares(ad.tsum(x, axis=1, keepdims=True)),
                            {"x": x})
 

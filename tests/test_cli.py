@@ -1,5 +1,6 @@
 """Command-line surface: happy paths, exit codes, byte-level reproducibility."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -225,14 +226,26 @@ class TestGenerateCorpus:
         ("train", "data.dev_fraction=-0.5", "dev_fraction"),
         ("train", "data.dev_fraction=NaN", "dev_fraction"),
         ("train", "data.dev_fraction=0.8", "leave room for train"),
-        ("sim-protocol", "protocol.k=3", "'protocol.k' (3) must be divisible by 'protocol.m'")])
+        ("sim-protocol", "protocol.k=3", "'protocol.k' (3) must be divisible by 'protocol.m'"),
+        # an empty split used to score micro_f1 0.0000 and exit 0
+        ("train", "data.test_fraction=0", "test split is empty"),
+        ("sweep-m", "data.test_fraction=0", "test split is empty"),
+        ("sim-protocol", "data.test_fraction=0", "test split is empty"),
+        ("train", "data.dev_fraction=0 train.best_dev_selection=true", "dev split is empty"),
+        ("sim-protocol", "data.dev_fraction=0 train.best_dev_selection=true",
+         "dev split is empty")])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, command, override,
                                                 name):
-        code = run(command, "--out", str(tmp_path / "o"), *FAST_SETS, "--set", override)
+        sets = [arg for item in override.split() for arg in ("--set", item)]
+        code = run(command, "--out", str(tmp_path / "o"), *FAST_SETS, *sets)
         assert code == 2
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_empty_dev_split_without_selection_trains(self, tmp_path):
+        assert run("train", "--out", str(tmp_path / "o"), *FAST_SETS,
+                   "--set", "data.dev_fraction=0") == 0
 
     def test_idempotent_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -254,6 +267,27 @@ class TestTrainEvalRound:
             outs.append(out)
         assert (outs[0] / "model.ckpt").read_bytes() == (outs[1] / "model.ckpt").read_bytes()
         assert (outs[0] / "result.json").read_bytes() == (outs[1] / "result.json").read_bytes()
+
+    # criterion 10's small configuration, then m=3 with dropout, weight decay,
+    # inner pretraining and best-dev selection; a change that shifts any
+    # training bit changes these digests
+    SMALL = ["corpus.n_relations=3", "corpus.instances_per_relation=8",
+             "corpus.vocab_pool_size=20", "model.d=12", "model.n_layers=1",
+             "model.n_heads=2", "model.max_len=48", "train.m=2", "train.epochs=2",
+             "train.lr=0.005", "train.init_mode=combined"]
+    M3 = ["train.m=3", "model.dropout=0.1", "train.weight_decay=0.01",
+          "train.pretrain_steps=20", "train.best_dev_selection=true"]
+
+    @pytest.mark.parametrize("sets,ckpt_sha,result_sha", [
+        (SMALL, "bc500313b7d01d7fe3ff804cc0e544648ca731e2b8100d2be852a724290ba5f2",
+         "ccf44fbe9a15314524e5744c42502184574da8550b14791b0d20638158278cf7"),
+        (SMALL + M3, "a2efa89b052a92a94c1c7accfc55c99b62309805196d97f0e930b5dba45106ca",
+         "9b58be12d9a006756ca4732fe8dcd3a9bc6d2145ca29f33e926faecc2b6f4f0a")])
+    def test_train_artifacts_pinned(self, tmp_path, sets, ckpt_sha, result_sha):
+        sets = [arg for item in sets for arg in ("--set", item)]
+        assert run("train", "--out", str(tmp_path), "--seed", "11", *sets) == 0
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert (digest("model.ckpt"), digest("result.json")) == (ckpt_sha, result_sha)
 
     def test_result_json_has_no_wall_time(self, tmp_path):
         out = tmp_path / "o"

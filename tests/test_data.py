@@ -237,16 +237,11 @@ class TestSampleKshot:
         ds = generate_corpus(CorpusSpec(n_relations=4, instances_per_relation=20), seed=2)
         splits = make_splits(ds, seed=3)
         ep = sample_kshot(splits, 2, 1)
+        assert isinstance(ep, DatasetSplits)
+        assert ep.dev is splits.dev and ep.test is splits.test
         train_set = set(ep.train.instances)
         assert not train_set & set(ep.dev.instances)
         assert not train_set & set(ep.test.instances)
-
-    def test_dev_k_option(self):
-        ds = generate_corpus(CorpusSpec(n_relations=4, instances_per_relation=20), seed=2)
-        splits = make_splits(ds, seed=3)
-        ep = sample_kshot(splits, 2, 1, dev_k=2)
-        assert len(ep.dev) == 8   # 4 relations x 2
-        assert sample_kshot(splits, 2, 1, dev_k=2) == ep
 
     def test_frozen_seed_fixture(self):
         """Regression pin of the seeded sampler's selections.

@@ -287,9 +287,9 @@ class TestSimilarityProtocol:
     def test_shot_arithmetic(self, monkeypatch):
         seen = []
 
-        def fake(splits, k, seed, dev_k=None):
+        def fake(splits, k, seed):
             seen.append(k)
-            return sample_kshot(splits, k, seed, dev_k)
+            return sample_kshot(splits, k, seed)
 
         monkeypatch.setattr(exp, "sample_kshot", fake)
         spec, ds, schema, splits = small_world(instances_per_relation=16)

@@ -5,12 +5,11 @@ import pytest
 
 from mvre.data import Dataset, RelationInstance
 from mvre.errors import InitError
-from mvre.init_schemes import (apply_init, combined_init, dynamic_init,
-                               encode_probe_template, static_init,
+from mvre.init_schemes import (apply_init, dynamic_init, encode_probe_template,
                                _dynamic_vectors, _static_vectors)
 from mvre.model import MlmModel, ModelConfig
 from mvre.schema import RelationSchema, schema_from_relations
-from mvre.vocab import MASK, build_vocab, decode
+from mvre.vocab import MASK, UNK, build_vocab, decode
 
 
 def make_env(m=2, relations=("relA", "relB"), d=6, si_tokens=None, templates=None):
@@ -57,7 +56,8 @@ class TestStaticInit:
         te[vocab.id_of("alpha")] = [1.0, 0.0]
         te[vocab.id_of("beta")] = [0.0, 1.0]
         te[vocab.id_of("gamma")] = [1.0, 1.0]
-        vectors = static_init(schema, vocab, verb, model)
+        vectors, report = apply_init("static", schema, vocab, verb, model)
+        assert report == []
         np.testing.assert_allclose(vectors[0, 0], [2 / 3, 2 / 3])
         np.testing.assert_allclose(vectors[0, 1], [2 / 3, 2 / 3])  # same for all views
         # single seed word: embedding verbatim
@@ -69,17 +69,17 @@ class TestStaticInit:
         ds, schema, vocab, verb, model = make_env(
             si_tokens={"relA": ["alpha", "nosuchword"], "relB": ["beta"]})
         with caplog.at_level("WARNING"):
-            vectors = static_init(schema, vocab, verb, model)
+            vectors, _ = apply_init("static", schema, vocab, verb, model)
         assert "nosuchword" in caplog.text
         te = model.token_embed.data
-        expected = 0.5 * (te[vocab.id_of("alpha")] + te[vocab.unk_id])
+        expected = 0.5 * (te[vocab.id_of("alpha")] + te[vocab.id_of(UNK)])
         np.testing.assert_allclose(vectors[0, 0], expected)
 
     def test_all_unknown_errors_with_relation_name(self):
         ds, schema, vocab, verb, model = make_env(
             si_tokens={"relA": ["zzz", "qqq"], "relB": ["beta"]})
         with pytest.raises(InitError, match="relA"):
-            static_init(schema, vocab, verb, model)
+            apply_init("static", schema, vocab, verb, model)
 
 
 class TestDynamicInit:
@@ -138,7 +138,7 @@ class TestCombinedInit:
         ds, schema, vocab, verb, model = make_env()
         s = _static_vectors(schema, vocab, model)
         dvec, _ = _dynamic_vectors(schema, vocab, model)
-        combined, _ = combined_init(schema, vocab, verb, model)
+        combined, _ = apply_init("combined", schema, vocab, verb, model)
         np.testing.assert_allclose(combined, 0.5 * (s + dvec))
 
     def test_idempotent_when_equal(self):
@@ -148,7 +148,7 @@ class TestCombinedInit:
         # force the probe to also pick alpha by making its logit dominate
         alpha_id = vocab.id_of("alpha")
         model.params()["head_bias"].data[alpha_id] = 50.0
-        combined, report = combined_init(schema, vocab, verb, model)
+        combined, report = apply_init("combined", schema, vocab, verb, model)
         assert all(r.token == "alpha" for r in report)
         np.testing.assert_allclose(combined[0, 0], te[alpha_id])
 
@@ -157,8 +157,7 @@ class TestApplyInit:
     def test_random_mode_is_noop(self):
         ds, schema, vocab, verb, model = make_env()
         before = model.param_values()
-        report = apply_init("random", schema, vocab, verb, model)
-        assert report == []
+        assert apply_init("random", schema, vocab, verb, model) == (None, [])
         for k, v in model.param_values().items():
             np.testing.assert_array_equal(before[k], v)
 
@@ -171,8 +170,10 @@ class TestApplyInit:
     def test_modes_touch_only_virtual_rows(self, mode):
         ds, schema, vocab, verb, model = make_env()
         before = model.token_embed.data.copy()
-        apply_init(mode, schema, vocab, verb, model)
+        vectors, _ = apply_init(mode, schema, vocab, verb, model)
         after = model.token_embed.data
+        # the [|Y|, m, d] vectors land in (relation, view) order, bit for bit
+        assert after[verb.all_ids()].tobytes() == vectors.tobytes()
         np.testing.assert_array_equal(before[: vocab.base_size],
                                       after[: vocab.base_size])
         assert not np.array_equal(before[vocab.base_size :],

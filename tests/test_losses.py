@@ -466,10 +466,10 @@ class TestBitwiseAgainstScalarGraphs:
         ds, schema, vocab, verb, model = tiny_real_setup(3, 4, 11)
         prompts = [wrap_template(inst, vocab, 3, 40) for inst in ds.instances[:3]]
         head_w = np.random.default_rng(5).normal(size=model.config.d)
-        values = model.param_values()
+        values = model.params().flat().copy()
 
         def step(probs_fn, mvdl_fn, local_fn, global_fn):
-            model.load_param_values(values)
+            model.params().flat()[...] = values
             head = head_with(head_w)
             params = dict(model.params())
             params.update(head.params())

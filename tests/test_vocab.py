@@ -1,5 +1,7 @@
 """Vocabulary construction, template wrapping, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from mvre.data import CorpusSpec, Dataset, RelationInstance, generate_corpus
 from mvre.errors import EncodingError, ValidationError
 from mvre.schema import schema_from_relations, synthetic_schema
 from mvre.vocab import (MASK, OBJ_SUB, SPECIAL_TOKENS, SUB_OBJ, build_vocab,
-                        decode, encode_sentence, load_vocab, save_vocab,
-                        vocab_from_payload, vocab_payload, wrap_template)
+                        decode, encode_sentence, vocab_from_payload, vocab_payload,
+                        wrap_template)
 
 
 def small_dataset(relations=("r1", "r2")):
@@ -171,22 +173,12 @@ class TestSentenceEncoding:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_payload_round_trip(self):
+        # through JSON, as a checkpoint header stores it
         ds = small_dataset(("x", "y", "z"))
         vocab, verb = build_vocab(ds, schema_for(ds, 2))
-        path = tmp_path / "vocab.json"
-        save_vocab(vocab, verb, path)
-        vocab2, verb2 = load_vocab(path)
-        assert vocab2.words == vocab.words
-        assert vocab2.base_size == vocab.base_size
-        assert verb2.relation_order == verb.relation_order
-        assert verb2.m == verb.m
+        vocab2, verb2 = vocab_from_payload(json.loads(json.dumps(vocab_payload(vocab, verb))))
+        assert (vocab2, verb2) == (vocab, verb)
         for r in ("x", "y", "z"):
             for j in (1, 2):
                 assert verb2.virtual_id(r, j) == verb.virtual_id(r, j)
-
-    def test_payload_round_trip(self):
-        ds = small_dataset()
-        vocab, verb = build_vocab(ds, schema_for(ds, 2))
-        vocab2, verb2 = vocab_from_payload(vocab_payload(vocab, verb))
-        assert vocab2.words == vocab.words and verb2.m == verb.m
