@@ -173,12 +173,24 @@ class TestSentenceEncoding:
 
 
 class TestSerialization:
-    def test_payload_round_trip(self):
-        # through JSON, as a checkpoint header stores it
+    def test_round_trip_bit_exact(self, tmp_path):
+        # through a JSON file, as a checkpoint header stores it
         ds = small_dataset(("x", "y", "z"))
         vocab, verb = build_vocab(ds, schema_for(ds, 2))
-        vocab2, verb2 = vocab_from_payload(json.loads(json.dumps(vocab_payload(vocab, verb))))
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(vocab_payload(vocab, verb)))
+        vocab2, verb2 = vocab_from_payload(json.loads(path.read_text()))
+        assert vocab2.words == vocab.words
+        assert vocab2.base_size == vocab.base_size
+        assert verb2.relation_order == verb.relation_order
+        assert verb2.m == verb.m
         assert (vocab2, verb2) == (vocab, verb)
         for r in ("x", "y", "z"):
             for j in (1, 2):
                 assert verb2.virtual_id(r, j) == verb.virtual_id(r, j)
+
+    def test_payload_round_trip(self):
+        ds = small_dataset()
+        vocab, verb = build_vocab(ds, schema_for(ds, 2))
+        vocab2, verb2 = vocab_from_payload(vocab_payload(vocab, verb))
+        assert vocab2.words == vocab.words and verb2.m == verb.m
