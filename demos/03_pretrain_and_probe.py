@@ -9,17 +9,17 @@ elementwise mean of both.
 
 import numpy as np
 
-from mvre import (CorpusSpec, MlmModel, ModelConfig, PretrainConfig, apply_init,
-                  build_vocab, generate_corpus, pretrain_mlm, synthetic_schema)
+from mvre import (CorpusSpec, ModelConfig, PretrainConfig, apply_init, generate_corpus,
+                  pretrain_bundle, synthetic_schema)
 
 spec = CorpusSpec(n_relations=4, instances_per_relation=30)
 dataset = generate_corpus(spec, seed=1)
 schema = synthetic_schema(spec, dataset, m=3)
-vocab, verbalizer = build_vocab(dataset, schema)
 
-model = MlmModel(ModelConfig(d=32, n_layers=2, n_heads=2, max_len=48,
-                             vocab_size=len(vocab)), seed=0)
-result = pretrain_mlm(model, dataset, vocab, PretrainConfig(steps=800, log_every=0))
+pre, result = pretrain_bundle(dataset, schema,
+                              ModelConfig(d=32, n_layers=2, n_heads=2, max_len=48),
+                              PretrainConfig(steps=800, log_every=0))
+vocab, verbalizer, model = pre.vocab, pre.verbalizer, pre.model
 print(f"held-out masked-token accuracy after 800 steps: "
       f"{result.holdout_accuracy:.3f} "
       f"(uniform would be {1 / len(vocab):.4f})\n")

@@ -10,10 +10,9 @@ expect a couple of minutes.
 
 import numpy as np
 
-from mvre import (CorpusSpec, MlmModel, ModelConfig, PretrainConfig, TrainConfig,
-                  TrainedArtifacts, ViewPosteriorHead, build_vocab,
-                  generate_corpus, make_splits, merge_datasets, pretrain_mlm,
-                  sample_kshot, synthetic_schema, train)
+from mvre import (CorpusSpec, ModelConfig, PretrainConfig, TrainConfig, generate_corpus,
+                  make_splits, merge_datasets, pretrain_bundle, sample_kshot,
+                  synthetic_schema, train)
 
 spec = CorpusSpec()  # 8 relations x 4 aspect groups
 dataset = generate_corpus(spec, seed=1)
@@ -23,10 +22,8 @@ MODEL = dict(d=32, n_layers=2, n_heads=2, max_len=48)
 
 for m in (1, 3):
     schema = synthetic_schema(spec, dataset, m)
-    vocab, verbalizer = build_vocab(full, schema)
-    model = MlmModel(ModelConfig(vocab_size=len(vocab), **MODEL), seed=0)
-    pretrain_mlm(model, full, vocab, PretrainConfig(steps=1500, log_every=0))
-    pre = TrainedArtifacts(model, ViewPosteriorHead(MODEL["d"]), vocab, verbalizer)
+    pre, _ = pretrain_bundle(full, schema, ModelConfig(**MODEL),
+                             PretrainConfig(steps=1500, log_every=0))
 
     f1s = []
     for seed in (1, 2, 3):

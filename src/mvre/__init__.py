@@ -15,8 +15,9 @@ from .errors import (AnalysisError, EncodingError, InitError, LoadError, MvreErr
                      NumericError, SamplingError, UndefinedRatioError,
                      ValidationError)
 from .experiments import (GridRow, RunResult, TrainConfig, TrainedArtifacts,
-                          evaluate, micro_f1, run_grid, run_similarity_protocol,
-                          similarity_ratio, sweep_m, train, view_aspect_heatmap)
+                          evaluate, micro_f1, pretrain_bundle, run_grid,
+                          run_similarity_protocol, similarity_ratio, sweep_m, train,
+                          view_aspect_heatmap)
 from .init_schemes import ProbeRecord, apply_init, dynamic_init, encode_probe_template
 from .losses import (ViewPosteriorHead, ViewScores, infer, global_loss, local_loss,
                      mvdl_loss, per_view_label_probs,

@@ -25,17 +25,16 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import (CorpusSpec, check_split_fractions, corpus_aspect_groups, generate_corpus,
-                   load_jsonl, make_splits, sample_kshot, save_jsonl)
+                   integral, load_jsonl, make_splits, sample_kshot, save_jsonl)
 from .errors import MvreError, ValidationError
 from .experiments import (TrainConfig, evaluate, grid_rows_csv, heatmap_csv,
-                          run_similarity_protocol, sweep_m, train,
+                          pretrain_bundle, run_similarity_protocol, sweep_m, train,
                           view_aspect_heatmap, write_json, TrainedArtifacts)
 from .init_schemes import dynamic_init, save_probe_report
 from .losses import ViewPosteriorHead
-from .model import (ModelConfig, MlmModel, PretrainConfig, load_checkpoint,
-                    pretrain_mlm, save_checkpoint)
-from .schema import RelationSchema, load_schema, save_schema, synthetic_schema
-from .vocab import build_vocab, vocab_from_payload, vocab_payload
+from .model import ModelConfig, PretrainConfig, load_checkpoint, save_checkpoint
+from .schema import load_schema, save_schema, synthetic_schema
+from .vocab import vocab_from_payload, vocab_payload
 
 # section -> (config class, the fields the command line does not expose)
 _SECTIONS = {
@@ -78,16 +77,6 @@ _MINIMUM = {"corpus.seed": 0, "data.split_seed": 0, "data.k": 1, "sweep.k": 1,
             "sweep.seeds": 0, "sweep.m_values": 1, "protocol.k": 1, "protocol.m": 1,
             "protocol.seeds": 0, "analysis.top_k": 1}
 
-_SEED_KEY = {
-    "generate-corpus": "corpus.seed",
-    "pretrain": "pretrain.seed",
-    "train": "train.seed",
-    "eval": "train.seed",
-    "probe-init": "pretrain.seed",
-    "analyze-views": "pretrain.seed",
-}
-
-
 class CliError(Exception):
     """Configuration/usage problem; maps to exit code 2."""
 
@@ -99,18 +88,10 @@ def _parse_value(raw: str):
         return raw
 
 
-def _integer(value) -> int:
-    """``int(value)`` that refuses to truncate (``int(2.7)`` would train 2 epochs)."""
-    n = int(value)
-    if n != float(value):
-        raise ValueError(f"{value!r} is not integral")
-    return n
-
-
 def _integers(value) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ValueError(f"{value!r} is not a non-empty list")
-    return [_integer(x) for x in value]
+    return [integral(x) for x in value]
 
 
 def _get(cfg: dict, key: str):
@@ -128,7 +109,7 @@ def _get(cfg: dict, key: str):
     if isinstance(default, list):
         convert, kind = _integers, "a non-empty list of integers"
     elif isinstance(default, int):
-        convert, kind = _integer, "an integer"
+        convert, kind = integral, "an integer"
     else:
         convert, kind = float, "a number"
     try:
@@ -178,12 +159,8 @@ def resolve_config(config_path: str | None, overrides: list[str],
             raise CliError(f"override names unknown config key {key!r}")
         cfg[key] = _parse_value(raw)
     if seed is not None:
-        if command == "sweep-m":
-            cfg["sweep.seeds"] = [seed]
-        elif command == "sim-protocol":
-            cfg["protocol.seeds"] = [seed]
-        else:
-            cfg[_SEED_KEY[command]] = seed
+        key = _COMMANDS[command][1]
+        cfg[key] = [seed] if isinstance(DEFAULTS[key], list) else seed
     for key in cfg:
         value, low = _get(cfg, key), _MINIMUM.get(key)
         if low is not None and min(value if isinstance(value, list) else [value]) < low:
@@ -203,12 +180,18 @@ def resolve_config(config_path: str | None, overrides: list[str],
 
 
 def _load_corpus_and_schema(args, cfg: dict):
-    """Load the given corpus/schema files, or generate both from config."""
+    """Load the given corpus/schema files, or generate both from config. Every
+    corpus label must be one of the schema's relations."""
     if args.corpus is None:
         return _synthetic_corpus(cfg)
     if args.schema is None:
         raise CliError("--schema is required when --corpus is given")
-    return load_jsonl(args.corpus), load_schema(args.schema)
+    dataset, schema = load_jsonl(args.corpus), load_schema(args.schema)
+    missing = [label for label in dataset.relations if label not in schema.relations]
+    if missing:
+        raise CliError(f"corpus {args.corpus} has labels that schema {args.schema} "
+                       f"lacks: {missing}")
+    return dataset, schema
 
 
 def _synthetic_corpus(cfg: dict):
@@ -231,14 +214,12 @@ def _splits(dataset, cfg: dict):
     return splits
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, cfg: dict) -> Path:
+    """The output directory, created, with the resolved configuration echoed into it."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(cfg: dict, out: Path):
     write_json(cfg, out / "resolved_config.json")
+    return out
 
 
 def _log(out: Path, lines: list[str]):
@@ -248,9 +229,10 @@ def _log(out: Path, lines: list[str]):
             fh.write(f"{stamp} {line}\n")
 
 
-def _save_checkpoint(path: Path, model, vocab, verbalizer, schema, head_w=None):
+def _save_checkpoint(path: Path, artifacts: TrainedArtifacts, schema, head_w=None):
     """A checkpoint that carries the vocabulary and the schema's relations, m and NA label."""
-    save_checkpoint(path, model, head_w=head_w, vocab_payload=vocab_payload(vocab, verbalizer),
+    save_checkpoint(path, artifacts.model, head_w=head_w,
+                    vocab_payload=vocab_payload(artifacts.vocab, artifacts.verbalizer),
                     extra={"schema": {"relations": list(schema.relations),
                                       "m": schema.m, "na_label": schema.na_label}})
 
@@ -271,8 +253,7 @@ def _artifacts_from_checkpoint(path: str) -> tuple[TrainedArtifacts, dict]:
 
 def cmd_generate_corpus(args, cfg: dict) -> int:
     dataset, schema = _synthetic_corpus(cfg)
-    out = _out_dir(args)
-    _echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     save_jsonl(dataset, out / "corpus.jsonl")
     save_schema(schema, out / "schema.json")
     print(f"wrote {len(dataset)} instances, {len(dataset.relations)} relations -> {out}")
@@ -280,21 +261,20 @@ def cmd_generate_corpus(args, cfg: dict) -> int:
 
 
 def cmd_pretrain(args, cfg: dict) -> int:
+    configs = build_configs(cfg)
+    if configs["pretrain"].steps < 1:
+        raise CliError(f"pretrain steps must be >= 1 to write a pretrained checkpoint, "
+                       f"got {configs['pretrain'].steps}")
     dataset, schema = _load_corpus_and_schema(args, cfg)
     t0 = time.perf_counter()
-    vocab, verbalizer = build_vocab(dataset, schema)
-    configs = build_configs(cfg)
-    pt = configs["pretrain"]
-    model = MlmModel(replace(configs["model"], vocab_size=len(vocab)), seed=pt.seed)
-    result = pretrain_mlm(model, dataset, vocab, pt)
-    out = _out_dir(args)
-    _echo_config(cfg, out)
-    _save_checkpoint(out / "pretrained.ckpt", model, vocab, verbalizer, schema)
+    bundle, result = pretrain_bundle(dataset, schema, configs["model"], configs["pretrain"])
+    out = _out_dir(args, cfg)
+    _save_checkpoint(out / "pretrained.ckpt", bundle, schema)
     write_json({
         "config": cfg,
         "holdout_accuracy": result.holdout_accuracy,
         "n_holdout_predictions": result.n_holdout_predictions,
-        "final_loss": result.step_losses[-1] if result.step_losses else None,
+        "final_loss": result.step_losses[-1],
     }, out / "pretrain.json")
     _log(out, [f"pretrain finished in {time.perf_counter() - t0:.1f}s "
                f"holdout_accuracy={result.holdout_accuracy:.4f}"])
@@ -312,10 +292,8 @@ def cmd_train(args, cfg: dict) -> int:
     if args.checkpoint is not None:
         pretrained, _ = _artifacts_from_checkpoint(args.checkpoint)
     artifacts, result = train(episode, schema, tc, pretrained=pretrained)
-    out = _out_dir(args)
-    _echo_config(cfg, out)
-    _save_checkpoint(out / "model.ckpt", artifacts.model, artifacts.vocab,
-                     artifacts.verbalizer, schema, head_w=artifacts.head.w.data)
+    out = _out_dir(args, cfg)
+    _save_checkpoint(out / "model.ckpt", artifacts, schema, head_w=artifacts.head.w.data)
     write_json(result.payload(), out / "result.json")
     _log(out, [f"train finished in {result.wall_time:.1f}s micro_f1={result.micro_f1:.4f}"])
     print(f"micro_f1: {result.micro_f1:.4f}")
@@ -323,10 +301,6 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    if args.checkpoint is None:
-        raise CliError("eval requires --checkpoint")
-    if args.dataset is None:
-        raise CliError("eval requires --dataset")
     artifacts, extra = _artifacts_from_checkpoint(args.checkpoint)
     na = extra.get("schema", {}).get("na_label")
     dataset = load_jsonl(args.dataset, na_label=na)
@@ -335,8 +309,7 @@ def cmd_eval(args, cfg: dict) -> int:
     if not dataset.instances:
         raise CliError(f"dataset {args.dataset} holds no instances")
     f1 = evaluate(artifacts, dataset, tc, na, include_na=_get(cfg, "eval.include_na"))
-    out = _out_dir(args)
-    _echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     write_json({"config": cfg, "micro_f1": f1, "n_instances": len(dataset),
                 "dataset": str(args.dataset)}, out / "eval.json")
     print(f"micro_f1: {f1:.4f}")
@@ -349,8 +322,7 @@ def cmd_sweep_m(args, cfg: dict) -> int:
     t0 = time.perf_counter()
     rows = sweep_m(splits, schema, _get(cfg, "sweep.k"), _get(cfg, "sweep.seeds"),
                    _get(cfg, "sweep.m_values"), build_configs(cfg)["train"])
-    out = _out_dir(args)
-    _echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     (out / "sweep.csv").write_text(grid_rows_csv(rows), encoding="utf-8")
     write_json({"config": cfg,
                 "rows": [{"m": r.m, "k": r.k, "mean_f1": r.mean_f1,
@@ -369,8 +341,7 @@ def cmd_sim_protocol(args, cfg: dict) -> int:
     report = run_similarity_protocol(splits, schema, _get(cfg, "protocol.k"),
                                      _get(cfg, "protocol.m"), _get(cfg, "protocol.seeds"),
                                      build_configs(cfg)["train"])
-    out = _out_dir(args)
-    _echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     write_json({"config": cfg, **report}, out / "protocol.json")
     _log(out, [f"protocol finished in {time.perf_counter() - t0:.1f}s"])
     print(f"ratio_multi_mask={report['ratio_multi_mask']:.4f} "
@@ -380,24 +351,21 @@ def cmd_sim_protocol(args, cfg: dict) -> int:
 
 def cmd_probe_init(args, cfg: dict) -> int:
     if args.checkpoint is not None:
-        artifacts, extra = _artifacts_from_checkpoint(args.checkpoint)
-        model, vocab, verbalizer = artifacts.model, artifacts.vocab, artifacts.verbalizer
-        if args.schema is not None:
-            schema = load_schema(args.schema).with_m(verbalizer.m)
-        else:
+        artifacts, _ = _artifacts_from_checkpoint(args.checkpoint)
+        if args.schema is None:
             raise CliError("probe-init with --checkpoint also needs --schema")
+        schema = load_schema(args.schema).with_m(artifacts.verbalizer.m)
+        if schema.relations != artifacts.verbalizer.relation_order:
+            raise CliError(f"schema.relations {list(schema.relations)} of {args.schema} differ "
+                           f"from the checkpoint's verbalizer.relation_order "
+                           f"{list(artifacts.verbalizer.relation_order)}")
     else:
         dataset, schema = _load_corpus_and_schema(args, cfg)
         schema = schema.with_m(_get(cfg, "train.m"))
-        vocab, verbalizer = build_vocab(dataset, schema)
         configs = build_configs(cfg)
-        pt = configs["pretrain"]
-        model = MlmModel(replace(configs["model"], vocab_size=len(vocab)), seed=pt.seed)
-        if pt.steps > 0:
-            pretrain_mlm(model, dataset, vocab, pt)
-    _, report = dynamic_init(schema, vocab, verbalizer, model)
-    out = _out_dir(args)
-    _echo_config(cfg, out)
+        artifacts, _ = pretrain_bundle(dataset, schema, configs["model"], configs["pretrain"])
+    _, report = dynamic_init(schema, artifacts.vocab, artifacts.verbalizer, artifacts.model)
+    out = _out_dir(args, cfg)
     save_probe_report(report, out / "probe_report.json")
     for rec in report:
         print(f"{rec.relation} view {rec.view}: {rec.token} ({rec.probability:.4f})")
@@ -405,8 +373,6 @@ def cmd_probe_init(args, cfg: dict) -> int:
 
 
 def cmd_analyze_views(args, cfg: dict) -> int:
-    if args.checkpoint is None:
-        raise CliError("analyze-views requires --checkpoint")
     artifacts, _ = _artifacts_from_checkpoint(args.checkpoint)
     if args.aspects is not None:
         with open(args.aspects, encoding="utf-8") as fh:
@@ -425,8 +391,7 @@ def cmd_analyze_views(args, cfg: dict) -> int:
     matrix, row_labels, col_labels = view_aspect_heatmap(
         artifacts.model, artifacts.vocab, artifacts.verbalizer, aspect_sets,
         top_k=_get(cfg, "analysis.top_k"))
-    out = _out_dir(args)
-    _echo_config(cfg, out)
+    out = _out_dir(args, cfg)
     (out / "heatmap.csv").write_text(heatmap_csv(matrix, row_labels, col_labels),
                                      encoding="utf-8")
     write_json({"config": cfg, "rows": row_labels, "columns": col_labels,
@@ -436,15 +401,26 @@ def cmd_analyze_views(args, cfg: dict) -> int:
     return 0
 
 
+_FLAG_HELP = {
+    "corpus": "JSONL corpus file",
+    "schema": "schema JSON file",
+    "checkpoint": "model checkpoint file",
+    "dataset": "JSONL dataset to evaluate",
+    "aspects": "JSON file mapping aspect names to word lists",
+}
+_CORPUS_FLAGS = ("corpus", "schema")
+
+# name -> (handler, the config key --seed sets, the file flags the command takes;
+# a trailing "!" marks a required one). Any other flag is a usage error.
 _COMMANDS = {
-    "generate-corpus": cmd_generate_corpus,
-    "pretrain": cmd_pretrain,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "sweep-m": cmd_sweep_m,
-    "sim-protocol": cmd_sim_protocol,
-    "probe-init": cmd_probe_init,
-    "analyze-views": cmd_analyze_views,
+    "generate-corpus": (cmd_generate_corpus, "corpus.seed", ()),
+    "pretrain": (cmd_pretrain, "pretrain.seed", _CORPUS_FLAGS),
+    "train": (cmd_train, "train.seed", (*_CORPUS_FLAGS, "checkpoint")),
+    "eval": (cmd_eval, "train.seed", ("checkpoint!", "dataset!")),
+    "sweep-m": (cmd_sweep_m, "sweep.seeds", _CORPUS_FLAGS),
+    "sim-protocol": (cmd_sim_protocol, "protocol.seeds", _CORPUS_FLAGS),
+    "probe-init": (cmd_probe_init, "pretrain.seed", (*_CORPUS_FLAGS, "checkpoint")),
+    "analyze-views": (cmd_analyze_views, "pretrain.seed", ("checkpoint!", "aspects")),
 }
 
 
@@ -453,19 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mvre",
         description="Multi-view prompt-tuning for low-resource relation extraction.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, seed_key, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None, help=f"sets {seed_key}")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (repeatable)")
-        p.add_argument("--corpus", default=None, help="JSONL corpus file")
-        p.add_argument("--schema", default=None, help="schema JSON file")
-        p.add_argument("--checkpoint", default=None, help="model checkpoint file")
-        p.add_argument("--dataset", default=None, help="JSONL dataset to evaluate")
-        p.add_argument("--aspects", default=None,
-                       help="JSON file mapping aspect names to word lists")
+        for flag in flags:
+            dest = flag.rstrip("!")
+            p.add_argument(f"--{dest}", required=flag.endswith("!"), default=None,
+                           help=_FLAG_HELP[dest])
     return parser
 
 
@@ -473,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.config, args.overrides, args.seed, args.command)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

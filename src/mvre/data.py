@@ -320,6 +320,14 @@ def sample_kshot(source: DatasetSplits, k: int, seed: int) -> DatasetSplits:
 _REQUIRED_KEYS = ("token", "subj_start", "subj_end", "obj_start", "obj_end", "relation")
 
 
+def integral(value) -> int:
+    """``int(value)`` that refuses to truncate: ``int(2.7)`` would be 2."""
+    n = int(value)
+    if n != float(value):
+        raise ValueError(f"{value!r} is not integral")
+    return n
+
+
 def load_jsonl(path: str | Path, na_label: str | None = None) -> Dataset:
     """Read one record per line; relations collected in first-appearance order."""
     instances: list[RelationInstance] = []
@@ -333,6 +341,9 @@ def load_jsonl(path: str | Path, na_label: str | None = None) -> Dataset:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise LoadError(f"malformed JSON ({e.msg})", lineno) from e
+            if not isinstance(rec, dict):
+                raise LoadError(f"a record must be a JSON object, got {line.strip()[:40]}",
+                                lineno)
             for key in _REQUIRED_KEYS:
                 if key not in rec:
                     raise LoadError(f"missing key {key!r}", lineno)
@@ -342,12 +353,15 @@ def load_jsonl(path: str | Path, na_label: str | None = None) -> Dataset:
             for t in tokens:
                 if t.startswith(_RESERVED_PREFIX):
                     raise LoadError(f"token {t!r} uses the reserved '[V:' prefix", lineno)
-            inst = RelationInstance(
-                tuple(tokens),
-                (int(rec["subj_start"]), int(rec["subj_end"])),
-                (int(rec["obj_start"]), int(rec["obj_end"])),
-                str(rec["relation"]),
-            )
+            bounds = []
+            for key in _REQUIRED_KEYS[1:5]:  # subj_start, subj_end, obj_start, obj_end
+                try:
+                    bounds.append(integral(rec[key]))
+                except (TypeError, ValueError, OverflowError):
+                    raise LoadError(f"{key!r} must be an integer, got {rec[key]!r}",
+                                    lineno) from None
+            inst = RelationInstance(tuple(tokens), tuple(bounds[:2]), tuple(bounds[2:]),
+                                    str(rec["relation"]))
             try:
                 inst.validate()
             except ValidationError as e:

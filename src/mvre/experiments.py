@@ -28,7 +28,7 @@ from .errors import AnalysisError, UndefinedRatioError, ValidationError
 from .init_schemes import COMBINED, DYNAMIC, INIT_MODES, apply_init
 from .losses import (MIXTURE, PRODUCT, ViewPosteriorHead, infer_batch, local_loss,
                      global_loss, mvdl_loss, verbalizer_embeddings, view_scores)
-from .model import AdamW, MlmModel, ModelConfig, PretrainConfig, pretrain_mlm
+from .model import AdamW, MlmModel, ModelConfig, PretrainConfig, PretrainResult, pretrain_mlm
 from .schema import RelationSchema
 from .vocab import OBJ_SUB, SUB_OBJ, Verbalizer, Vocab, build_vocab, wrap_template
 
@@ -167,15 +167,29 @@ def evaluate(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig,
     return micro_f1(predict(artifacts, dataset, config), golds, na_label, include_na)
 
 
+def pretrain_bundle(corpus: Dataset, schema: RelationSchema, model_config: ModelConfig,
+                    pretrain_config: PretrainConfig
+                    ) -> tuple[TrainedArtifacts, PretrainResult | None]:
+    """The vocabulary and verbalizer of ``corpus`` and ``schema``, a model seeded
+    with ``pretrain_config.seed`` and masked-token pretrained on ``corpus``, and
+    a zero-initialised view head. Zero pretraining steps leave the model as
+    drawn and give no pretraining result."""
+    vocab, verbalizer = build_vocab(corpus, schema)
+    model = MlmModel(replace(model_config, vocab_size=len(vocab)), seed=pretrain_config.seed)
+    result = (pretrain_mlm(model, corpus, vocab, pretrain_config)
+              if pretrain_config.steps > 0 else None)
+    return TrainedArtifacts(model, ViewPosteriorHead(model.config.d), vocab, verbalizer), result
+
+
 def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
           pretrained: TrainedArtifacts | None = None) -> tuple[TrainedArtifacts, RunResult]:
     """Prompt-tune on a k-shot episode and evaluate on its test split.
 
-    Builds vocabulary and model fresh (optionally with an inner masked-token
-    pretraining phase over the episode's raw text) unless a pretrained bundle
-    is supplied, applies the configured virtual-word initialization, then
-    minimizes the decoupled loss plus the weighted contrastive terms with
-    mini-batch AdamW.
+    Starts from a copy of the pretrained bundle's model; without one, builds a
+    bundle from the whole episode with ``pretrain_bundle`` (seeded with
+    ``config.seed``, pretrained for ``config.pretrain_steps``). Applies the
+    configured virtual-word initialization, then minimizes the decoupled loss
+    plus the weighted contrastive terms with mini-batch AdamW.
     """
     t0 = time.perf_counter()
     config.validate()
@@ -185,21 +199,16 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
     if not episode.train.instances:
         raise ValidationError("episode train split is empty")
 
-    if pretrained is not None:
-        model = pretrained.model.copy()
-        vocab, verbalizer = pretrained.vocab, pretrained.verbalizer
-        if verbalizer.m != config.m:
-            raise ValidationError(f"pretrained bundle was built with m={verbalizer.m}, "
-                                  f"config wants m={config.m}")
-    else:
-        full = merge_datasets([episode.train, episode.dev, episode.test])
-        vocab, verbalizer = build_vocab(full, schema)
-        mc = replace(config.model, vocab_size=len(vocab), max_len=config.max_len)
-        model = MlmModel(mc, seed=config.seed)
-        if config.pretrain_steps > 0:
-            pt = PretrainConfig(steps=config.pretrain_steps, lr=config.pretrain_lr,
-                                seed=config.seed)
-            pretrain_mlm(model, full, vocab, pt)
+    if pretrained is None:
+        pretrained, _ = pretrain_bundle(
+            merge_datasets([episode.train, episode.dev, episode.test]), schema,
+            replace(config.model, max_len=config.max_len),
+            PretrainConfig(steps=config.pretrain_steps, lr=config.pretrain_lr, seed=config.seed))
+    model = pretrained.model.copy()
+    vocab, verbalizer = pretrained.vocab, pretrained.verbalizer
+    if verbalizer.m != config.m:
+        raise ValidationError(f"pretrained bundle was built with m={verbalizer.m}, "
+                              f"config wants m={config.m}")
 
     head = ViewPosteriorHead(model.config.d)
     apply_init(config.init_mode, schema, vocab, verbalizer, model)

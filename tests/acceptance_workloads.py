@@ -8,11 +8,9 @@ import numpy as np
 
 from mvre.data import (CorpusSpec, generate_corpus, make_splits, merge_datasets,
                        sample_kshot)
-from mvre.experiments import TrainConfig, TrainedArtifacts, train
-from mvre.losses import ViewPosteriorHead
-from mvre.model import MlmModel, ModelConfig, PretrainConfig, pretrain_mlm
+from mvre.experiments import TrainConfig, pretrain_bundle, train
+from mvre.model import ModelConfig, PretrainConfig
 from mvre.schema import synthetic_schema
-from mvre.vocab import build_vocab
 
 # -- multi-view trend workload ---------------------------------------------------
 # default corpus (8 relations, 4 aspect groups), 1-shot, 5 seeds, combined init
@@ -40,13 +38,9 @@ def trend_world():
 def trend_pretrained(spec, dataset, full, m):
     """One pretrained bundle per mask count; episode seeds reuse it."""
     schema = synthetic_schema(spec, dataset, m)
-    vocab, verbalizer = build_vocab(full, schema)
-    mc = ModelConfig(vocab_size=len(vocab), **TREND_MODEL)
-    model = MlmModel(mc, seed=0)
-    pretrain_mlm(model, full, vocab,
-                 PretrainConfig(steps=TREND_PRETRAIN_STEPS, seed=0, log_every=0))
-    head = ViewPosteriorHead(mc.d)
-    return schema, TrainedArtifacts(model, head, vocab, verbalizer)
+    pre, _ = pretrain_bundle(full, schema, ModelConfig(**TREND_MODEL),
+                             PretrainConfig(steps=TREND_PRETRAIN_STEPS, seed=0, log_every=0))
+    return schema, pre
 
 
 def trend_config(m, seed):
@@ -109,8 +103,5 @@ def probe_environment():
     """The deterministic model/vocab/schema behind the frozen probe fixture."""
     dataset = generate_corpus(PROBE_SPEC, seed=PROBE_CORPUS_SEED)
     schema = synthetic_schema(PROBE_SPEC, dataset, PROBE_M)
-    vocab, verbalizer = build_vocab(dataset, schema)
-    mc = ModelConfig(vocab_size=len(vocab), **PROBE_MODEL)
-    model = MlmModel(mc, seed=0)
-    pretrain_mlm(model, dataset, vocab, PROBE_PRETRAIN)
-    return dataset, schema, vocab, verbalizer, model
+    pre, _ = pretrain_bundle(dataset, schema, ModelConfig(**PROBE_MODEL), PROBE_PRETRAIN)
+    return dataset, schema, pre.vocab, pre.verbalizer, pre.model

@@ -10,6 +10,8 @@ import pytest
 
 from mvre.cli import DEFAULTS, build_configs, main, resolve_config, CliError
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
 FAST_SETS = [
     "--set", "corpus.n_relations=3",
     "--set", "corpus.instances_per_relation=8",
@@ -55,6 +57,7 @@ class TestConfigResolution:
         assert resolve_config(None, [], 7, "generate-corpus")["corpus.seed"] == 7
         assert resolve_config(None, [], 7, "train")["train.seed"] == 7
         assert resolve_config(None, [], 7, "sweep-m")["sweep.seeds"] == [7]
+        assert resolve_config(None, [], 7, "sim-protocol")["protocol.seeds"] == [7]
 
     def test_non_numeric_value_names_key(self):
         with pytest.raises(CliError, match="train.m"):
@@ -343,8 +346,10 @@ class TestTrainEvalRound:
         assert not (tmp_path / "e" / "eval.json").exists()
 
     def test_eval_requires_arguments(self, tmp_path, capsys):
-        code = run("eval", "--out", str(tmp_path / "e"))
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run("eval", "--out", str(tmp_path / "e"))
+        assert exc.value.code == 2
+        assert "--checkpoint, --dataset" in capsys.readouterr().err
 
 
 class TestPretrainCommand:
@@ -357,7 +362,8 @@ class TestPretrainCommand:
         assert "holdout_accuracy" in payload
 
     @pytest.mark.parametrize("override,field", [
-        ("pretrain.steps=-3", "steps"), ("pretrain.lr=nan", "lr"),
+        ("pretrain.steps=-3", "steps"), ("pretrain.steps=0", "steps"),
+        ("pretrain.lr=nan", "lr"),
         ("pretrain.mask_rate=0", "mask_rate"),
         ("pretrain.holdout_fraction=1.0", "holdout_fraction")])
     def test_bad_pretrain_value_exits_2_naming_field(self, tmp_path, capsys,
@@ -447,5 +453,53 @@ class TestReportCommands:
             (out / "resolved_config.json").read_text())["corpus.aspects_per_relation"]
 
     def test_analyze_views_requires_checkpoint(self, tmp_path):
-        code = run("analyze-views", "--out", str(tmp_path / "x"))
+        with pytest.raises(SystemExit) as exc:
+            run("analyze-views", "--out", str(tmp_path / "x"))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("relations,code", [
+        (["rel0", "rel1", "rel2"], 0), (["rel0", "rel1", "rel2", "rel3"], 2),
+        (["rel0", "rel1", "other"], 2)])
+    def test_probe_init_checks_schema_against_checkpoint(self, tmp_path, capsys,
+                                                         relations, code):
+        # the fixture checkpoint's verbalizer holds rel0, rel1 and rel2
+        payload = json.loads((FIXTURES / "probe_schema.json").read_text())
+        for key in ("probe_templates", "si_tokens"):
+            payload[key] = {rel: payload[key]["rel0"] for rel in relations}
+        payload["relations"] = relations
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(payload))
+        out = tmp_path / "pi"
+        assert run("probe-init", "--out", str(out), "--checkpoint",
+                   str(FIXTURES / "probe_toy.ckpt"), "--schema", str(schema)) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert "schema.relations" in err and "verbalizer.relation_order" in err
+            assert str(relations) in err
+            assert not out.exists()
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-m", "--checkpoint", "/nonexistent.ckpt"],
+        ["sim-protocol", "--dataset", "d.jsonl"], ["generate-corpus", "--corpus", "c.jsonl"],
+        ["eval", "--checkpoint", "m.ckpt", "--dataset", "d.jsonl", "--corpus", "c.jsonl"]])
+    def test_flag_the_command_does_not_take_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_corpus_label_missing_from_schema_exits_2(self, tmp_path, capsys):
+        for n in (4, 3):
+            assert run("generate-corpus", "--out", str(tmp_path / str(n)),
+                       "--set", f"corpus.n_relations={n}",
+                       "--set", "corpus.instances_per_relation=5") == 0
+        code = run("train", "--out", str(tmp_path / "t"), *FAST_SETS,
+                   "--corpus", str(tmp_path / "4" / "corpus.jsonl"),
+                   "--schema", str(tmp_path / "3" / "schema.json"))
         assert code == 2
+        err = capsys.readouterr().err
+        assert "lacks: ['rel3']" in err and "Traceback" not in err
+        assert not (tmp_path / "t").exists()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,30 @@ class TestJsonl:
         path.write_text("{not json}\n")
         with pytest.raises(LoadError, match="line 1"):
             load_jsonl(path)
+
+    @pytest.mark.parametrize("line,match", [
+        ('["a", "b"]', "a record must be a JSON object"),
+        ("3", "a record must be a JSON object"),
+        ('{"subj_start": null}', "'subj_start' must be an integer, got None"),
+        ('{"obj_end": "x"}', "'obj_end' must be an integer, got 'x'"),
+        ('{"subj_end": 2.5}', "'subj_end' must be an integer, got 2.5")])
+    def test_bad_record_reports_line(self, tmp_path, line, match):
+        good = {"token": ["a", "b", "c"], "subj_start": 0, "subj_end": 0,
+                "obj_start": 2, "obj_end": 2, "relation": "r1"}
+        record = json.loads(line)
+        if isinstance(record, dict):
+            record = {**good, **record}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(LoadError, match=f"line 2: {re.escape(match)}"):
+            load_jsonl(path)
+
+    def test_integral_float_span_accepted(self, tmp_path):
+        rec = {"token": ["a", "b", "c"], "subj_start": 0.0, "subj_end": 0,
+               "obj_start": 2, "obj_end": 2.0, "relation": "r1"}
+        path = tmp_path / "one.jsonl"
+        path.write_text(json.dumps(rec) + "\n")
+        assert load_jsonl(path).instances[0].obj_span == (2, 2)
 
     def test_reserved_prefix_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,4 +1,4 @@
-"""The quick demos run to completion (04 and 05 take longer; run them by hand)."""
+"""The quick demos run to completion (04 takes longer; run it by hand)."""
 
 import os
 import subprocess
@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_synthetic_corpus.py", "02_autodiff_and_model.py",
-                                  "03_pretrain_and_probe.py"])
+                                  "03_pretrain_and_probe.py", "05_analysis_protocols.py"])
 def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,

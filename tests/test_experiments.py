@@ -1,18 +1,20 @@
 """Training-loop contracts, metric oracles, grids, protocols, heatmap."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import mvre.experiments as exp
 from mvre.data import (CorpusSpec, Dataset, RelationInstance, generate_corpus,
-                       make_splits, sample_kshot)
+                       make_splits, merge_datasets, sample_kshot)
 from mvre.errors import AnalysisError, UndefinedRatioError, ValidationError
 from mvre.experiments import (GridRow, TrainConfig, evaluate, micro_f1, predict,
-                              run_grid, run_similarity_protocol, similarity_ratio,
+                              pretrain_bundle, run_grid, run_similarity_protocol, similarity_ratio,
                               sweep_m, train, view_aspect_heatmap,
                               _population_std, grid_rows_csv, heatmap_csv)
 from mvre.losses import infer
-from mvre.model import MlmModel, ModelConfig
+from mvre.model import MlmModel, ModelConfig, PretrainConfig
 from mvre.schema import synthetic_schema
 from mvre.vocab import build_vocab, wrap_template
 
@@ -101,6 +103,23 @@ class TestTrain:
         for k, v in a1.model.param_values().items():
             assert v.tobytes() == a2.model.param_values()[k].tobytes()
         assert a1.head.w.data.tobytes() == a2.head.w.data.tobytes()
+
+    def test_inner_pretraining_is_the_bundle_path(self):
+        spec, ds, schema, splits = small_world()
+        episode = sample_kshot(splits, 2, 3)
+        cfg = fast_config(epochs=2, init_mode="combined")
+        merged = merge_datasets([episode.train, episode.dev, episode.test])
+        bundle, pretrained = pretrain_bundle(
+            merged, schema, cfg.model,
+            PretrainConfig(steps=20, lr=cfg.pretrain_lr, seed=cfg.seed))
+        assert len(pretrained.step_losses) == 20
+        a1, r1 = train(episode, schema, replace(cfg, pretrain_steps=20))
+        a2, r2 = train(episode, schema, cfg, pretrained=bundle)
+        for arenas in ((a1.model.params(), a2.model.params()),
+                       (a1.head.params(), a2.head.params())):
+            assert arenas[0].flat().tobytes() == arenas[1].flat().tobytes()
+        assert r1.per_epoch_losses == r2.per_epoch_losses
+        assert r1.micro_f1 == r2.micro_f1
 
     def test_loss_decreases_on_default_corpus(self):
         """Regression pin: 1-shot on the 8-relation default corpus, m=4,
