@@ -6,7 +6,7 @@ reverse topological order and accumulates gradients into every tensor
 created with ``requires_grad=True``.
 
 The op set is deliberately small: elementwise arithmetic, matmul,
-embedding gather / indexing, softmax, layer norm, GELU, sigmoid, log,
+embedding gather / indexing, reshape, softmax, layer norm, GELU, sigmoid, log,
 row-pair cosine similarity (``cosine_pairs``), per-row dots
 (``row_dots``), sum/mean reductions, and the transformer's parts as single
 nodes over a packed batch of sequences: ``attention_sublayer`` (layer norm,
@@ -21,6 +21,15 @@ the package). A model's parameters are packed into an ``Arena``, one flat
 vector with a parallel gradient vector (see "parameter arenas"); a packed
 parameter's ``.data`` must never be rebound.
 
+The arithmetic of the sublayers and of the ops inference needs lives in
+plain-array kernels (``_sigmoid``, ``_softmax``, ``_layer_norm``,
+``_attention``, ``_ffn``, ``_embed``, ``_head`` ...), one per op, which the
+op wraps in a node. Inference under
+:func:`no_grad` calls the kernels directly (``model.forward_batch``,
+``losses.view_scores``), so it builds no graph at all. A packed batch can be
+read at a few rows only (:class:`Reads`): the sublayers then run their
+row-wise work on those rows alone.
+
 Division propagates gradients through the already-computed quotient
 (``d(a/b)/db = -(a/b)/b``) rather than recomputing ``a/b**2``; besides
 saving a multiply this makes ``x/x`` contribute an exactly-zero gradient,
@@ -30,7 +39,7 @@ which downstream code relies on for bit-reproducible degenerate cases.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -41,6 +50,11 @@ _GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def grad_enabled() -> bool:
+    """Whether ops record a graph (False inside :func:`no_grad`)."""
+    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager
@@ -290,6 +304,16 @@ def matmul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
+def reshape(a, shape) -> Tensor:
+    a = _as_tensor(a)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.reshape(a.data.shape))
+
+    return _make(a.data.reshape(shape), (a,), backward)
+
+
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
@@ -338,9 +362,13 @@ def log(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-a))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
+    out_data = _sigmoid(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -408,9 +436,9 @@ def tmean(a) -> Tensor:
 # -- structured ops ---------------------------------------------------------
 
 def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
-    shifted = a - a.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
@@ -442,7 +470,9 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     centered = x - _mean_last(x)
     inv_std = 1.0 / np.sqrt(_mean_last(centered * centered) + eps)
     xhat = centered * inv_std
-    return gamma * xhat + beta, xhat, inv_std
+    out = gamma * xhat
+    out += beta
+    return out, xhat, inv_std
 
 
 def _layer_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
@@ -455,14 +485,20 @@ def _layer_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
         x._accumulate(term * inv_std)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5, rows=None) -> Tensor:
+def layer_norm(x, gamma, beta, eps: float = 1e-5, rows=None, reads=None) -> Tensor:
     """Normalize the rows of ``x`` [n, d], then scale and shift. ``rows``
-    marks packed sequences (see below; default: one sequence)."""
+    marks packed sequences (see below; default: one sequence); with
+    ``reads`` only the rows it names are normalized and returned, in order."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    rows = [slice(0, x.data.shape[0])] if rows is None else rows
-    out_data, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data, eps)
-    return _make(out_data, (x, gamma, beta),
-                 lambda g: _layer_norm_backward(g, x, gamma, beta, xhat, inv_std, rows))
+    n = x.data.shape[0]
+    rows = [slice(0, n)] if rows is None else rows
+    out_data, xhat, inv_std = _layer_norm(_rows(x.data, reads), gamma.data, beta.data, eps)
+
+    def backward(g):
+        g, xhat_n, inv_std_n = (_full(a, reads, n) for a in (g, xhat, inv_std))
+        _layer_norm_backward(g, x, gamma, beta, xhat_n, inv_std_n, rows)
+
+    return _make(out_data, (x, gamma, beta), backward)
 
 
 # -- packed sequences ----------------------------------------------------------
@@ -485,6 +521,16 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5, rows=None) -> Tensor:
 # zero changes no nonzero result of the sums and products below, and every
 # gradient that leaves a node is stored through ``_accumulate``, which makes
 # the same -0.0 -> +0.0 change.
+#
+# A caller that reads only some rows (``Reads``) can say so to the last
+# layer's sublayers, the final layer norm and the head. Their row-wise work
+# (softmax query rows, layer norm, bias adds, GELU) then runs on those rows
+# only, while every matmul still runs over whole row blocks, the unread rows
+# set to zero: no matmul changes its row count, so each read row keeps its
+# bits. A read row's gradient reaches the unread rows of these sublayers as
+# exact zeros, as it did when every row was computed and the caller gathered
+# its rows, so the backward passes run unchanged on zero-filled rows and each
+# parameter gradient keeps its bits too.
 
 
 def packed_rows(lengths: Sequence[int]) -> list[slice]:
@@ -493,8 +539,55 @@ def packed_rows(lengths: Sequence[int]) -> list[slice]:
     return [slice(int(e - n), int(e)) for n, e in zip(lengths, ends)]
 
 
+class Reads(NamedTuple):
+    """The rows a caller reads from a packed batch: ``index`` holds their
+    packed row numbers in order, ``positions[s]`` their positions within
+    sequence ``s``."""
+
+    index: np.ndarray
+    positions: list[np.ndarray]
+
+
+def read_rows(rows, positions) -> Reads:
+    """``Reads`` of the packed blocks ``rows`` at ``positions[s]`` in sequence
+    ``s``: strictly increasing positions inside the sequence (possibly none)."""
+    if len(positions) != len(rows):
+        raise ValueError(f"reads name {len(positions)} sequences, the batch has {len(rows)}")
+    local = [np.asarray(p, dtype=np.intp).reshape(-1) for p in positions]
+    for s, (r, p) in enumerate(zip(rows, local)):
+        if p.size and (p[0] < 0 or p[-1] >= r.stop - r.start or np.any(p[1:] <= p[:-1])):
+            raise ValueError(f"read positions of sequence {s} must increase strictly within "
+                             f"its {r.stop - r.start} rows, got {p.tolist()}")
+    return Reads(np.concatenate([r.start + p for r, p in zip(rows, local)]), local)
+
+
+def _rows(a: np.ndarray, reads: Reads | None) -> np.ndarray:
+    """The read rows of a packed array (``a`` itself when every row is read)."""
+    return a if reads is None else a[reads.index]
+
+
+def _full(a: np.ndarray, reads: Reads | None, n: int) -> np.ndarray:
+    """Read rows ``a`` placed back into n packed rows, zeros elsewhere; the
+    inverse of ``_rows`` (``a`` itself when every row is read)."""
+    if reads is None:
+        return a
+    out = np.zeros((n, *a.shape[1:]), dtype=a.dtype)
+    out[reads.index] = a
+    return out
+
+
+def _add_rows(a: np.ndarray, b: np.ndarray, reads: Reads | None):
+    """``a += b`` on the read rows of ``a``."""
+    if reads is None:
+        a += b
+    else:
+        a[reads.index] += b
+
+
 def _matmul_rows(x: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
     """``x[r] @ w`` for every row block ``r``, written into one packed array."""
+    if len(rows) == 1:  # one block of every row: the same BLAS call
+        return x @ w
     out = np.empty((x.shape[0], w.shape[1]), dtype=np.result_type(x, w))
     for r in rows:
         np.matmul(x[r], w, out=out[r])
@@ -532,39 +625,59 @@ def _merge_heads(out: np.ndarray, heads: np.ndarray):
     out.reshape(out.shape[0], heads.shape[0], -1)[...] = heads.transpose(1, 0, 2)
 
 
+def _attention(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int, rows,
+               reads: Reads | None = None):
+    """``attention_sublayer``'s arithmetic on arrays: (output, what its
+    backward pass reads). With ``reads`` only the read query rows get a
+    softmax and the output bias; the other rows of the output are zero."""
+    d = x.shape[1]
+    if d % n_heads != 0:
+        raise ValueError(f"width {d} not divisible by n_heads={n_heads}")
+    scale = 1.0 / np.sqrt(d // n_heads)
+    xn, xhat, inv_std = _layer_norm(x, gamma, beta)
+    q, k, v = (_matmul_rows(xn, w, rows) for w in (wq, wk, wv))
+    q += bq
+    k += bk
+    v += bv
+    cat = np.empty_like(q)
+    stacks = []
+    for s, r in enumerate(rows):
+        qs, ks, vs = (_split_heads(a[r], n_heads) for a in (q, k, v))
+        scores = np.matmul(qs, ks.transpose(0, 2, 1))
+        if reads is None:
+            scores *= scale
+            att = _softmax(scores, -1)
+        else:
+            att, p = np.zeros_like(scores), reads.positions[s]
+            att[:, p] = _softmax(scores[:, p] * scale, -1)
+        _merge_heads(cat[r], np.matmul(att, vs))
+        stacks.append((qs, ks, vs, att))
+    out = _matmul_rows(cat, wo, rows)
+    _add_rows(out, bo, reads)
+    return out, (xn, xhat, inv_std, q, k, v, cat, stacks)
+
+
 def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
-                       n_heads: int, rows=None) -> Tensor:
+                       n_heads: int, rows=None, reads: Reads | None = None) -> Tensor:
     """Pre-norm multi-head self-attention of packed sequences ``x`` [sum L, d], one node.
 
     With ``xn = layer_norm(x, gamma, beta)`` and ``q, k, v = xn @ w + b``,
     head h reads the columns ``h*dh:(h+1)*dh`` (``dh = d / n_heads``) and
     gives ``softmax(qh @ kh.T * dh**-0.5) @ vh`` within each sequence; the
     heads are concatenated and projected, ``@ wo + bo``. ``rows`` holds each
-    sequence's row block (default: one sequence, all rows). Replays the
-    per-head graph: each sequence's heads run as one contiguous [H, L, dh]
-    stack, scores are ``(qh @ kh.T) * scale``, the key gradient is
+    sequence's row block (default: one sequence, all rows); with ``reads``
+    only the read rows of the output are computed, the others are zero.
+    Replays the per-head graph: each sequence's heads run as one contiguous
+    [H, L, dh] stack, scores are ``(qh @ kh.T) * scale``, the key gradient is
     ``(qh.T @ g).T`` and the gradient of ``xn`` sums the q, k and v paths in
     that order.
     """
-    x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo = map(
-        _as_tensor, (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo))
-    d = x.data.shape[1]
-    if d % n_heads != 0:
-        raise ValueError(f"width {d} not divisible by n_heads={n_heads}")
+    ts = x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo = tuple(map(
+        _as_tensor, (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo)))
     rows = [slice(0, x.data.shape[0])] if rows is None else rows
-    scale = 1.0 / np.sqrt(d // n_heads)
-    xn, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data)
-    q, k, v = (_matmul_rows(xn, w.data, rows) + b.data
-               for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    cat = np.empty_like(q)
-    stacks = []
-    for r in rows:
-        qs, ks, vs = (_split_heads(a[r], n_heads) for a in (q, k, v))
-        att = _softmax(np.matmul(qs, ks.transpose(0, 2, 1)) * scale, -1)
-        _merge_heads(cat[r], np.matmul(att, vs))
-        stacks.append((qs, ks, vs, att))
-    out_data = _matmul_rows(cat, wo.data, rows)
-    out_data += bo.data
+    scale = 1.0 / np.sqrt(x.data.shape[1] // n_heads)
+    out_data, (xn, xhat, inv_std, q, k, v, cat, stacks) = _attention(
+        *(t.data for t in ts), n_heads, rows, reads)
 
     def backward(g):
         gcat = _linear_backward(g, cat, wo, bo, rows)
@@ -580,28 +693,61 @@ def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
         gxn += _linear_backward(gv, xn, wv, bv, rows)
         _layer_norm_backward(gxn, x, gamma, beta, xhat, inv_std, rows)
 
-    return _make(out_data, (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo), backward)
+    return _make(out_data, ts, backward)
 
 
-def ffn_sublayer(x, gamma, beta, w1, b1, w2, b2, rows=None) -> Tensor:
+def _ffn(x, gamma, beta, w1, b1, w2, b2, rows, reads: Reads | None = None):
+    """``ffn_sublayer``'s arithmetic on arrays: (output, what its backward
+    pass reads). With ``reads`` the layer norm, the first bias and the GELU
+    run on the read rows only (the saved pre-activation, normalized input,
+    inverse deviation and normal CDF hold those rows); the other rows of the
+    output are zero."""
+    n = x.shape[0]
+    xn, xhat, inv_std = _layer_norm(_rows(x, reads), gamma, beta)
+    xn = _full(xn, reads, n)
+    a = _rows(_matmul_rows(xn, w1, rows), reads)
+    a += b1
+    h, cdf = _gelu(a)
+    out = _matmul_rows(_full(h, reads, n), w2, rows)
+    _add_rows(out, b2, reads)
+    return out, (xn, xhat, inv_std, a, h, cdf)
+
+
+def ffn_sublayer(x, gamma, beta, w1, b1, w2, b2, rows=None,
+                 reads: Reads | None = None) -> Tensor:
     """Pre-norm position-wise feed-forward of packed ``x`` [sum L, d], one node:
     ``gelu(layer_norm(x, gamma, beta) @ w1 + b1) @ w2 + b2``, each matmul per
-    row block of ``rows`` (default: all rows)."""
-    x, gamma, beta, w1, b1, w2, b2 = map(_as_tensor, (x, gamma, beta, w1, b1, w2, b2))
-    rows = [slice(0, x.data.shape[0])] if rows is None else rows
-    xn, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data)
-    a = _matmul_rows(xn, w1.data, rows)
-    a += b1.data
-    h, cdf = _gelu(a)
-    out_data = _matmul_rows(h, w2.data, rows)
-    out_data += b2.data
+    row block of ``rows`` (default: all rows); with ``reads`` only the read
+    rows of the output are computed, the others are zero."""
+    ts = x, gamma, beta, w1, b1, w2, b2 = tuple(map(_as_tensor, (x, gamma, beta, w1, b1, w2, b2)))
+    n = x.data.shape[0]
+    rows = [slice(0, n)] if rows is None else rows
+    out_data, (xn, *saved) = _ffn(*(t.data for t in ts), rows, reads)
 
     def backward(g):
+        xhat, inv_std, a, h, cdf = (_full(t, reads, n) for t in saved)
         ga = _gelu_grad(_linear_backward(g, h, w2, b2, rows), a, cdf)
         gxn = _linear_backward(ga, xn, w1, b1, rows)
         _layer_norm_backward(gxn, x, gamma, beta, xhat, inv_std, rows)
 
-    return _make(out_data, (x, gamma, beta, w1, b1, w2, b2), backward)
+    return _make(out_data, ts, backward)
+
+
+def _embed(table: np.ndarray, pos_table: np.ndarray, ids: np.ndarray, rows) -> np.ndarray:
+    """Token plus position embedding of packed ids; positions restart at 0
+    in each row block."""
+    return table[ids] + pos_table[np.concatenate([np.arange(r.stop - r.start) for r in rows])]
+
+
+def _head(hidden: np.ndarray, table: np.ndarray, bias: np.ndarray, rows,
+          reads: Reads | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Logits ``hidden @ table.T + bias`` of the read rows, and the packed
+    hidden states the matmul ran on: ``hidden`` holds the read rows, placed
+    into zero rows so that each block keeps its row count."""
+    full = _full(hidden, reads, rows[-1].stop)
+    out = _rows(_matmul_rows(full, table.T, rows), reads)
+    out += bias
+    return out, full
 
 
 class TiedEmbedding:
@@ -623,11 +769,9 @@ class TiedEmbedding:
         self._held: list[np.ndarray] | None = None
 
     def embed(self, ids: np.ndarray) -> Tensor:
-        """Token plus position embedding of packed ids; positions restart at 0
-        in each row block."""
+        """Token plus position embedding of packed ids (see ``_embed``)."""
         table, pos, rows = self.table, self.pos_table, self.rows
-        positions = np.concatenate([np.arange(r.stop - r.start) for r in rows])
-        out_data = table.data[ids] + pos.data[positions]
+        out_data = _embed(table.data, pos.data, ids, rows)
 
         def backward(g):
             held, self._held = self._held, None
@@ -644,18 +788,19 @@ class TiedEmbedding:
 
         return _make(out_data, (table, pos), backward)
 
-    def head(self, hidden, bias) -> Tensor:
-        """Logits ``hidden @ table.T + bias`` of packed hidden states."""
+    def head(self, hidden, bias, reads: Reads | None = None) -> Tensor:
+        """Logits ``hidden @ table.T + bias`` of packed hidden states, or of
+        the read rows ``hidden`` holds (see ``_head``)."""
         hidden, bias, table, rows = _as_tensor(hidden), _as_tensor(bias), self.table, self.rows
-        out_data = _matmul_rows(hidden.data, table.data.T, rows)
-        out_data += bias.data
+        out_data, full = _head(hidden.data, table.data, bias.data, rows, reads)
 
         def backward(g):
+            g = _full(g, reads, full.shape[0])
             _accumulate_sums(bias, g, rows)
             if table.requires_grad:
-                self._held = [hidden.data[r].T @ g[r] for r in rows]
+                self._held = [full[r].T @ g[r] for r in rows]
             if hidden.requires_grad:
-                hidden._accumulate(_matmul_rows(g, table.data, rows))
+                hidden._accumulate(_rows(_matmul_rows(g, table.data, rows), reads))
 
         return _make(out_data, (hidden, table, bias), backward)
 
@@ -669,6 +814,10 @@ def _pair_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
+def _row_dots(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return _pair_dots(a.reshape(-1, a.shape[-1]), w[None, :]).reshape(a.shape[:-1])
+
+
 def row_dots(a, w) -> Tensor:
     """``a[..., i, :] @ w`` for every row of ``a``, shape ``a.shape[:-1]``.
 
@@ -678,7 +827,7 @@ def row_dots(a, w) -> Tensor:
     """
     a, w = _as_tensor(a), _as_tensor(w)
     flat = a.data.reshape(-1, a.data.shape[-1])
-    out_data = _pair_dots(flat, w.data[None, :]).reshape(a.data.shape[:-1])
+    out_data = _row_dots(a.data, w.data)
 
     def backward(g):
         if w.requires_grad:
@@ -752,6 +901,12 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, ts, backward)
 
 
+def _dropout(a: np.ndarray, rate: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted dropout of an array by uniform ``draws``: (output, kept scale)."""
+    keep = (draws >= rate).astype(a.dtype) / (1.0 - rate)
+    return a * keep, keep
+
+
 def dropout(a, rate: float, rng) -> Tensor:
     """Inverted dropout; identity when rate is 0. ``rng`` is a generator, or
     an array of uniform draws of ``a``'s shape drawn from one."""
@@ -759,8 +914,7 @@ def dropout(a, rate: float, rng) -> Tensor:
     if rate <= 0.0:
         return a
     draws = rng.random(a.data.shape) if isinstance(rng, np.random.Generator) else rng
-    keep = (draws >= rate).astype(a.data.dtype) / (1.0 - rate)
-    out_data = a.data * keep
+    out_data, keep = _dropout(a.data, rate, draws)
 
     def backward(g):
         if a.requires_grad:

@@ -410,17 +410,18 @@ _FLAG_HELP = {
 }
 _CORPUS_FLAGS = ("corpus", "schema")
 
-# name -> (handler, the config key --seed sets, the file flags the command takes;
-# a trailing "!" marks a required one). Any other flag is a usage error.
+# name -> (handler, the config key --seed sets or None for a command that reads
+# no seed, the file flags the command takes; a trailing "!" marks a required
+# one). Any other flag is a usage error.
 _COMMANDS = {
     "generate-corpus": (cmd_generate_corpus, "corpus.seed", ()),
     "pretrain": (cmd_pretrain, "pretrain.seed", _CORPUS_FLAGS),
     "train": (cmd_train, "train.seed", (*_CORPUS_FLAGS, "checkpoint")),
-    "eval": (cmd_eval, "train.seed", ("checkpoint!", "dataset!")),
+    "eval": (cmd_eval, None, ("checkpoint!", "dataset!")),
     "sweep-m": (cmd_sweep_m, "sweep.seeds", _CORPUS_FLAGS),
     "sim-protocol": (cmd_sim_protocol, "protocol.seeds", _CORPUS_FLAGS),
     "probe-init": (cmd_probe_init, "pretrain.seed", (*_CORPUS_FLAGS, "checkpoint")),
-    "analyze-views": (cmd_analyze_views, "pretrain.seed", ("checkpoint!", "aspects")),
+    "analyze-views": (cmd_analyze_views, None, ("checkpoint!", "aspects")),
 }
 
 
@@ -433,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help=f"sets {seed_key}")
+        if seed_key is not None:
+            p.add_argument("--seed", type=int, default=None, help=f"sets {seed_key}")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (repeatable)")
         for flag in flags:
@@ -446,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args.config, args.overrides, args.seed, args.command)
+        cfg = resolve_config(args.config, args.overrides, getattr(args, "seed", None),
+                             args.command)
         return _COMMANDS[args.command][0](args, cfg)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

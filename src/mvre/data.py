@@ -333,8 +333,12 @@ def load_jsonl(path: str | Path, na_label: str | None = None) -> Dataset:
     instances: list[RelationInstance] = []
     relations: list[str] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise LoadError(f"not UTF-8 ({e.reason} at byte {e.start})", lineno) from None
             if not line.strip():
                 continue
             try:

@@ -108,10 +108,11 @@ def _dynamic_vectors(schema: RelationSchema, vocab: Vocab, model: MlmModel) -> t
             raise InitError(f"relation {rel!r} has no probe template")
         prompts.append(encode_probe_template(template, vocab, m, model.config.max_len))
     with ad.no_grad():
-        _, logits, starts = forward_batch(model, [p.ids[: p.attention_length] for p in prompts])
-    for ri, (rel, prompt, start) in enumerate(zip(schema.relations, prompts, starts)):
+        _, logits = forward_batch(model, [p.ids[: p.attention_length] for p in prompts],
+                                  reads=[p.mask_positions for p in prompts])
+    for ri, rel in enumerate(schema.relations):
         for j in range(1, m + 1):
-            row = logits.data[start + prompt.mask_positions[j - 1]]
+            row = logits.data[ri * m + j - 1]
             shifted = row - row.max()
             probs = np.exp(shifted)
             probs /= probs.sum()

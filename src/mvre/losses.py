@@ -11,6 +11,7 @@ over views; inference mixes the per-view relation scores with the posterior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +71,13 @@ def view_posterior(head: ViewPosteriorHead, view_states) -> Tensor:
     return sig / ad.tsum(sig, axis=-1, keepdims=True)
 
 
-def _label_probs(logits: Tensor, rows: np.ndarray, verbalizer: Verbalizer) -> Tensor:
-    """Per-view relation probabilities read at the mask rows ``rows`` [..., m]
-    of ``logits``; shape [..., m, |Y|]."""
-    probs = ad.softmax(ad.index(logits, rows.ravel()))
-    ids = np.stack([verbalizer.view_ids(j) for j in range(1, rows.shape[-1] + 1)])
-    return ad.index(probs, (np.arange(rows.size).reshape(rows.shape)[..., None], ids))
+def _label_picks(shape: tuple[int, ...], verbalizer: Verbalizer) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each (mask row, relation) entry in the softmax of mask-row
+    logits whose rows run view by view: [..., m, |Y|] for masks ``shape``."""
+    # [view, relation], C-ordered: the picked probabilities keep that order,
+    # and the layout of the matrix ``relation_scores`` multiplies sets its bits
+    ids = np.ascontiguousarray(verbalizer.all_ids().reshape(-1, verbalizer.m).T[: shape[-1]])
+    return np.arange(math.prod(shape)).reshape(shape)[..., None], ids
 
 
 def per_view_label_probs(logits: Tensor, prompt: EncodedPrompt,
@@ -86,13 +88,17 @@ def per_view_label_probs(logits: Tensor, prompt: EncodedPrompt,
     of relation y's j-th virtual word; rows therefore need not sum to one
     across relations.
     """
-    return _label_probs(logits, np.asarray(prompt.mask_positions), verbalizer)
+    rows = ad.index(logits, np.asarray(prompt.mask_positions))
+    return ad.index(ad.softmax(rows), _label_picks((prompt.m,), verbalizer))
 
 
 def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
                 verbalizer: Verbalizer, rng=None, train: bool = False) -> ViewScores:
     """Forward one prompt, or a list of prompts as one packed batch, and
     package posterior + per-view relation probabilities (see ``ViewScores``).
+    The encoder reads the mask rows only; under ``ad.no_grad()`` the scores
+    come from the ops' kernels on plain arrays, with the same bits and no
+    graph.
 
     ``rng``/``train`` activate dropout when the model config enables it.
     """
@@ -102,13 +108,19 @@ def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
         if prompt.m != verbalizer.m:
             raise ValueError(f"prompt has {prompt.m} masks but verbalizer expects "
                              f"{verbalizer.m}")
-    hidden, logits, starts = forward_batch(
-        model, [pr.ids[: pr.attention_length] for pr in batch], rng=rng, train=train)
-    rows = np.stack([s + np.asarray(pr.mask_positions) for s, pr in zip(starts, batch)])
-    if single:
-        rows = rows[0]
-    return ViewScores(view_posterior(head, ad.index(hidden, rows)),
-                      _label_probs(logits, rows, verbalizer))
+    hidden, logits = forward_batch(model, [pr.ids[: pr.attention_length] for pr in batch],
+                                   rng=rng, train=train,
+                                   reads=[pr.mask_positions for pr in batch])
+    shape = (verbalizer.m,) if single else (len(batch), verbalizer.m)
+    picks = _label_picks(shape, verbalizer)
+    if ad.grad_enabled():
+        return ViewScores(view_posterior(head, ad.reshape(hidden, (*shape, -1))),
+                          ad.index(ad.softmax(logits), picks))
+    if hidden.shape[-1] != head.d:
+        raise ValueError(f"view states of width {hidden.shape[-1]} mismatch head dim {head.d}")
+    sig = ad._sigmoid(ad._row_dots(hidden.data.reshape(*shape, -1), head.w.data))
+    return ViewScores(Tensor(sig / sig.sum(axis=-1, keepdims=True)),
+                      Tensor(ad._softmax(logits.data, -1)[picks]))
 
 
 def mvdl_loss(scores: ViewScores, y, eps: float = MVDL_EPS) -> Tensor:

@@ -11,7 +11,10 @@ encoder, which keeps them out of attention entirely. A batch runs packed
 (``forward_batch``): the live tokens of all its sequences form one
 [sum L, d] matrix, so row-wise math runs once per batch while every matmul
 and each sequence's attention run per sequence; each sequence gets the bits
-it gets alone, and each gradient the bits of one graph per sequence.
+it gets alone, and each gradient the bits of one graph per sequence. A
+caller names the rows it reads (the masks), and the last layer, the final
+norm and the head run their row-wise work on those rows only; under
+``autodiff.no_grad`` the encoder runs as plain array code with no graph.
 
 The parameters live in one flat vector (an ``autodiff.Arena``), so AdamW,
 snapshots, the finiteness check and checkpoints each touch one array.
@@ -21,8 +24,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .errors import ValidationError
-from .vocab import EncodedPrompt, Vocab, encode_sentence
+from .vocab import EncodedPrompt, Vocab, encode_sentence, vocab_from_payload
 
 logger = logging.getLogger(__name__)
 
@@ -131,18 +135,22 @@ _FFN = ("ln2.gamma", "ln2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
 def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = None,
-                  train: bool = False) -> tuple[Tensor, Tensor, np.ndarray]:
+                  train: bool = False, reads=None) -> tuple[Tensor, Tensor]:
     """Run the encoder over a batch of raw (unpadded) id sequences, packed.
 
     The live tokens of all sequences are stacked into one [sum L, d] matrix
     (``autodiff`` describes the packed layout): layer norms, bias adds, GELU,
     residual adds and the embedding gather run once per batch, every matmul
-    and each sequence's attention per sequence. Returns (hidden, logits,
-    starts): packed post-norm hidden states [sum L, d], the logits the head
-    reads [sum L, V], and each sequence's first row. Every value and
-    gradient has the bits of one graph per sequence, and dropout draws its
-    masks in that graph's order: sequence, then layer, then attention
-    before FFN.
+    and each sequence's attention per sequence. ``reads[s]`` holds the
+    positions the caller reads in sequence ``s``, strictly increasing
+    (default: every position). Returns (hidden, logits) of the read rows,
+    sequence by sequence: post-norm hidden states [R, d] and the logits the
+    head gives them [R, V]. The last layer runs its row-wise work on the read
+    rows only. Every value and gradient has the bits of one graph per
+    sequence read at those rows, and dropout draws its masks in that graph's
+    order: sequence, then layer, then attention before FFN. Under
+    ``ad.no_grad()`` the same kernels run on plain arrays and no graph node
+    is made.
     """
     cfg = model.config
     seqs = [np.asarray(ids, dtype=np.int64) for ids in id_seqs]
@@ -153,28 +161,54 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
             raise ValueError(f"sequence length {len(ids)} exceeds max_len {cfg.max_len}")
         if ids.max(initial=0) >= cfg.vocab_size or ids.min(initial=0) < 0:
             raise ValueError("token id out of vocabulary range")
-    p = model._params
     rows = ad.packed_rows([len(ids) for ids in seqs])
+    reads = None if reads is None else ad.read_rows(rows, reads)
     drop = cfg.dropout if (train and rng is not None) else 0.0
-    if drop > 0.0:
-        draws = [rng.random((2 * cfg.n_layers, len(ids), cfg.d)) for ids in seqs]
+    draws = (np.concatenate([rng.random((2 * cfg.n_layers, len(ids), cfg.d)) for ids in seqs],
+                            axis=1) if drop > 0.0 else None)
+    ids = np.concatenate(seqs)
+    if not ad.grad_enabled():
+        hidden, logits = _forward_arrays(model, ids, rows, reads, drop, draws)
+        return Tensor(hidden), Tensor(logits)
 
+    p = model._params
     tied = ad.TiedEmbedding(p["token_embed"], p["pos_embed"], rows)
-    x = tied.embed(np.concatenate(seqs))
+    x = tied.embed(ids)
     for i in range(cfg.n_layers):
-        b = f"blocks.{i}."
+        b, last = f"blocks.{i}.", reads if i == cfg.n_layers - 1 else None
         o = ad.attention_sublayer(x, *(p[b + n] for n in _ATTENTION), n_heads=cfg.n_heads,
-                                  rows=rows)
+                                  rows=rows, reads=last)
         if drop > 0.0:
-            o = ad.dropout(o, drop, np.concatenate([u[2 * i] for u in draws]))
+            o = ad.dropout(o, drop, draws[2 * i])
         x = x + o
-        f = ad.ffn_sublayer(x, *(p[b + n] for n in _FFN), rows=rows)
+        f = ad.ffn_sublayer(x, *(p[b + n] for n in _FFN), rows=rows, reads=last)
         if drop > 0.0:
-            f = ad.dropout(f, drop, np.concatenate([u[2 * i + 1] for u in draws]))
+            f = ad.dropout(f, drop, draws[2 * i + 1])
         x = x + f
-    hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"], rows=rows)
-    logits = tied.head(hidden, p["head_bias"])
-    return hidden, logits, np.array([r.start for r in rows])
+    hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"], rows=rows,
+                           reads=reads)
+    return hidden, tied.head(hidden, p["head_bias"], reads)
+
+
+def _forward_arrays(model: MlmModel, ids, rows, reads, drop, draws):
+    """``forward_batch``'s tape path as plain arrays: the kernels its nodes
+    run, on the parameters' ``.data``, with no graph."""
+    cfg = model.config
+    p = {name: t.data for name, t in model._params.items()}
+    x = ad._embed(p["token_embed"], p["pos_embed"], ids, rows)
+    for i in range(cfg.n_layers):
+        b, last = f"blocks.{i}.", reads if i == cfg.n_layers - 1 else None
+        o, _ = ad._attention(x, *(p[b + n] for n in _ATTENTION), cfg.n_heads, rows, last)
+        if drop > 0.0:
+            o, _ = ad._dropout(o, drop, draws[2 * i])
+        x += o
+        f, _ = ad._ffn(x, *(p[b + n] for n in _FFN), rows, last)
+        if drop > 0.0:
+            f, _ = ad._dropout(f, drop, draws[2 * i + 1])
+        x += f
+    hidden, _, _ = ad._layer_norm(ad._rows(x, reads), p["final_norm.gamma"],
+                                  p["final_norm.beta"])
+    return hidden, ad._head(hidden, p["token_embed"], p["head_bias"], rows, reads)[0]
 
 
 def forward_ids(model: MlmModel, ids: np.ndarray,
@@ -184,8 +218,7 @@ def forward_ids(model: MlmModel, ids: np.ndarray,
 
     Returns (hidden, logits); hidden is the post-norm state the head reads.
     """
-    hidden, logits, _ = forward_batch(model, [ids], rng=rng, train=train)
-    return hidden, logits
+    return forward_batch(model, [ids], rng=rng, train=train)
 
 
 def forward(model: MlmModel, prompt: EncodedPrompt,
@@ -347,7 +380,7 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     hold_idx, train_idx = order[:n_hold], order[n_hold:]
 
     def masked_batch(indices, mask_rng):
-        """Mask each sentence in turn; the packed rows and targets of the masks."""
+        """Mask each sentence in turn; the logits and targets of the masks."""
         seqs, positions, targets = [], [], []
         for i in indices:
             corrupted, pos, target = _apply_mlm_mask(
@@ -355,18 +388,17 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
             seqs.append(corrupted)
             positions.append(pos)
             targets.append(target)
-        _, logits, starts = forward_batch(model, seqs)
-        rows = np.concatenate([s + pos for s, pos in zip(starts, positions)])
-        return logits, rows, np.concatenate(targets)
+        _, logits = forward_batch(model, seqs, reads=positions)
+        return logits, np.concatenate(targets)
 
     opt = AdamW(model.params(), lr=config.lr, betas=config.betas,
                 weight_decay=config.weight_decay)
     losses: list[float] = []
     for step in range(config.steps):
         batch_ids = rng.integers(0, len(train_idx), size=config.batch_size)
-        logits, rows, targets = masked_batch(train_idx[batch_ids], rng)
-        probs = ad.softmax(ad.index(logits, rows))
-        picked = ad.index(probs, (np.arange(len(rows)), targets))
+        logits, targets = masked_batch(train_idx[batch_ids], rng)
+        probs = ad.softmax(logits)
+        picked = ad.index(probs, (np.arange(len(targets)), targets))
         loss = ad.tmean(-ad.log(picked + 1e-12))
         grads = ad.grad(loss, model.params())
         opt.step(grads)
@@ -378,9 +410,9 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     eval_rng = np.random.default_rng([config.seed, 0xE7A1])
     with ad.no_grad():
         for start in range(0, n_hold, config.batch_size):
-            logits, rows, targets = masked_batch(hold_idx[start : start + config.batch_size],
-                                                 eval_rng)
-            correct += int((logits.data[rows].argmax(axis=-1) == targets).sum())
+            logits, targets = masked_batch(hold_idx[start : start + config.batch_size],
+                                           eval_rng)
+            correct += int((logits.data.argmax(axis=-1) == targets).sum())
             total += len(targets)
     accuracy = correct / total if total else 0.0
     logger.info("pretrain held-out masked-token accuracy: %.4f (%d predictions)",
@@ -392,6 +424,7 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
 # -- checkpoint I/O ---------------------------------------------------------------
 
 _MAGIC = b"MVRECKPT1\n"
+_HEADER = {"config", "arrays", "vocab", "extra"}
 
 
 def save_checkpoint(path: str | Path, model: MlmModel,
@@ -422,42 +455,101 @@ class Checkpoint:
     extra: dict
 
 
+def _header_config(config, bad) -> ModelConfig:
+    """The model config of a checkpoint header, validated; ``bad(message)``
+    makes the error."""
+    if not isinstance(config, dict):
+        raise bad(f"header field 'config' must be an object, got {config!r}")
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    if config.keys() != types.keys():
+        raise bad(f"header field 'config' has unknown keys "
+                  f"{sorted(config.keys() - types.keys())} and lacks "
+                  f"{sorted(types.keys() - config.keys())}")
+    allowed = {"int": (int,), "float": (int, float), "str": (str,)}
+    for key, value in config.items():
+        if isinstance(value, bool) or not isinstance(value, allowed[types[key]]):
+            raise bad(f"header field 'config.{key}' must be {types[key]}, got {value!r}")
+    model_config = ModelConfig(**config)
+    try:
+        model_config.validate()
+    except ValueError as e:
+        raise bad(f"header field 'config': {e}") from None
+    return model_config
+
+
+def _header_arrays(arrays, bad) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each array entry of a checkpoint header."""
+    if not isinstance(arrays, list):
+        raise bad(f"header field 'arrays' must be a list, got {arrays!r}")
+    out = []
+    for i, entry in enumerate(arrays):
+        if not (isinstance(entry, dict) and entry.keys() == {"name", "shape"}):
+            raise bad(f"header field 'arrays[{i}]' must hold exactly 'name' and 'shape', "
+                      f"got {entry!r}")
+        name, shape = entry["name"], entry["shape"]
+        if not isinstance(name, str):
+            raise bad(f"header field 'arrays[{i}].name' must be a string, got {name!r}")
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise bad(f"header field 'arrays[{i}].shape' must be a list of sizes, got {shape!r}")
+        out.append((name, tuple(shape)))
+    return out
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a ``save_checkpoint`` file. A malformed one raises ``ValueError``
+    naming the path and, for a bad header, the field."""
     raw = Path(path).read_bytes()
+
+    def bad(message: str) -> ValueError:
+        return ValueError(f"{path}: {message}")
+
     if not raw.startswith(_MAGIC):
         raise ValueError(f"{path} is not a recognized checkpoint file")
     off = len(_MAGIC) + 8
     hlen = struct.unpack_from("<Q", raw, len(_MAGIC))[0] if len(raw) >= off else None
     if hlen is None or off + hlen > len(raw):
-        raise ValueError(f"{path}: truncated checkpoint header ({len(raw)} bytes)")
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
+        raise bad(f"truncated checkpoint header ({len(raw)} bytes)")
+    try:
+        header = json.loads(raw[off : off + hlen].decode("utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise bad(f"checkpoint header is not UTF-8 JSON: {e}") from None
     off += hlen
-    config = ModelConfig(**header["config"])
-    size = off + 8 * sum(int(np.prod(e["shape"])) for e in header["arrays"])
+    if not isinstance(header, dict) or not {"config", "arrays"} <= header.keys() <= _HEADER:
+        raise bad(f"checkpoint header must be an object with the fields {sorted(_HEADER)} "
+                  f"('vocab' and 'extra' optional), got "
+                  f"{sorted(header) if isinstance(header, dict) else header!r}")
+    if not isinstance(header.get("extra", {}), dict):
+        raise bad(f"header field 'extra' must be an object, got {header['extra']!r}")
+    if header.get("vocab") is not None:
+        try:
+            vocab_from_payload(header["vocab"])
+        except ValueError as e:
+            raise bad(f"header field 'vocab': {e}") from None
+    config = _header_config(header["config"], bad)
+    entries = _header_arrays(header["arrays"], bad)
+    size = off + 8 * sum(math.prod(shape) for _, shape in entries)
     if len(raw) != size:
-        raise ValueError(f"{path}: checkpoint is {len(raw)} bytes, its header "
-                         f"implies {size}")
+        raise bad(f"checkpoint is {len(raw)} bytes, its header implies {size}")
     expected = {name: shape for name, (shape, _) in param_table(config).items()}
     values: dict[str, np.ndarray] = {}
     head_w = None
-    for entry in header["arrays"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        count = int(np.prod(shape))
+    for name, shape in entries:
+        count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
         off += count * 8
         if name == "view_head.w":
             if shape != (config.d,):
-                raise ValueError(f"view head shape {shape} mismatches d={config.d}")
+                raise bad(f"view head shape {shape} mismatches d={config.d}")
             head_w = arr.astype(np.float64)
             continue
         if name not in expected:
-            raise ValueError(f"checkpoint contains unknown array {name!r}")
+            raise bad(f"checkpoint contains unknown array {name!r}")
         if shape != expected[name]:
-            raise ValueError(f"checkpoint array {name!r} has shape {shape}, "
-                             f"config implies {expected[name]}")
+            raise bad(f"checkpoint array {name!r} has shape {shape}, "
+                      f"config implies {expected[name]}")
         values[name] = arr
     missing = set(expected) - set(values)
     if missing:
-        raise ValueError(f"checkpoint missing arrays: {sorted(missing)}")
+        raise bad(f"checkpoint missing arrays: {sorted(missing)}")
     return Checkpoint(MlmModel(config, values=values), head_w, header.get("vocab"),
                       header.get("extra", {}))

@@ -76,7 +76,9 @@ class Vocab:
         return tuple(self._id_of[w] for w in SPECIAL_TOKENS)
 
     def encode_words(self, words) -> list[int]:
-        return [self.id_of(w) for w in words]
+        """``id_of`` of each word, with one lookup per word."""
+        get, unk = self._id_of.get, self._id_of[UNK]
+        return [get(w, unk) for w in words]
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,9 @@ def encode_sentence(instance: RelationInstance, vocab: Vocab,
     return np.array(vocab.encode_words([CLS] + words + [SEP]), dtype=np.int64)
 
 
+_PAYLOAD = {"words", "base_size", "m", "relation_order"}
+
+
 def vocab_payload(vocab: Vocab, verbalizer: Verbalizer) -> dict:
     """JSON form that rebuilds both maps exactly; checkpoints carry it."""
     return {
@@ -250,7 +255,24 @@ def vocab_payload(vocab: Vocab, verbalizer: Verbalizer) -> dict:
 
 
 def vocab_from_payload(payload: dict) -> tuple[Vocab, Verbalizer]:
-    vocab = Vocab(tuple(payload["words"]), int(payload["base_size"]))
-    verbalizer = Verbalizer(tuple(payload["relation_order"]), int(payload["m"]),
-                            int(payload["base_size"]))
-    return vocab, verbalizer
+    """Rebuild the maps of a ``vocab_payload``; a malformed payload raises
+    ``ValueError`` naming the field."""
+    if not isinstance(payload, dict) or payload.keys() != _PAYLOAD:
+        raise ValueError(f"vocabulary payload must hold exactly {sorted(_PAYLOAD)}, got "
+                         f"{sorted(payload) if isinstance(payload, dict) else payload!r}")
+    words, relations, base_size, m = (payload[k] for k in ("words", "relation_order",
+                                                          "base_size", "m"))
+    for key, value in (("words", words), ("relation_order", relations)):
+        if not (isinstance(value, list) and all(isinstance(w, str) for w in value)):
+            raise ValueError(f"vocabulary payload field {key!r} must be a list of strings")
+    if not all(type(n) is int and n >= 1 for n in (base_size, m)):
+        raise ValueError(f"vocabulary payload fields 'base_size' and 'm' must be positive "
+                         f"integers, got {base_size!r} and {m!r}")
+    if len(words) != base_size + len(relations) * m:
+        raise ValueError(f"vocabulary payload holds {len(words)} words, 'base_size' + "
+                         f"'relation_order' x 'm' implies {base_size + len(relations) * m}")
+    try:
+        vocab = Vocab(tuple(words), base_size)
+    except ValidationError as e:
+        raise ValueError(f"vocabulary payload field 'words': {e}") from None
+    return vocab, Verbalizer(tuple(relations), m, base_size)

@@ -1,4 +1,7 @@
-"""Shared numeric oracles for the test suite."""
+"""Shared numeric oracles and file helpers for the test suite."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -135,6 +138,18 @@ def reference_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
         if weight_decay != 0.0:
             p.data = p.data - lr * weight_decay * p.data
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON header in place, keeping the arrays."""
+    raw = path.read_bytes()
+    start = len(b"MVRECKPT1\n") + 8
+    hlen = struct.unpack_from("<Q", raw, start - 8)[0]
+    header = json.loads(raw[start : start + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob
+                     + raw[start + hlen :])
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ import pytest
 
 from mvre.cli import DEFAULTS, build_configs, main, resolve_config, CliError
 
+from conftest import rewrite_header
+
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 FAST_SETS = [
@@ -292,6 +294,31 @@ class TestTrainEvalRound:
         digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert (digest("model.ckpt"), digest("result.json")) == (ckpt_sha, result_sha)
 
+    # criterion 10's checkpoint, and the same run on a corpus with an NA
+    # label, evaluated on its whole corpus with and without eval.include_na;
+    # a change that flips any prediction changes these digests. Paths are
+    # relative, since eval.json echoes the dataset path.
+    @pytest.mark.parametrize("corpus_sets,include_na,eval_sha", [
+        ([], "false", "a45e7d89ec2120dcb7323f388c1794b3dc9f09dd6ad9ca3850b6549dde82401f"),
+        ([], "true", "9d1dc0805429e5a78e35a8e113d6f5a052d75a21cacb62e410e4c09c53dda4b0"),
+        (["corpus.na_fraction=0.25"], "false",
+         "86e2e0921bb2fd633709d29cd2f01020aa74517e07051e29d1459c7a99509d41"),
+        (["corpus.na_fraction=0.25"], "true",
+         "a2b2afcdbb43965fc788011c6d587b5f09e4c7c057442eb4685b1f523e6aba9d")])
+    def test_eval_artifact_pinned(self, tmp_path, monkeypatch, corpus_sets, include_na,
+                                  eval_sha):
+        monkeypatch.chdir(tmp_path)
+        sets = lambda items: [arg for item in items for arg in ("--set", item)]
+        assert run("train", "--out", "plain/t", "--seed", "11",
+                   *sets(self.SMALL + corpus_sets)) == 0
+        assert run("generate-corpus", "--out", "plain/c",
+                   *sets(self.SMALL[:3] + corpus_sets)) == 0
+        out = f"plain/e{include_na}"
+        assert run("eval", "--out", out, "--checkpoint", "plain/t/model.ckpt",
+                   "--dataset", "plain/c/corpus.jsonl",
+                   "--set", f"eval.include_na={include_na}") == 0
+        assert hashlib.sha256((tmp_path / out / "eval.json").read_bytes()).hexdigest() == eval_sha
+
     def test_result_json_has_no_wall_time(self, tmp_path):
         out = tmp_path / "o"
         run("train", "--out", str(out), *FAST_SETS)
@@ -333,6 +360,22 @@ class TestTrainEvalRound:
                    "--dataset", str(tmp_path / "missing.jsonl"))
         assert code != 0
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda h: h["config"].update(width=3), "'config' has unknown keys ['width']"),
+        (lambda h: h["arrays"][0].pop("shape"), "'arrays[0]' must hold exactly")])
+    def test_eval_malformed_header_exits_1_naming_file(self, tmp_path, capsys, edit, field):
+        out = tmp_path / "t"
+        assert run("train", "--out", str(out), *FAST_SETS, "--set", "train.epochs=0") == 0
+        corpus = tmp_path / "c"
+        assert run("generate-corpus", "--out", str(corpus), *FAST_SETS[:6]) == 0
+        rewrite_header(out / "model.ckpt", edit)
+        capsys.readouterr()
+        code = run("eval", "--out", str(tmp_path / "e"), "--checkpoint", str(out / "model.ckpt"),
+                   "--dataset", str(corpus / "corpus.jsonl"))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {out / 'model.ckpt'}: ") and field in err
 
     def test_eval_empty_dataset_exits_2(self, tmp_path, capsys):
         out = tmp_path / "t"
@@ -483,7 +526,9 @@ class TestCommandFlags:
     @pytest.mark.parametrize("argv", [
         ["sweep-m", "--checkpoint", "/nonexistent.ckpt"],
         ["sim-protocol", "--dataset", "d.jsonl"], ["generate-corpus", "--corpus", "c.jsonl"],
-        ["eval", "--checkpoint", "m.ckpt", "--dataset", "d.jsonl", "--corpus", "c.jsonl"]])
+        ["eval", "--checkpoint", "m.ckpt", "--dataset", "d.jsonl", "--corpus", "c.jsonl"],
+        ["eval", "--checkpoint", "m.ckpt", "--dataset", "d.jsonl", "--seed", "5"],
+        ["analyze-views", "--checkpoint", "m.ckpt", "--seed", "5"]])
     def test_flag_the_command_does_not_take_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", str(tmp_path / "o"))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 
 import numpy as np
@@ -216,6 +217,31 @@ class TestJsonl:
         first = json.loads(text.splitlines()[0])
         assert list(first) == ["token", "subj_start", "subj_end",
                                "obj_start", "obj_end", "relation"]
+
+    def test_seeded_byte_mutations_raise_load_error(self, tmp_path):
+        # each mutated file loads, or raises LoadError naming the line (never a
+        # UnicodeDecodeError, KeyError or TypeError traceback)
+        ds = generate_corpus(CorpusSpec(n_relations=3, instances_per_relation=3,
+                                        na_fraction=0.2), seed=4)
+        path = tmp_path / "fuzz.jsonl"
+        save_jsonl(ds, path)
+        raw = path.read_bytes()
+        rng = random.Random(20261019)
+        pool = b'{}[]":,0123456789-.eE+ ntrufalsx\\\n'
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in range(400):
+            mutated = bytearray(raw)
+            for _ in range(rng.randint(1, 3)):
+                mutated[rng.randrange(len(raw))] = (rng.randrange(256) if rng.random() < 0.3
+                                                    else rng.choice(pool))
+            path.write_bytes(bytes(mutated))
+            try:
+                load_jsonl(path, na_label=ds.na_label)
+                outcomes["loaded"] += 1
+            except LoadError as e:
+                assert e.line is not None and str(e).startswith(f"line {e.line}: "), e
+                outcomes["rejected"] += 1
+        assert min(outcomes.values()) > 0, outcomes
 
 
 def make_source(n_per_relation=10, relations=("r1", "r2", "r3")):

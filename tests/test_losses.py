@@ -1,5 +1,6 @@
 """Multi-view scoring: hand-computed anchors, brute-force oracles, gradients."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -573,3 +574,67 @@ class TestPackedBatchAgainstPerSequenceGraphs:
                 one_label, one_scores = infer(model, head, prompt, self.verb, mode=mode)
                 assert label == one_label
                 assert scores.tobytes() == one_scores.tobytes()
+
+
+class TestTapeFreeInference:
+    """Scoring under ``no_grad`` runs the ops' kernels on plain arrays: the
+    bits of the tape path, and no graph node."""
+
+    @staticmethod
+    def world(m):
+        spec = CorpusSpec(n_relations=3, instances_per_relation=4, aspects_per_relation=2,
+                          vocab_pool_size=12, sentence_length_range=(6, 14), na_fraction=0.25)
+        ds = generate_corpus(spec, seed=m)
+        vocab, verb = build_vocab(ds, synthetic_schema(spec, ds, m))
+        assert ds.na_label in verb.relation_order
+        model = MlmModel(ModelConfig(d=24, n_layers=2, n_heads=3, max_len=48,
+                                     vocab_size=len(vocab)), seed=m)
+        head = head_with(np.random.default_rng(m).normal(size=24))
+        return verb, model, head, [wrap_template(inst, vocab, m, 48) for inst in ds.instances]
+
+    @pytest.mark.parametrize("m", [1, 3, 9])
+    def test_tape_bits_and_no_graph_node(self, m, monkeypatch):
+        verb, model, head, prompts = self.world(m)
+        tape = view_scores(model, head, prompts, verb)
+        tape_one = [view_scores(model, head, p, verb) for p in prompts]
+        assert tape.posterior.requires_grad and tape.per_view.requires_grad
+
+        def no_node(*_):
+            raise AssertionError("a graph node was made under no_grad")
+
+        monkeypatch.setattr(ad, "_make", no_node)
+        with ad.no_grad():
+            free = view_scores(model, head, prompts, verb)
+            free_one = [view_scores(model, head, p, verb) for p in prompts]
+        for new, old in [(free, tape), *zip(free_one, tape_one)]:
+            assert new.posterior.data.tobytes() == old.posterior.data.tobytes()
+            assert new.per_view.data.tobytes() == old.per_view.data.tobytes()
+        for mode in ("mixture", "product"):
+            batch = infer_batch(model, head, prompts, verb, mode=mode)
+            for i, (prompt, (label, scores)) in enumerate(zip(prompts, batch)):
+                old = relation_scores(ViewScores(tape.posterior.data[i],
+                                                 tape.per_view.data[i]), mode)
+                assert scores.tobytes() == old.tobytes()
+                assert label == verb.relation_order[int(np.argmax(old))]
+                one_label, one_scores = infer(model, head, prompt, verb, mode=mode)
+                assert (one_label, one_scores.tobytes()) == (label, scores.tobytes())
+
+    # sha256 of the labels and score bytes of infer_batch (mixture, then
+    # product) and of the tape path's view_scores, frozen from the full-row
+    # encoder before it read the mask rows only: an automatic check that
+    # inference keeps its bits across changes to the encoder
+    @pytest.mark.parametrize("m,digest", [
+        (1, "44ce0f6d375a7ef09a7fedb9f6c03f807c9dbc763dc5af3dfce4718bd5369f02"),
+        (3, "42f8ca8121564487c68d0679e7d76d4639ada51dd2685df51c69f70b07bbb195"),
+        (9, "29d38f49180db00bc818e6f77129e4540953f6fa38b42dc116ec8b6790041b5a")])
+    def test_score_bits_pinned(self, m, digest):
+        verb, model, head, prompts = self.world(m)
+        h = hashlib.sha256()
+        for mode in ("mixture", "product"):
+            for label, scores in infer_batch(model, head, prompts, verb, mode=mode):
+                h.update(label.encode())
+                h.update(scores.tobytes())
+        tape = view_scores(model, head, prompts, verb)
+        h.update(tape.posterior.data.tobytes())
+        h.update(tape.per_view.data.tobytes())
+        assert h.hexdigest() == digest

@@ -1,6 +1,10 @@
 """Forward-pass contracts, optimizer arithmetic, pretraining, checkpoints."""
 
+import contextlib
 import pickle
+import random
+import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +23,8 @@ from mvre.schema import synthetic_schema
 from mvre.vocab import build_vocab, encode_sentence, vocab_payload, wrap_template
 
 from acceptance_workloads import TREND_M_HIGH, trend_world
-from conftest import assert_grads_close, reference_adamw_step, reference_forward_ids
+from conftest import (assert_grads_close, reference_adamw_step, reference_forward_ids,
+                      rewrite_header)
 
 
 def toy_setup(m=2, n_relations=3, d=16, n_layers=1, n_heads=2, seed=0,
@@ -158,6 +163,22 @@ class TestSublayersBitwise:
         assert logits.data.tobytes() == ref_logits.data.tobytes()
 
 
+def offsets(lengths) -> np.ndarray:
+    """First packed row of each sequence of a batch of these lengths."""
+    return np.cumsum([0, *lengths[:-1]])
+
+
+def assert_same_step(new, old):
+    """Equal bits of two ``TestPackedBatchBitwise.step`` results."""
+    assert new[0].tobytes() == old[0].tobytes()
+    assert new[1].tobytes() == old[1].tobytes()
+    if new[2] is not None:
+        assert new[2].tobytes() == old[2].tobytes()
+    assert new[3].keys() == old[3].keys()
+    for name in old[3]:
+        assert new[3][name].tobytes() == old[3][name].tobytes(), name
+
+
 class TestPackedBatchBitwise:
     """A packed pretraining step gives the bits of one graph per sequence."""
 
@@ -174,21 +195,27 @@ class TestPackedBatchBitwise:
                                   for r in reads])
         return model, seqs, reads, targets
 
-    def step(self, packed, model, seqs, reads, targets, rng=None):
-        """The masked-token loss of ``pretrain_mlm``: (loss, logits, gradients)."""
-        if packed:
-            _, logits, starts = forward_batch(model, seqs, rng=rng, train=rng is not None)
-            rows = ad.index(logits, np.concatenate([s + r for s, r in zip(starts, reads)]))
+    def step(self, mode, model, seqs, reads, targets, rng=None):
+        """The masked-token loss of ``pretrain_mlm``: (loss, read logits, every
+        logit or None, gradients). Mode "reads" runs the forward as
+        ``pretrain_mlm`` does, on the read rows; "packed" computes every row and
+        gathers the read ones; "graphs" runs one reference graph per sequence."""
+        train = rng is not None
+        if mode == "reads":
+            rows, logits = forward_batch(model, seqs, rng=rng, train=train, reads=reads)[1], None
+        elif mode == "packed":
+            _, logits = forward_batch(model, seqs, rng=rng, train=train)
+            rows = ad.index(logits, np.concatenate(
+                [s + r for s, r in zip(offsets(self.LENGTHS), reads)]))
             logits = logits.data
         else:
-            outs = [reference_forward_ids(model, ids, rng=rng, train=rng is not None)[1]
-                    for ids in seqs]
+            outs = [reference_forward_ids(model, ids, rng=rng, train=train)[1] for ids in seqs]
             rows = ad.concat([ad.index(lg, r) for lg, r in zip(outs, reads)])
             logits = np.concatenate([lg.data for lg in outs])
         probs = ad.softmax(rows)
         loss = ad.tmean(-ad.log(ad.index(probs, (np.arange(len(targets)), targets)) + 1e-12))
         grads = ad.grad(loss, model.params()) if loss.requires_grad else {}
-        return loss.data, logits, {k: g.copy() for k, g in grads.items()}
+        return loss.data, rows.data, logits, {k: g.copy() for k, g in grads.items()}
 
     def assert_same(self, cfg, seed, dropout_seed=None):
         args = self.batch(cfg, seed)
@@ -196,13 +223,10 @@ class TestPackedBatchBitwise:
         def generator():  # a fresh, equal one for each side
             return None if dropout_seed is None else np.random.default_rng(dropout_seed)
 
-        new = self.step(True, *args, rng=generator())
-        old = self.step(False, *args, rng=generator())
-        assert new[0].tobytes() == old[0].tobytes()
-        assert new[1].tobytes() == old[1].tobytes()
-        assert new[2].keys() == old[2].keys()
-        for name in old[2]:
-            assert new[2][name].tobytes() == old[2][name].tobytes(), name
+        old = self.step("graphs", *args, rng=generator())
+        for mode in ("packed", "reads"):
+            new = self.step(mode, *args, rng=generator())
+            assert_same_step(new, old)
 
     @pytest.mark.parametrize("d,n_heads", [(32, 2), (64, 4), (24, 3)])
     def test_loss_logits_and_gradients(self, d, n_heads):
@@ -220,18 +244,78 @@ class TestPackedBatchBitwise:
         cfg = ModelConfig(d=32, n_layers=2, n_heads=2, max_len=32, vocab_size=40)
         args = self.batch(cfg, 0)
         with ad.no_grad():
-            hidden, logits, starts = forward_batch(args[0], args[1])
+            hidden, logits = forward_batch(args[0], args[1])
             assert hidden._parents == () and not logits.requires_grad
-            new, old = self.step(True, *args), self.step(False, *args)
-        assert new[0].tobytes() == old[0].tobytes()
-        assert new[1].tobytes() == old[1].tobytes()
-        assert new[2] == old[2] == {}
-        assert list(starts) == [0, 9, 10, 27, 39, 44]
+            old = self.step("graphs", *args)
+            for mode in ("packed", "reads"):
+                assert_same_step(self.step(mode, *args), old)
+        assert old[3] == {}
+        assert hidden.shape == (sum(self.LENGTHS), 32) and logits.shape == (sum(self.LENGTHS), 40)
+        assert list(offsets(self.LENGTHS)) == [0, 9, 10, 27, 39, 44]
 
     def test_empty_batch_rejected(self):
         cfg = ModelConfig(d=8, n_layers=1, n_heads=2, max_len=8, vocab_size=10)
         with pytest.raises(ValueError, match="at least one sequence"):
             forward_batch(MlmModel(cfg), [])
+
+
+class TestReadRowsBitwise:
+    """A forward that reads some rows gives each of them the bits of the
+    forward that computes every row, on the tape and under ``no_grad``."""
+
+    LENGTHS = TestPackedBatchBitwise.LENGTHS
+
+    def read_sets(self, rng):
+        """One row per sequence, every row, the last row only, random subsets."""
+        yield [rng.integers(0, L, size=1) for L in self.LENGTHS]
+        yield [np.arange(L) for L in self.LENGTHS]
+        yield [np.array([L - 1]) for L in self.LENGTHS]
+        yield [np.unique(rng.integers(0, L, size=rng.integers(0, 4))) for L in self.LENGTHS]
+
+    def assert_same(self, cfg, seed, dropout_seed=None):
+        model, seqs, _, _ = TestPackedBatchBitwise().batch(cfg, seed)
+        train = dropout_seed is not None
+
+        def forward(reads=None):  # a fresh, equal generator for each call
+            rng = np.random.default_rng(dropout_seed) if train else None
+            return forward_batch(model, seqs, rng=rng, train=train, reads=reads)
+
+        hidden, logits = forward()
+        for reads in self.read_sets(np.random.default_rng(seed)):
+            rows = np.concatenate([o + r for o, r in zip(offsets(self.LENGTHS), reads)])
+            for grad_mode in (contextlib.nullcontext, ad.no_grad):
+                with grad_mode():
+                    read_hidden, read_logits = forward(reads)
+                assert read_hidden.data.tobytes() == hidden.data[rows].tobytes()
+                assert read_logits.data.tobytes() == logits.data[rows].tobytes()
+
+    @pytest.mark.parametrize("d,n_heads", [(32, 2), (64, 4), (24, 3)])
+    def test_read_rows_keep_their_bits(self, d, n_heads):
+        cfg = ModelConfig(d=d, n_layers=2, n_heads=n_heads, max_len=32, vocab_size=40)
+        for seed in range(3):
+            self.assert_same(cfg, seed)
+
+    def test_dropout_with_equal_generators(self):
+        cfg = ModelConfig(d=32, n_layers=2, n_heads=2, max_len=32, vocab_size=40,
+                          dropout=0.1)
+        for seed in range(3):
+            self.assert_same(cfg, seed, dropout_seed=seed + 10)
+
+    def test_one_layer_and_no_layer(self):
+        for n_layers in (1, 0):
+            self.assert_same(ModelConfig(d=32, n_layers=n_layers, n_heads=2, max_len=32,
+                                         vocab_size=40), 0)
+
+    @pytest.mark.parametrize("reads,match", [
+        ([[0]], "reads name 1 sequences, the batch has 2"),
+        ([[1, 0], [0]], "sequence 0 must increase strictly"),
+        ([[0, 0], [0]], "sequence 0 must increase strictly"),
+        ([[0], [3]], "within its 3 rows"),
+        ([[-1], [0]], "sequence 0")])
+    def test_bad_reads_rejected(self, reads, match):
+        model = MlmModel(ModelConfig(d=8, n_layers=1, n_heads=2, max_len=8, vocab_size=10))
+        with pytest.raises(ValueError, match=re.escape(match)):
+            forward_batch(model, [[1, 2, 3, 4], [5, 6, 7]], reads=reads)
 
 
 class TestAdamW:
@@ -305,10 +389,10 @@ def assert_packed(params: ad.Arena):
 
 
 def masked_token_loss(model, prompts, targets):
-    hidden, logits, starts = forward_batch(model, [p.ids[: p.attention_length]
-                                                   for p in prompts])
-    rows = [s + p.mask_positions[0] for s, p in zip(starts, prompts)]
-    probs = ad.softmax(ad.index(logits, np.array(rows)))
+    _, logits = forward_batch(model, [p.ids[: p.attention_length] for p in prompts])
+    rows = (offsets([p.attention_length for p in prompts])
+            + np.array([p.mask_positions[0] for p in prompts]))
+    probs = ad.softmax(ad.index(logits, rows))
     return ad.tmean(-ad.log(ad.index(probs, (np.arange(len(rows)), targets)) + 1e-12))
 
 
@@ -558,6 +642,49 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw + b"\0" * 8)
         with pytest.raises(ValueError, match=f"{len(raw) + 8} bytes.*implies {len(raw)}"):
+            load_checkpoint(path)
+
+    def test_seeded_header_mutations_name_the_file(self, tmp_path):
+        # each mutated header loads, or raises a plain ValueError naming the
+        # file (never a UnicodeDecodeError, KeyError or TypeError traceback)
+        _, _, _, vocab, verb, model = toy_setup(d=8, n_heads=2)
+        path = tmp_path / "fuzz.ckpt"
+        save_checkpoint(path, model, head_w=np.zeros(8),
+                        vocab_payload=vocab_payload(vocab, verb), extra={"note": "t"})
+        raw = path.read_bytes()
+        start = len(b"MVRECKPT1\n") + 8
+        hlen = struct.unpack_from("<Q", raw, start - 8)[0]
+        rng = random.Random(20261019)
+        pool = b'{}[]":,0123456789-.eE+ ntrufalsdx'
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in range(400):
+            mutated = bytearray(raw)
+            for _ in range(rng.randint(1, 3)):
+                mutated[start + rng.randrange(hlen)] = (rng.randrange(256) if rng.random() < 0.3
+                                                        else rng.choice(pool))
+            path.write_bytes(bytes(mutated))
+            try:
+                load_checkpoint(path)
+                outcomes["loaded"] += 1
+            except ValueError as e:
+                assert type(e) is ValueError and str(e).startswith(f"{path}: "), repr(e)
+                outcomes["rejected"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda h: h["config"].update(width=3), "'config' has unknown keys ['width']"),
+        (lambda h: h["arrays"][1].pop("shape"), "'arrays[1]' must hold exactly"),
+        (lambda h: h["config"].update(d="16"), "'config.d' must be int"),
+        (lambda h: h["arrays"][0].update(shape=[-76, -16]), "'arrays[0].shape'"),
+        (lambda h: h.update(vocab=[1]), "'vocab': vocabulary payload must hold exactly"),
+        (lambda h: h["vocab"].update(base_size="7"), "'base_size' and 'm' must be positive"),
+        (lambda h: h["vocab"]["words"].append("w"), "'relation_order' x 'm' implies")])
+    def test_bad_header_field_named(self, tmp_path, edit, field):
+        _, _, _, vocab, verb, model = toy_setup(d=8, n_heads=2)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, model, vocab_payload=vocab_payload(vocab, verb))
+        rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(field)}"):
             load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):
