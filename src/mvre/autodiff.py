@@ -21,14 +21,10 @@ the package). A model's parameters are packed into an ``Arena``, one flat
 vector with a parallel gradient vector (see "parameter arenas"); a packed
 parameter's ``.data`` must never be rebound.
 
-The arithmetic of the sublayers and of the ops inference needs lives in
-plain-array kernels (``_sigmoid``, ``_softmax``, ``_layer_norm``,
-``_attention``, ``_ffn``, ``_embed``, ``_head`` ...), one per op, which the
-op wraps in a node. Inference under
-:func:`no_grad` calls the kernels directly (``model.forward_batch``,
-``losses.view_scores``), so it builds no graph at all. A packed batch can be
-read at a few rows only (:class:`Reads`): the sublayers then run their
-row-wise work on those rows alone.
+Training and inference run the same ops: under :func:`no_grad` each op
+computes its value and records no graph (no parents, no backward). A packed
+batch can be read at a few rows only (:class:`Reads`): the sublayers then
+run their row-wise work on those rows alone.
 
 Division propagates gradients through the already-computed quotient
 (``d(a/b)/db = -(a/b)/b``) rather than recomputing ``a/b**2``; besides
@@ -50,11 +46,6 @@ _GRAD_ENABLED = True
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def grad_enabled() -> bool:
-    """Whether ops record a graph (False inside :func:`no_grad`)."""
-    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager
@@ -362,13 +353,9 @@ def log(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-a))
-
-
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    out_data = _sigmoid(a.data)
+    out_data = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward(g):
         if a.requires_grad:
@@ -625,38 +612,6 @@ def _merge_heads(out: np.ndarray, heads: np.ndarray):
     out.reshape(out.shape[0], heads.shape[0], -1)[...] = heads.transpose(1, 0, 2)
 
 
-def _attention(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, n_heads: int, rows,
-               reads: Reads | None = None):
-    """``attention_sublayer``'s arithmetic on arrays: (output, what its
-    backward pass reads). With ``reads`` only the read query rows get a
-    softmax and the output bias; the other rows of the output are zero."""
-    d = x.shape[1]
-    if d % n_heads != 0:
-        raise ValueError(f"width {d} not divisible by n_heads={n_heads}")
-    scale = 1.0 / np.sqrt(d // n_heads)
-    xn, xhat, inv_std = _layer_norm(x, gamma, beta)
-    q, k, v = (_matmul_rows(xn, w, rows) for w in (wq, wk, wv))
-    q += bq
-    k += bk
-    v += bv
-    cat = np.empty_like(q)
-    stacks = []
-    for s, r in enumerate(rows):
-        qs, ks, vs = (_split_heads(a[r], n_heads) for a in (q, k, v))
-        scores = np.matmul(qs, ks.transpose(0, 2, 1))
-        if reads is None:
-            scores *= scale
-            att = _softmax(scores, -1)
-        else:
-            att, p = np.zeros_like(scores), reads.positions[s]
-            att[:, p] = _softmax(scores[:, p] * scale, -1)
-        _merge_heads(cat[r], np.matmul(att, vs))
-        stacks.append((qs, ks, vs, att))
-    out = _matmul_rows(cat, wo, rows)
-    _add_rows(out, bo, reads)
-    return out, (xn, xhat, inv_std, q, k, v, cat, stacks)
-
-
 def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
                        n_heads: int, rows=None, reads: Reads | None = None) -> Tensor:
     """Pre-norm multi-head self-attention of packed sequences ``x`` [sum L, d], one node.
@@ -674,10 +629,31 @@ def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
     """
     ts = x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo = tuple(map(
         _as_tensor, (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo)))
+    d = x.data.shape[1]
+    if d % n_heads != 0:
+        raise ValueError(f"width {d} not divisible by n_heads={n_heads}")
     rows = [slice(0, x.data.shape[0])] if rows is None else rows
-    scale = 1.0 / np.sqrt(x.data.shape[1] // n_heads)
-    out_data, (xn, xhat, inv_std, q, k, v, cat, stacks) = _attention(
-        *(t.data for t in ts), n_heads, rows, reads)
+    scale = 1.0 / np.sqrt(d // n_heads)
+    xn, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data)
+    q, k, v = (_matmul_rows(xn, w.data, rows) for w in (wq, wk, wv))
+    q += bq.data
+    k += bk.data
+    v += bv.data
+    cat = np.empty_like(q)
+    stacks = []
+    for s, r in enumerate(rows):
+        qs, ks, vs = (_split_heads(a[r], n_heads) for a in (q, k, v))
+        scores = np.matmul(qs, ks.transpose(0, 2, 1))
+        if reads is None:
+            scores *= scale
+            att = _softmax(scores, -1)
+        else:  # only the read query rows get a softmax
+            att, p = np.zeros_like(scores), reads.positions[s]
+            att[:, p] = _softmax(scores[:, p] * scale, -1)
+        _merge_heads(cat[r], np.matmul(att, vs))
+        stacks.append((qs, ks, vs, att))
+    out_data = _matmul_rows(cat, wo.data, rows)
+    _add_rows(out_data, bo.data, reads)
 
     def backward(g):
         gcat = _linear_backward(g, cat, wo, bo, rows)
@@ -696,23 +672,6 @@ def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
     return _make(out_data, ts, backward)
 
 
-def _ffn(x, gamma, beta, w1, b1, w2, b2, rows, reads: Reads | None = None):
-    """``ffn_sublayer``'s arithmetic on arrays: (output, what its backward
-    pass reads). With ``reads`` the layer norm, the first bias and the GELU
-    run on the read rows only (the saved pre-activation, normalized input,
-    inverse deviation and normal CDF hold those rows); the other rows of the
-    output are zero."""
-    n = x.shape[0]
-    xn, xhat, inv_std = _layer_norm(_rows(x, reads), gamma, beta)
-    xn = _full(xn, reads, n)
-    a = _rows(_matmul_rows(xn, w1, rows), reads)
-    a += b1
-    h, cdf = _gelu(a)
-    out = _matmul_rows(_full(h, reads, n), w2, rows)
-    _add_rows(out, b2, reads)
-    return out, (xn, xhat, inv_std, a, h, cdf)
-
-
 def ffn_sublayer(x, gamma, beta, w1, b1, w2, b2, rows=None,
                  reads: Reads | None = None) -> Tensor:
     """Pre-norm position-wise feed-forward of packed ``x`` [sum L, d], one node:
@@ -722,32 +681,23 @@ def ffn_sublayer(x, gamma, beta, w1, b1, w2, b2, rows=None,
     ts = x, gamma, beta, w1, b1, w2, b2 = tuple(map(_as_tensor, (x, gamma, beta, w1, b1, w2, b2)))
     n = x.data.shape[0]
     rows = [slice(0, n)] if rows is None else rows
-    out_data, (xn, *saved) = _ffn(*(t.data for t in ts), rows, reads)
+    # with reads the layer norm, the first bias and the GELU see the read rows only
+    xn, xhat, inv_std = _layer_norm(_rows(x.data, reads), gamma.data, beta.data)
+    xn = _full(xn, reads, n)
+    a = _rows(_matmul_rows(xn, w1.data, rows), reads)
+    a += b1.data
+    h, cdf = _gelu(a)
+    h = _full(h, reads, n)
+    out_data = _matmul_rows(h, w2.data, rows)
+    _add_rows(out_data, b2.data, reads)
 
     def backward(g):
-        xhat, inv_std, a, h, cdf = (_full(t, reads, n) for t in saved)
-        ga = _gelu_grad(_linear_backward(g, h, w2, b2, rows), a, cdf)
+        xhat_n, inv_std_n, a_n, cdf_n = (_full(t, reads, n) for t in (xhat, inv_std, a, cdf))
+        ga = _gelu_grad(_linear_backward(g, h, w2, b2, rows), a_n, cdf_n)
         gxn = _linear_backward(ga, xn, w1, b1, rows)
-        _layer_norm_backward(gxn, x, gamma, beta, xhat, inv_std, rows)
+        _layer_norm_backward(gxn, x, gamma, beta, xhat_n, inv_std_n, rows)
 
     return _make(out_data, ts, backward)
-
-
-def _embed(table: np.ndarray, pos_table: np.ndarray, ids: np.ndarray, rows) -> np.ndarray:
-    """Token plus position embedding of packed ids; positions restart at 0
-    in each row block."""
-    return table[ids] + pos_table[np.concatenate([np.arange(r.stop - r.start) for r in rows])]
-
-
-def _head(hidden: np.ndarray, table: np.ndarray, bias: np.ndarray, rows,
-          reads: Reads | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Logits ``hidden @ table.T + bias`` of the read rows, and the packed
-    hidden states the matmul ran on: ``hidden`` holds the read rows, placed
-    into zero rows so that each block keeps its row count."""
-    full = _full(hidden, reads, rows[-1].stop)
-    out = _rows(_matmul_rows(full, table.T, rows), reads)
-    out += bias
-    return out, full
 
 
 class TiedEmbedding:
@@ -769,9 +719,11 @@ class TiedEmbedding:
         self._held: list[np.ndarray] | None = None
 
     def embed(self, ids: np.ndarray) -> Tensor:
-        """Token plus position embedding of packed ids (see ``_embed``)."""
+        """Token plus position embedding of packed ids; positions restart at 0
+        in each row block."""
         table, pos, rows = self.table, self.pos_table, self.rows
-        out_data = _embed(table.data, pos.data, ids, rows)
+        positions = np.concatenate([np.arange(r.stop - r.start) for r in rows])
+        out_data = table.data[ids] + pos.data[positions]
 
         def backward(g):
             held, self._held = self._held, None
@@ -790,9 +742,12 @@ class TiedEmbedding:
 
     def head(self, hidden, bias, reads: Reads | None = None) -> Tensor:
         """Logits ``hidden @ table.T + bias`` of packed hidden states, or of
-        the read rows ``hidden`` holds (see ``_head``)."""
+        the read rows ``hidden`` holds: those are placed into zero rows, so
+        that the matmul of each block keeps its row count."""
         hidden, bias, table, rows = _as_tensor(hidden), _as_tensor(bias), self.table, self.rows
-        out_data, full = _head(hidden.data, table.data, bias.data, rows, reads)
+        full = _full(hidden.data, reads, rows[-1].stop)
+        out_data = _rows(_matmul_rows(full, table.data.T, rows), reads)
+        out_data += bias.data
 
         def backward(g):
             g = _full(g, reads, full.shape[0])
@@ -814,10 +769,6 @@ def _pair_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _row_dots(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _pair_dots(a.reshape(-1, a.shape[-1]), w[None, :]).reshape(a.shape[:-1])
-
-
 def row_dots(a, w) -> Tensor:
     """``a[..., i, :] @ w`` for every row of ``a``, shape ``a.shape[:-1]``.
 
@@ -827,7 +778,7 @@ def row_dots(a, w) -> Tensor:
     """
     a, w = _as_tensor(a), _as_tensor(w)
     flat = a.data.reshape(-1, a.data.shape[-1])
-    out_data = _row_dots(a.data, w.data)
+    out_data = _pair_dots(flat, w.data[None, :]).reshape(a.data.shape[:-1])
 
     def backward(g):
         if w.requires_grad:
@@ -901,12 +852,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, ts, backward)
 
 
-def _dropout(a: np.ndarray, rate: float, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout of an array by uniform ``draws``: (output, kept scale)."""
-    keep = (draws >= rate).astype(a.dtype) / (1.0 - rate)
-    return a * keep, keep
-
-
 def dropout(a, rate: float, rng) -> Tensor:
     """Inverted dropout; identity when rate is 0. ``rng`` is a generator, or
     an array of uniform draws of ``a``'s shape drawn from one."""
@@ -914,7 +859,8 @@ def dropout(a, rate: float, rng) -> Tensor:
     if rate <= 0.0:
         return a
     draws = rng.random(a.data.shape) if isinstance(rng, np.random.Generator) else rng
-    out_data, keep = _dropout(a.data, rate, draws)
+    keep = (draws >= rate).astype(a.data.dtype) / (1.0 - rate)
+    out_data = a.data * keep
 
     def backward(g):
         if a.requires_grad:

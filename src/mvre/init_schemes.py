@@ -93,11 +93,7 @@ def _static_vectors(schema: RelationSchema, vocab: Vocab,
 
 def _dynamic_vectors(schema: RelationSchema, vocab: Vocab, model: MlmModel) -> tuple[np.ndarray, list[ProbeRecord]]:
     """Probe each relation's template; returns embeddings [|Y|, m, d] and the report."""
-    te = model.token_embed.data
-    d = te.shape[1]
     m = schema.m
-    out = np.zeros((len(schema.relations), m, d))
-    report: list[ProbeRecord] = []
     banned = np.zeros(len(vocab.words), dtype=bool)
     banned[list(vocab.special_ids)] = True
     banned[vocab.base_size :] = True  # virtual words are never initialization donors
@@ -110,17 +106,12 @@ def _dynamic_vectors(schema: RelationSchema, vocab: Vocab, model: MlmModel) -> t
     with ad.no_grad():
         _, logits = forward_batch(model, [p.ids[: p.attention_length] for p in prompts],
                                   reads=[p.mask_positions for p in prompts])
-    for ri, rel in enumerate(schema.relations):
-        for j in range(1, m + 1):
-            row = logits.data[ri * m + j - 1]
-            shifted = row - row.max()
-            probs = np.exp(shifted)
-            probs /= probs.sum()
-            masked = np.where(banned, -np.inf, probs)
-            tok_id = int(np.argmax(masked))
-            out[ri, j - 1, :] = te[tok_id]
-            report.append(ProbeRecord(rel, j, vocab.word_of(tok_id), float(probs[tok_id])))
-    return out, report
+        probs = ad.softmax(logits).data  # [|Y| * m, V], rows relation by relation, then view
+    tok_ids = np.where(banned, -np.inf, probs).argmax(axis=-1)
+    report = [ProbeRecord(schema.relations[row // m], row % m + 1, vocab.word_of(t),
+                          float(probs[row, t])) for row, t in enumerate(tok_ids.tolist())]
+    te = model.token_embed.data
+    return te[tok_ids].reshape(len(schema.relations), m, te.shape[1]), report
 
 
 def apply_init(mode: str, schema: RelationSchema, vocab: Vocab, verbalizer: Verbalizer,

@@ -96,9 +96,8 @@ def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
                 verbalizer: Verbalizer, rng=None, train: bool = False) -> ViewScores:
     """Forward one prompt, or a list of prompts as one packed batch, and
     package posterior + per-view relation probabilities (see ``ViewScores``).
-    The encoder reads the mask rows only; under ``ad.no_grad()`` the scores
-    come from the ops' kernels on plain arrays, with the same bits and no
-    graph.
+    The encoder reads the mask rows only; under ``ad.no_grad()`` the same
+    ops run and record no graph.
 
     ``rng``/``train`` activate dropout when the model config enables it.
     """
@@ -112,15 +111,8 @@ def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
                                    rng=rng, train=train,
                                    reads=[pr.mask_positions for pr in batch])
     shape = (verbalizer.m,) if single else (len(batch), verbalizer.m)
-    picks = _label_picks(shape, verbalizer)
-    if ad.grad_enabled():
-        return ViewScores(view_posterior(head, ad.reshape(hidden, (*shape, -1))),
-                          ad.index(ad.softmax(logits), picks))
-    if hidden.shape[-1] != head.d:
-        raise ValueError(f"view states of width {hidden.shape[-1]} mismatch head dim {head.d}")
-    sig = ad._sigmoid(ad._row_dots(hidden.data.reshape(*shape, -1), head.w.data))
-    return ViewScores(Tensor(sig / sig.sum(axis=-1, keepdims=True)),
-                      Tensor(ad._softmax(logits.data, -1)[picks]))
+    return ViewScores(view_posterior(head, ad.reshape(hidden, (*shape, -1))),
+                      ad.index(ad.softmax(logits), _label_picks(shape, verbalizer)))
 
 
 def mvdl_loss(scores: ViewScores, y, eps: float = MVDL_EPS) -> Tensor:

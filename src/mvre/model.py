@@ -13,8 +13,8 @@ encoder, which keeps them out of attention entirely. A batch runs packed
 and each sequence's attention run per sequence; each sequence gets the bits
 it gets alone, and each gradient the bits of one graph per sequence. A
 caller names the rows it reads (the masks), and the last layer, the final
-norm and the head run their row-wise work on those rows only; under
-``autodiff.no_grad`` the encoder runs as plain array code with no graph.
+norm and the head run their row-wise work on those rows only. Training and
+inference run the same ops; under ``autodiff.no_grad`` they record no graph.
 
 The parameters live in one flat vector (an ``autodiff.Arena``), so AdamW,
 snapshots, the finiteness check and checkpoints each touch one array.
@@ -149,8 +149,7 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
     rows only. Every value and gradient has the bits of one graph per
     sequence read at those rows, and dropout draws its masks in that graph's
     order: sequence, then layer, then attention before FFN. Under
-    ``ad.no_grad()`` the same kernels run on plain arrays and no graph node
-    is made.
+    ``ad.no_grad()`` the same ops run and record no graph.
     """
     cfg = model.config
     seqs = [np.asarray(ids, dtype=np.int64) for ids in id_seqs]
@@ -166,14 +165,9 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
     drop = cfg.dropout if (train and rng is not None) else 0.0
     draws = (np.concatenate([rng.random((2 * cfg.n_layers, len(ids), cfg.d)) for ids in seqs],
                             axis=1) if drop > 0.0 else None)
-    ids = np.concatenate(seqs)
-    if not ad.grad_enabled():
-        hidden, logits = _forward_arrays(model, ids, rows, reads, drop, draws)
-        return Tensor(hidden), Tensor(logits)
-
     p = model._params
     tied = ad.TiedEmbedding(p["token_embed"], p["pos_embed"], rows)
-    x = tied.embed(ids)
+    x = tied.embed(np.concatenate(seqs))
     for i in range(cfg.n_layers):
         b, last = f"blocks.{i}.", reads if i == cfg.n_layers - 1 else None
         o = ad.attention_sublayer(x, *(p[b + n] for n in _ATTENTION), n_heads=cfg.n_heads,
@@ -188,27 +182,6 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
     hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"], rows=rows,
                            reads=reads)
     return hidden, tied.head(hidden, p["head_bias"], reads)
-
-
-def _forward_arrays(model: MlmModel, ids, rows, reads, drop, draws):
-    """``forward_batch``'s tape path as plain arrays: the kernels its nodes
-    run, on the parameters' ``.data``, with no graph."""
-    cfg = model.config
-    p = {name: t.data for name, t in model._params.items()}
-    x = ad._embed(p["token_embed"], p["pos_embed"], ids, rows)
-    for i in range(cfg.n_layers):
-        b, last = f"blocks.{i}.", reads if i == cfg.n_layers - 1 else None
-        o, _ = ad._attention(x, *(p[b + n] for n in _ATTENTION), cfg.n_heads, rows, last)
-        if drop > 0.0:
-            o, _ = ad._dropout(o, drop, draws[2 * i])
-        x += o
-        f, _ = ad._ffn(x, *(p[b + n] for n in _FFN), rows, last)
-        if drop > 0.0:
-            f, _ = ad._dropout(f, drop, draws[2 * i + 1])
-        x += f
-    hidden, _, _ = ad._layer_norm(ad._rows(x, reads), p["final_norm.gamma"],
-                                  p["final_norm.beta"])
-    return hidden, ad._head(hidden, p["token_embed"], p["head_bias"], rows, reads)[0]
 
 
 def forward_ids(model: MlmModel, ids: np.ndarray,
@@ -520,12 +493,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                   f"{sorted(header) if isinstance(header, dict) else header!r}")
     if not isinstance(header.get("extra", {}), dict):
         raise bad(f"header field 'extra' must be an object, got {header['extra']!r}")
+    config = _header_config(header["config"], bad)
     if header.get("vocab") is not None:
         try:
-            vocab_from_payload(header["vocab"])
+            vocab, _ = vocab_from_payload(header["vocab"])
         except ValueError as e:
             raise bad(f"header field 'vocab': {e}") from None
-    config = _header_config(header["config"], bad)
+        if len(vocab) != config.vocab_size:  # each word names one embedding row
+            raise bad(f"header field 'vocab' holds {len(vocab)} words, 'config.vocab_size' "
+                      f"is {config.vocab_size}")
     entries = _header_arrays(header["arrays"], bad)
     size = off + 8 * sum(math.prod(shape) for _, shape in entries)
     if len(raw) != size:

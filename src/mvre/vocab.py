@@ -265,9 +265,16 @@ def vocab_from_payload(payload: dict) -> tuple[Vocab, Verbalizer]:
     for key, value in (("words", words), ("relation_order", relations)):
         if not (isinstance(value, list) and all(isinstance(w, str) for w in value)):
             raise ValueError(f"vocabulary payload field {key!r} must be a list of strings")
+    for i, rel in enumerate(relations):
+        if rel in relations[:i]:
+            raise ValueError(f"vocabulary payload field 'relation_order' repeats {rel!r}")
     if not all(type(n) is int and n >= 1 for n in (base_size, m)):
         raise ValueError(f"vocabulary payload fields 'base_size' and 'm' must be positive "
                          f"integers, got {base_size!r} and {m!r}")
+    missing = [w for w in SPECIAL_TOKENS if w not in words[:base_size]]
+    if missing:
+        raise ValueError(f"vocabulary payload field 'words' lacks the special words {missing} "
+                         f"among its first 'base_size' words")
     if len(words) != base_size + len(relations) * m:
         raise ValueError(f"vocabulary payload holds {len(words)} words, 'base_size' + "
                          f"'relation_order' x 'm' implies {base_size + len(relations) * m}")

@@ -152,6 +152,21 @@ def rewrite_header(path, edit):
                      + raw[start + hlen :])
 
 
+def drop_base_word(header):
+    """Checkpoint header edit: the vocab payload loses its last base word, so
+    it names one word fewer than the embedding has rows."""
+    vocab = header["vocab"]
+    del vocab["words"][vocab["base_size"] - 1]
+    vocab["base_size"] -= 1
+
+
+def repeat_relation(header):
+    """Checkpoint header edit: the last relation of the vocab payload becomes
+    a second copy of the first."""
+    order = header["vocab"]["relation_order"]
+    order[-1] = order[0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

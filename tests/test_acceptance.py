@@ -63,7 +63,7 @@ def small_config(rng):
     cfg = ModelConfig(d=d, n_layers=1, n_heads=2, max_len=32, vocab_size=len(vocab))
     model = MlmModel(cfg, seed=int(rng.integers(0, 1000)))
     head = ViewPosteriorHead(d)
-    head.w.data = rng.normal(size=d) * 0.5
+    head.w.data[...] = rng.normal(size=d) * 0.5
     prompt = wrap_template(ds.instances[0], vocab, m, 32)
     y = int(rng.integers(0, n_rel))
     return ds, schema, vocab, verb, model, head, prompt, y, n_rel, m
@@ -175,13 +175,13 @@ class TestCriterion3PosteriorContract:
         ok = True
         for m in range(1, 9):
             head = ViewPosteriorHead(6)
-            head.w.data = rng.normal(size=6)
+            head.w.data[...] = rng.normal(size=6)
             states = [ad.tensor(rng.normal(size=6) * 2) for _ in range(m)]
             post = view_posterior(head, states).data
             ok &= abs(post.sum() - 1.0) <= 1e-9
             ok &= bool(np.all(post > 0) and np.all(post < 1 + 1e-15))
         head = ViewPosteriorHead(2)
-        head.w.data = np.array([1.0, 0.0])
+        head.w.data[...] = np.array([1.0, 0.0])
         states = [ad.tensor(np.array([1.0, 0.0])), ad.tensor(np.array([-1.0, 0.0]))]
         post = view_posterior(head, states).data
         ok &= np.allclose(np.round(post, 4), [0.7311, 0.2689])
@@ -254,7 +254,7 @@ class TestCriterion6InferenceOracle:
                     prompt = EncodedPrompt(np.zeros(seq, dtype=np.int64),
                                            positions, (), (), seq)
                     head = ViewPosteriorHead(d)
-                    head.w.data = w
+                    head.w.data[...] = w
                     states = [ad.tensor(hidden[p]) for p in positions]
                     post = view_posterior(head, states).data
                     from mvre.losses import per_view_label_probs, relation_scores, ViewScores
@@ -338,7 +338,7 @@ class TestCriterion9InitializationDeterminism:
             model = MlmModel(cfg, seed=int(rng.integers(0, 10**9)))
             scale = float(rng.uniform(0.01, 2.0))
             for p in model.params().values():
-                p.data = p.data * scale
+                p.data *= scale
             _, rep = dynamic_init(schema, vocab, verb, model)
             for rec in rep:
                 ok &= rec.token not in specials and not rec.token.startswith("[V:")

@@ -10,7 +10,7 @@ import pytest
 
 from mvre.cli import DEFAULTS, build_configs, main, resolve_config, CliError
 
-from conftest import rewrite_header
+from conftest import drop_base_word, repeat_relation, rewrite_header
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -363,7 +363,9 @@ class TestTrainEvalRound:
 
     @pytest.mark.parametrize("edit,field", [
         (lambda h: h["config"].update(width=3), "'config' has unknown keys ['width']"),
-        (lambda h: h["arrays"][0].pop("shape"), "'arrays[0]' must hold exactly")])
+        (lambda h: h["arrays"][0].pop("shape"), "'arrays[0]' must hold exactly"),
+        (drop_base_word, "words, 'config.vocab_size' is"),
+        (repeat_relation, "'relation_order' repeats")])
     def test_eval_malformed_header_exits_1_naming_file(self, tmp_path, capsys, edit, field):
         out = tmp_path / "t"
         assert run("train", "--out", str(out), *FAST_SETS, "--set", "train.epochs=0") == 0

@@ -109,7 +109,7 @@ class TestDynamicInit:
     def test_uniform_model_tie_breaks_to_lowest_id(self):
         ds, schema, vocab, verb, model = make_env()
         for p in model.params().values():
-            p.data = np.zeros_like(p.data)
+            p.data[...] = 0.0
         _, report = dynamic_init(schema, vocab, verb, model)
         # all-zero model -> uniform logits -> argmax over allowed ids is the
         # first ordinary word, which is the lexicographically first corpus word

@@ -23,8 +23,8 @@ from mvre.schema import synthetic_schema
 from mvre.vocab import build_vocab, encode_sentence, vocab_payload, wrap_template
 
 from acceptance_workloads import TREND_M_HIGH, trend_world
-from conftest import (assert_grads_close, reference_adamw_step, reference_forward_ids,
-                      rewrite_header)
+from conftest import (assert_grads_close, drop_base_word, reference_adamw_step,
+                      reference_forward_ids, repeat_relation, rewrite_header)
 
 
 def toy_setup(m=2, n_relations=3, d=16, n_layers=1, n_heads=2, seed=0,
@@ -56,7 +56,7 @@ class TestForward:
     def test_zero_model_uniform(self):
         zeroed = self.model.copy()
         for p in zeroed.params().values():
-            p.data = np.zeros_like(p.data)
+            p.data[...] = 0.0
         _, logits = forward(zeroed, self.prompt)
         probs = ad.softmax(logits).data
         np.testing.assert_allclose(probs, 1.0 / len(self.vocab), atol=1e-12)
@@ -114,7 +114,7 @@ class TestSublayersBitwise:
         model = MlmModel(cfg, seed=seed)
         rng = np.random.default_rng(seed)
         for p in model.params().values():  # off the initial ones and zeros
-            p.data = p.data + rng.normal(0.0, 0.3, size=p.data.shape)
+            p.data += rng.normal(0.0, 0.3, size=p.data.shape)
         ids = rng.integers(0, cfg.vocab_size, size=L)
         rows = np.unique(rng.integers(0, L, size=3))
         w = rng.normal(size=(len(rows), cfg.vocab_size)) * upstream
@@ -188,7 +188,7 @@ class TestPackedBatchBitwise:
         model = MlmModel(cfg, seed=seed)
         rng = np.random.default_rng(seed)
         for p in model.params().values():  # off the initial ones and zeros
-            p.data = p.data + rng.normal(0.0, 0.3, size=p.data.shape)
+            p.data += rng.normal(0.0, 0.3, size=p.data.shape)
         seqs = [rng.integers(0, cfg.vocab_size, size=L) for L in self.LENGTHS]
         reads = [np.unique(rng.integers(0, L, size=3)) for L in self.LENGTHS]
         targets = np.concatenate([rng.integers(0, cfg.vocab_size, size=len(r))
@@ -678,13 +678,26 @@ class TestCheckpoint:
         (lambda h: h["arrays"][0].update(shape=[-76, -16]), "'arrays[0].shape'"),
         (lambda h: h.update(vocab=[1]), "'vocab': vocabulary payload must hold exactly"),
         (lambda h: h["vocab"].update(base_size="7"), "'base_size' and 'm' must be positive"),
-        (lambda h: h["vocab"]["words"].append("w"), "'relation_order' x 'm' implies")])
+        (lambda h: h["vocab"]["words"].append("w"), "'relation_order' x 'm' implies"),
+        (repeat_relation, "'relation_order' repeats"),
+        (lambda h: h["vocab"]["words"].__setitem__(0, "[PADDING]"),
+         "lacks the special words ['[PAD]']")])
     def test_bad_header_field_named(self, tmp_path, edit, field):
         _, _, _, vocab, verb, model = toy_setup(d=8, n_heads=2)
         path = tmp_path / "bad.ckpt"
         save_checkpoint(path, model, vocab_payload=vocab_payload(vocab, verb))
         rewrite_header(path, edit)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(field)}"):
+            load_checkpoint(path)
+
+    def test_vocab_must_name_every_embedding_row(self, tmp_path):
+        # one base word fewer would shift every virtual-word id by one row
+        _, _, _, vocab, verb, model = toy_setup(d=8, n_heads=2)
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(path, model, vocab_payload=vocab_payload(vocab, verb))
+        rewrite_header(path, drop_base_word)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: header field 'vocab' "
+                           f"holds {len(vocab) - 1} words, 'config.vocab_size' is {len(vocab)}$"):
             load_checkpoint(path)
 
     def test_rejects_garbage(self, tmp_path):

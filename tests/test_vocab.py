@@ -1,6 +1,8 @@
 """Vocabulary construction, template wrapping, and serialization."""
 
+import copy
 import json
+import random
 
 import numpy as np
 import pytest
@@ -194,3 +196,48 @@ class TestSerialization:
         vocab, verb = build_vocab(ds, schema_for(ds, 2))
         vocab2, verb2 = vocab_from_payload(vocab_payload(vocab, verb))
         assert vocab2.words == vocab.words and verb2.m == verb.m
+
+    def test_repeated_relation_rejected_by_name(self):
+        ds = small_dataset(("x", "y", "z"))
+        payload = vocab_payload(*build_vocab(ds, schema_for(ds, 2)))
+        payload["relation_order"] = ["x", "y", "x"]
+        with pytest.raises(ValueError, match="'relation_order' repeats 'x'"):
+            vocab_from_payload(payload)
+
+    def test_seeded_mutations_round_trip_or_raise_value_error(self):
+        # each mutated payload rebuilds maps that give it back, or raises a
+        # plain ValueError (never a KeyError, TypeError or ValidationError)
+        ds = small_dataset(("x", "y", "z"))
+        base = vocab_payload(*build_vocab(ds, schema_for(ds, 2)))
+        rng = random.Random(20261019)
+        pool = [None, True, 0, -1, 1, 2, 2.5, "x", "", "[PAD]", [], ["x"], [1], {}, {"m": 1}]
+        outcomes = {"round trip": 0, "rejected": 0}
+        for _ in range(400):
+            payload = copy.deepcopy(base)
+            for _ in range(rng.randint(1, 3)):
+                key = rng.choice(sorted(payload) + ["extra"])
+                value = payload.get(key)
+                kind = rng.randrange(5)
+                if kind == 0:
+                    payload[key] = rng.choice(pool)
+                elif kind == 1:
+                    payload.pop(key, None)
+                elif isinstance(value, list) and value:
+                    i, j = rng.randrange(len(value)), rng.randrange(len(value))
+                    if kind == 2:  # an entry replaced, possibly by a copy of another
+                        value[i] = rng.choice(pool + [value[j]])
+                    elif kind == 3:
+                        del value[i]
+                    else:
+                        value[i], value[j] = value[j], value[i]
+                elif type(value) is int:
+                    payload[key] = value + rng.choice((-1, 1))
+            try:
+                vocab, verb = vocab_from_payload(payload)
+            except ValueError as e:
+                assert type(e) is ValueError, repr(e)
+                outcomes["rejected"] += 1
+            else:
+                assert vocab_payload(vocab, verb) == payload
+                outcomes["round trip"] += 1
+        assert min(outcomes.values()) > 0, outcomes
