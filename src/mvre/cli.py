@@ -40,7 +40,7 @@ from .vocab import vocab_from_payload, vocab_payload
 _SECTIONS = {
     "corpus": (CorpusSpec, ("sentence_length_range",)),  # from sentence_length_min/max
     "model": (ModelConfig, ("vocab_size", "init_scale")),
-    "pretrain": (PretrainConfig, ("betas", "weight_decay", "log_every")),
+    "pretrain": (PretrainConfig, ("log_every",)),
     "train": (TrainConfig, ("max_len", "model")),  # both taken from the model section
 }
 
@@ -180,8 +180,9 @@ def resolve_config(config_path: str | None, overrides: list[str],
 
 
 def _load_corpus_and_schema(args, cfg: dict):
-    """Load the given corpus/schema files, or generate both from config. Every
-    corpus label must be one of the schema's relations."""
+    """Load the given corpus/schema files, or generate both from config; the
+    schema has ``train.m`` views either way. Every corpus label must be one of
+    the schema's relations."""
     if args.corpus is None:
         return _synthetic_corpus(cfg)
     if args.schema is None:
@@ -191,7 +192,7 @@ def _load_corpus_and_schema(args, cfg: dict):
     if missing:
         raise CliError(f"corpus {args.corpus} has labels that schema {args.schema} "
                        f"lacks: {missing}")
-    return dataset, schema
+    return dataset, schema.with_m(_get(cfg, "train.m"))
 
 
 def _synthetic_corpus(cfg: dict):
@@ -282,15 +283,31 @@ def cmd_pretrain(args, cfg: dict) -> int:
     return 0
 
 
+def _check_checkpoint_keys(cfg: dict, checkpoint: str, model_config):
+    """A run from a checkpoint keeps the checkpoint's model and runs no inner
+    pretraining: a key set away from its default that the run would not
+    apply is a configuration error."""
+    for key in _field_keys("model"):
+        given, used = _get(cfg, key), getattr(model_config, key.split(".", 1)[1])
+        if given != DEFAULTS[key] and given != used:
+            raise CliError(f"config key {key!r} is {given!r}, but the run uses {used!r} "
+                           f"from checkpoint {checkpoint}")
+    for key in ("train.pretrain_steps", "train.pretrain_lr"):
+        if _get(cfg, key) != DEFAULTS[key]:
+            raise CliError(f"config key {key!r} is {_get(cfg, key)!r}, but the run from "
+                           f"checkpoint {checkpoint} pretrains for 0 steps")
+
+
 def cmd_train(args, cfg: dict) -> int:
     dataset, schema = _load_corpus_and_schema(args, cfg)
     tc = build_configs(cfg)["train"]
-    schema = schema.with_m(tc.m)
     splits = _splits(dataset, cfg)
     episode = sample_kshot(splits, _get(cfg, "data.k"), tc.seed)
     pretrained = None
     if args.checkpoint is not None:
         pretrained, _ = _artifacts_from_checkpoint(args.checkpoint)
+        _check_checkpoint_keys(cfg, args.checkpoint, pretrained.model.config)
+        tc = replace(tc, max_len=pretrained.model.config.max_len)
     artifacts, result = train(episode, schema, tc, pretrained=pretrained)
     out = _out_dir(args, cfg)
     _save_checkpoint(out / "model.ckpt", artifacts, schema, head_w=artifacts.head.w.data)
@@ -361,7 +378,6 @@ def cmd_probe_init(args, cfg: dict) -> int:
                            f"{list(artifacts.verbalizer.relation_order)}")
     else:
         dataset, schema = _load_corpus_and_schema(args, cfg)
-        schema = schema.with_m(_get(cfg, "train.m"))
         configs = build_configs(cfg)
         artifacts, _ = pretrain_bundle(dataset, schema, configs["model"], configs["pretrain"])
     _, report = dynamic_init(schema, artifacts.vocab, artifacts.verbalizer, artifacts.model)
@@ -372,11 +388,26 @@ def cmd_probe_init(args, cfg: dict) -> int:
     return 0
 
 
+def _load_aspects(path: str) -> dict[str, list[str]]:
+    """An ``--aspects`` file: a JSON object mapping each aspect name to a
+    non-empty list of words; anything else raises ``ValueError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            aspects = json.load(fh)
+    except ValueError as e:  # JSON and UTF-8 decoding errors
+        raise ValueError(f"{path}: {e}") from None
+    if not (isinstance(aspects, dict) and all(
+            isinstance(words, list) and words and all(isinstance(w, str) for w in words)
+            for words in aspects.values())):
+        raise ValueError(f"{path}: an aspect file must map each aspect name to a non-empty "
+                         f"list of words")
+    return aspects
+
+
 def cmd_analyze_views(args, cfg: dict) -> int:
     artifacts, _ = _artifacts_from_checkpoint(args.checkpoint)
     if args.aspects is not None:
-        with open(args.aspects, encoding="utf-8") as fh:
-            aspect_sets = json.load(fh)
+        aspect_sets = _load_aspects(args.aspects)
     else:
         # derive aspect sets from the corpus pools, keeping observed words only
         spec = build_configs(cfg)["corpus"]

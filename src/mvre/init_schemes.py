@@ -67,7 +67,7 @@ def encode_probe_template(template: str, vocab: Vocab, m: int,
         raise InitError(f"probe template needs {len(out)} tokens, max_len is {max_len}")
     ids = np.full(max_len, vocab.pad_id, dtype=np.int64)
     ids[: len(out)] = vocab.encode_words(out)
-    return EncodedPrompt(ids, tuple(mask_positions), (), (), len(out))
+    return EncodedPrompt(ids, tuple(mask_positions), len(out))
 
 
 def _static_vectors(schema: RelationSchema, vocab: Vocab,

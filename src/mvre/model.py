@@ -282,8 +282,6 @@ class PretrainConfig:
     steps: int = 3000
     batch_size: int = 8
     lr: float = 2e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    weight_decay: float = 0.0
     mask_rate: float = 0.15
     holdout_fraction: float = 0.1
     seed: int = 0
@@ -337,7 +335,8 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
 
     A held-out slice of the corpus measures masked-token accuracy after
     training; the score is logged and returned. Zero steps leave the model
-    untouched.
+    untouched. No dropout mask is drawn, whatever ``model.config.dropout``
+    says: dropout applies to prompt fine-tuning only.
     """
     if not corpus.instances:
         raise ValueError("pretraining corpus is empty")
@@ -364,8 +363,7 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
         _, logits = forward_batch(model, seqs, reads=positions)
         return logits, np.concatenate(targets)
 
-    opt = AdamW(model.params(), lr=config.lr, betas=config.betas,
-                weight_decay=config.weight_decay)
+    opt = AdamW(model.params(), lr=config.lr)
     losses: list[float] = []
     for step in range(config.steps):
         batch_ids = rng.integers(0, len(train_idx), size=config.batch_size)

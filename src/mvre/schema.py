@@ -3,8 +3,7 @@
 A schema owns everything label-side: the ordered relation names, the number
 of views m, one cloze probe template per relation (a plain-text sentence
 containing the literal ``[MASK]*m`` placeholder), the seed words used by
-static initialization, and an optional per-relation direction flag for
-reversed subject/object relations.
+static initialization.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from pathlib import Path
 
 from .data import CorpusSpec, Dataset, corpus_aspect_groups
 from .errors import ValidationError
-from .vocab import OBJ_SUB, SUB_OBJ
 
 MASK_PLACEHOLDER = "[MASK]*m"
 
@@ -36,7 +34,6 @@ class RelationSchema:
     na_label: str | None = None
     probe_templates: dict[str, str] = field(default_factory=dict)
     si_tokens: dict[str, list[str]] = field(default_factory=dict)
-    direction: dict[str, str] = field(default_factory=dict)
 
     def validate(self):
         if self.m < 1:
@@ -52,16 +49,10 @@ class RelationSchema:
                     f"probe template for {rel!r} lacks the {MASK_PLACEHOLDER!r} placeholder")
             if not self.si_tokens.get(rel):
                 raise ValidationError(f"relation {rel!r} has no static-init seed words")
-            if self.direction.get(rel, SUB_OBJ) not in (SUB_OBJ, OBJ_SUB):
-                raise ValidationError(f"relation {rel!r} has invalid direction flag")
-
-    def direction_of(self, relation: str) -> str:
-        return self.direction.get(relation, SUB_OBJ)
 
     def with_m(self, m: int) -> "RelationSchema":
         return RelationSchema(self.relations, m, self.na_label, dict(self.probe_templates),
-                              {k: list(v) for k, v in self.si_tokens.items()},
-                              dict(self.direction))
+                              {k: list(v) for k, v in self.si_tokens.items()})
 
 
 def default_probe_template(seed_words: list[str]) -> str:
@@ -73,12 +64,10 @@ def schema_from_relations(relations, m: int, na_label: str | None = None) -> Rel
 
     Seed words come from splitting each name; probe templates follow the
     ``subject <seed words> object . subject [MASK]*m object .`` pattern.
-    Reversed relations tagged ``(e2,e1)`` get the obj-first direction flag.
     """
     relations = tuple(relations)
     si: dict[str, list[str]] = {}
     templates: dict[str, str] = {}
-    direction: dict[str, str] = {}
     for rel in relations:
         words = si_tokens_from_label(rel)
         if rel == na_label:
@@ -87,9 +76,7 @@ def schema_from_relations(relations, m: int, na_label: str | None = None) -> Rel
             raise ValidationError(f"relation {rel!r} yields no seed words")
         si[rel] = words
         templates[rel] = default_probe_template(words)
-        if "(e2,e1)" in rel:
-            direction[rel] = OBJ_SUB
-    schema = RelationSchema(relations, m, na_label, templates, si, direction)
+    schema = RelationSchema(relations, m, na_label, templates, si)
     schema.validate()
     return schema
 
@@ -113,7 +100,7 @@ def synthetic_schema(spec: CorpusSpec, dataset: Dataset, m: int) -> RelationSche
             anchors = [g[0] for g in groups[rel]]
             si[rel] = anchors
             templates[rel] = default_probe_template(anchors)
-    schema = RelationSchema(tuple(dataset.relations), m, dataset.na_label, templates, si, {})
+    schema = RelationSchema(tuple(dataset.relations), m, dataset.na_label, templates, si)
     schema.validate()
     return schema
 
@@ -125,23 +112,49 @@ def save_schema(schema: RelationSchema, path: str | Path):
         "na_label": schema.na_label,
         "probe_templates": schema.probe_templates,
         "si_tokens": schema.si_tokens,
-        "direction": schema.direction,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 
 
-def load_schema(path: str | Path) -> RelationSchema:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    schema = RelationSchema(
-        tuple(payload["relations"]),
-        int(payload["m"]),
-        payload.get("na_label"),
-        dict(payload.get("probe_templates", {})),
-        {k: list(v) for k, v in payload.get("si_tokens", {}).items()},
-        dict(payload.get("direction", {})),
-    )
-    schema.validate()
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(w, str) for w in value)
+
+
+def _schema_from_payload(payload) -> RelationSchema:
+    """The schema a ``save_schema`` payload describes; ``ValueError`` naming the
+    field when a field has the wrong type. Other keys (an older file's
+    ``direction``) are ignored."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a schema file must hold a JSON object, got {type(payload).__name__}")
+    relations, m, na_label = (payload.get(k) for k in ("relations", "m", "na_label"))
+    templates = payload.get("probe_templates", {})
+    si = payload.get("si_tokens", {})
+    if not _strings(relations):
+        raise ValueError(f"field 'relations' must be a list of strings, got {relations!r}")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"field 'm' must be a positive integer, got {m!r}")
+    if not (na_label is None or isinstance(na_label, str)):
+        raise ValueError(f"field 'na_label' must be a string or null, got {na_label!r}")
+    if not (isinstance(templates, dict) and all(isinstance(t, str) for t in templates.values())):
+        raise ValueError("field 'probe_templates' must map relations to strings")
+    if not (isinstance(si, dict) and all(_strings(v) for v in si.values())):
+        raise ValueError("field 'si_tokens' must map relations to lists of strings")
+    schema = RelationSchema(tuple(relations), m, na_label, dict(templates),
+                            {k: list(v) for k, v in si.items()})
+    try:
+        schema.validate()
+    except ValidationError as e:
+        raise ValueError(str(e)) from None
     return schema
+
+
+def load_schema(path: str | Path) -> RelationSchema:
+    """Read a ``save_schema`` file; a malformed one raises ``ValueError``
+    naming the file and the field."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _schema_from_payload(json.load(fh))
+    except ValueError as e:  # JSON and UTF-8 decoding errors are ValueErrors too
+        raise ValueError(f"{path}: {e}") from None

@@ -10,7 +10,7 @@ A prompt wraps a sentence as::
     [CLS] ... [SUB] subject [/SUB] ... [OBJ] object [/OBJ] ... [SEP]
     subject-tokens [MASK] x m object-tokens [SEP] [PAD]...
 
-with the suffix entity order flippable for reversed-direction relations.
+with the suffix's entity order set per run (``train.entity_order``).
 """
 
 from __future__ import annotations
@@ -131,12 +131,10 @@ def build_vocab(dataset: Dataset, schema) -> tuple[Vocab, Verbalizer]:
 
 @dataclass(frozen=True)
 class EncodedPrompt:
-    """Model-ready id sequence with the template's structural positions."""
+    """Model-ready id sequence with the positions of its m ``[MASK]`` tokens."""
 
     ids: np.ndarray
     mask_positions: tuple[int, ...]
-    subj_positions: tuple[int, ...]
-    obj_positions: tuple[int, ...]
     attention_length: int
 
     @property
@@ -144,27 +142,24 @@ class EncodedPrompt:
         return len(self.mask_positions)
 
 
-def _marked_sentence(instance: RelationInstance, entity_markers: bool) -> tuple[list[str], list[int], list[int]]:
-    """Sentence tokens with entity markers inserted; returns marked-token positions."""
+def _marked_sentence(instance: RelationInstance, entity_markers: bool) -> tuple[list[str], set[int]]:
+    """Sentence tokens with entity markers inserted, and the positions of the entity tokens."""
     (s1, e1), (s2, e2) = instance.subj_span, instance.obj_span
     out: list[str] = []
-    subj_pos: list[int] = []
-    obj_pos: list[int] = []
+    entity: set[int] = set()
     for i, tok in enumerate(instance.tokens):
         if entity_markers and i == s1:
             out.append(SUB_OPEN)
         if entity_markers and i == s2:
             out.append(OBJ_OPEN)
-        if s1 <= i <= e1:
-            subj_pos.append(len(out))
-        if s2 <= i <= e2:
-            obj_pos.append(len(out))
+        if s1 <= i <= e1 or s2 <= i <= e2:
+            entity.add(len(out))
         out.append(tok)
         if entity_markers and i == e1:
             out.append(SUB_CLOSE)
         if entity_markers and i == e2:
             out.append(OBJ_CLOSE)
-    return out, subj_pos, obj_pos
+    return out, entity
 
 
 def wrap_template(instance: RelationInstance, vocab: Vocab, m: int, max_len: int,
@@ -181,7 +176,7 @@ def wrap_template(instance: RelationInstance, vocab: Vocab, m: int, max_len: int
         raise ValidationError(f"unknown entity order {order!r}")
     instance.validate()
 
-    sent, sent_subj, sent_obj = _marked_sentence(instance, entity_markers)
+    sent, protected = _marked_sentence(instance, entity_markers)
     subj = list(instance.subj_tokens)
     obj = list(instance.obj_tokens)
     first, second = (subj, obj) if order == SUB_OBJ else (obj, subj)
@@ -189,7 +184,6 @@ def wrap_template(instance: RelationInstance, vocab: Vocab, m: int, max_len: int
     overhead = 3 + len(suffix)  # CLS, sentence SEP, suffix, final SEP
 
     budget = max_len - overhead
-    protected = set(sent_subj) | set(sent_obj)
     if len(protected) + (4 if entity_markers else 0) > budget:
         raise EncodingError(
             f"entities and prompt suffix need more than max_len={max_len} tokens")
@@ -205,28 +199,13 @@ def wrap_template(instance: RelationInstance, vocab: Vocab, m: int, max_len: int
         if len(sent) - len(to_drop) > budget:
             raise EncodingError(
                 f"entities and markers do not fit within max_len={max_len}")
-        keep = [i for i in range(len(sent)) if i not in to_drop]
-        remap = {old: new for new, old in enumerate(keep)}
-        sent = [sent[i] for i in keep]
-        sent_subj = [remap[i] for i in sent_subj]
-        sent_obj = [remap[i] for i in sent_obj]
+        sent = [tok for i, tok in enumerate(sent) if i not in to_drop]
 
     words = [CLS] + sent + [SEP] + suffix + [SEP]
     ids = np.full(max_len, vocab.pad_id, dtype=np.int64)
     ids[: len(words)] = vocab.encode_words(words)
-
-    sent_offset = 1
-    suffix_offset = 1 + len(sent) + 1
-    mask_local = len(first)
-    mask_positions = tuple(suffix_offset + mask_local + j for j in range(m))
-    first_positions = list(range(suffix_offset, suffix_offset + len(first)))
-    second_positions = list(range(suffix_offset + mask_local + m,
-                                  suffix_offset + mask_local + m + len(second)))
-    subj_suffix, obj_suffix = ((first_positions, second_positions) if order == SUB_OBJ
-                               else (second_positions, first_positions))
-    subj_positions = tuple(sent_offset + p for p in sent_subj) + tuple(subj_suffix)
-    obj_positions = tuple(sent_offset + p for p in sent_obj) + tuple(obj_suffix)
-    return EncodedPrompt(ids, mask_positions, subj_positions, obj_positions, len(words))
+    first_mask = 1 + len(sent) + 1 + len(first)  # after CLS, the sentence, SEP and `first`
+    return EncodedPrompt(ids, tuple(range(first_mask, first_mask + m)), len(words))
 
 
 def decode(prompt: EncodedPrompt, vocab: Vocab) -> list[str]:
@@ -237,7 +216,7 @@ def decode(prompt: EncodedPrompt, vocab: Vocab) -> list[str]:
 def encode_sentence(instance: RelationInstance, vocab: Vocab,
                     entity_markers: bool = True) -> np.ndarray:
     """CLS + marked sentence + SEP as raw ids (no padding); pretraining input."""
-    words, _, _ = _marked_sentence(instance, entity_markers)
+    words, _ = _marked_sentence(instance, entity_markers)
     return np.array(vocab.encode_words([CLS] + words + [SEP]), dtype=np.int64)
 
 

@@ -57,7 +57,7 @@ def small_config(rng):
     ds = Dataset(tuple(instances), relations)
     schema = RelationSchema(relations, m, None,
                             {r: "su [MASK]*m ob" for r in relations},
-                            {r: ["su"] for r in relations}, {})
+                            {r: ["su"] for r in relations})
     vocab, verb = build_vocab(ds, schema)
     assert len(vocab) <= 40
     cfg = ModelConfig(d=d, n_layers=1, n_heads=2, max_len=32, vocab_size=len(vocab))
@@ -252,7 +252,7 @@ class TestCriterion6InferenceOracle:
                     w = rng.normal(size=d)
                     positions = tuple(range(seq - m, seq))
                     prompt = EncodedPrompt(np.zeros(seq, dtype=np.int64),
-                                           positions, (), (), seq)
+                                           positions, seq)
                     head = ViewPosteriorHead(d)
                     head.w.data[...] = w
                     states = [ad.tensor(hidden[p]) for p in positions]
@@ -328,7 +328,7 @@ class TestCriterion9InitializationDeterminism:
         ds = Dataset(instances, ("rA", "rB"))
         schema = RelationSchema(("rA", "rB"), 2, None,
                                 {r: "alpha [MASK]*m beta" for r in ("rA", "rB")},
-                                {r: ["alpha"] for r in ("rA", "rB")}, {})
+                                {r: ["alpha"] for r in ("rA", "rB")})
         vocab, verb = build_vocab(ds, schema)
         cfg = ModelConfig(d=8, n_layers=1, n_heads=2, max_len=24,
                           vocab_size=len(vocab))

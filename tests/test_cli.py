@@ -436,6 +436,100 @@ class TestPretrainCommand:
         assert code == 0
 
 
+class TestTrainFromCheckpoint:
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pre")
+        assert run("pretrain", "--out", str(out), *FAST_SETS) == 0
+        return out / "pretrained.ckpt"
+
+    @pytest.mark.parametrize("sets,message", [
+        (["model.d=16", "model.n_layers=3"], "'model.d' is 16, but the run uses 12"),
+        (["model.n_layers=3"], "'model.n_layers' is 3, but the run uses 1"),
+        (["model.max_len=64"], "'model.max_len' is 64, but the run uses 48"),
+        (["model.dropout=0.1"], "'model.dropout' is 0.1, but the run uses 0.0"),
+        (["train.pretrain_steps=20"], "'train.pretrain_steps' is 20, but the run from"),
+        (["train.pretrain_lr=0.01"], "'train.pretrain_lr' is 0.01, but the run from")])
+    def test_setting_the_run_cannot_use_exits_2(self, tmp_path, capsys, checkpoint,
+                                                sets, message):
+        out = tmp_path / "t"
+        code = run("train", "--out", str(out), "--checkpoint", str(checkpoint), *FAST_SETS,
+                   *[arg for item in sets for arg in ("--set", item)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and str(checkpoint) in err
+        assert not out.exists()
+
+    def test_default_and_matching_settings_pass(self, tmp_path, checkpoint):
+        # FAST_SETS' model keys match the checkpoint; without them every model
+        # key is at its default, and the run takes the checkpoint's max_len
+        defaults = [arg for i, arg in enumerate(FAST_SETS) if not arg.startswith("model.")
+                    and not (arg == "--set" and FAST_SETS[i + 1].startswith("model."))]
+        for name, sets in (("match", FAST_SETS), ("default", defaults)):
+            assert run("train", "--out", str(tmp_path / name), "--checkpoint",
+                       str(checkpoint), *sets, "--set", "train.pretrain_lr=0.002") == 0
+        result = json.loads((tmp_path / "default" / "result.json").read_text())
+        assert result["config"]["max_len"] == 48
+
+    def test_pretrain_schema_file_takes_train_m(self, tmp_path):
+        assert run("generate-corpus", "--out", str(tmp_path / "c"), *FAST_SETS,
+                   "--set", "train.m=4") == 0
+        files = ["--corpus", str(tmp_path / "c" / "corpus.jsonl"),
+                 "--schema", str(tmp_path / "c" / "schema.json")]
+        assert json.loads((tmp_path / "c" / "schema.json").read_text())["m"] == 4
+        assert run("pretrain", "--out", str(tmp_path / "p"), *FAST_SETS, *files) == 0
+        assert run("train", "--out", str(tmp_path / "t"), *FAST_SETS, *files,
+                   "--checkpoint", str(tmp_path / "p" / "pretrained.ckpt")) == 0
+
+
+MALFORMED_SCHEMAS = {
+    "no relations": ({"m": 2}, "field 'relations'"),
+    "relations 5": ({"relations": 5, "m": 2}, "field 'relations'"),
+    "m x": ({"relations": ["rel0"], "m": "x"}, "field 'm'"),
+    "si_tokens list": ({"relations": ["rel0"], "m": 2, "si_tokens": ["a"]}, "field 'si_tokens'"),
+    "json list": (["rel0"], "JSON object"),
+}
+
+
+class TestInputFiles:
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("corpus")
+        assert run("generate-corpus", "--out", str(out), *FAST_SETS) == 0
+        return out / "corpus.jsonl"
+
+    @pytest.mark.parametrize("command", ["train", "pretrain", "sweep-m", "sim-protocol",
+                                         "probe-init"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCHEMAS))
+    def test_malformed_schema_exits_1_naming_file(self, tmp_path, capsys, corpus, command,
+                                                  case):
+        payload, field = MALFORMED_SCHEMAS[case]
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        code = run(command, "--out", str(out), *FAST_SETS, "--corpus", str(corpus),
+                   "--schema", str(schema))
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: {schema}: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ('["a", "b"]', "must map each aspect name"),
+        ('{"a": "word"}', "must map each aspect name"),
+        ('{"a": []}', "must map each aspect name"),
+        ('{"a": ["w", 3]}', "must map each aspect name"),
+        ("not json", "Expecting value")])
+    def test_malformed_aspects_exit_1_naming_file(self, tmp_path, capsys, text, message):
+        aspects = tmp_path / "aspects.json"
+        aspects.write_text(text)
+        out = tmp_path / "av"
+        code = run("analyze-views", "--out", str(out), "--checkpoint",
+                   str(FIXTURES / "probe_toy.ckpt"), "--aspects", str(aspects))
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: {aspects}: ") and message in err
+        assert not out.exists()
+
+
 class TestReportCommands:
     def test_sweep_m_rows(self, tmp_path):
         out = tmp_path / "s"

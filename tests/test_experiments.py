@@ -333,7 +333,7 @@ class TestHeatmap:
         from mvre.schema import RelationSchema
         schema = RelationSchema(tuple(relations), m, None,
                                 {r: "word0 [MASK]*m word1" for r in relations},
-                                {r: ["word0"] for r in relations}, {})
+                                {r: ["word0"] for r in relations})
         vocab, verb = build_vocab(ds, schema)
         cfg = ModelConfig(d=d, n_layers=1, n_heads=1, max_len=16,
                           vocab_size=len(vocab))

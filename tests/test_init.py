@@ -20,7 +20,7 @@ def make_env(m=2, relations=("relA", "relB"), d=6, si_tokens=None, templates=Non
     ds = Dataset(tuple(instances), tuple(relations))
     si = si_tokens or {r: ["alpha", "beta"] for r in relations}
     tpl = templates or {r: f"alpha beta [MASK]*m gamma" for r in relations}
-    schema = RelationSchema(tuple(relations), m, None, tpl, si, {})
+    schema = RelationSchema(tuple(relations), m, None, tpl, si)
     schema.validate()
     vocab, verb = build_vocab(ds, schema)
     cfg = ModelConfig(d=d, n_layers=1, n_heads=2, max_len=32, vocab_size=len(vocab))
@@ -122,7 +122,7 @@ class TestDynamicInit:
         ds, schema, vocab, verb, model = make_env()
         broken = RelationSchema(schema.relations, schema.m, None,
                                 {"relA": schema.probe_templates["relA"]},
-                                schema.si_tokens, {})
+                                schema.si_tokens)
         with pytest.raises(InitError, match="relB"):
             dynamic_init(broken, vocab, verb, model)
 

@@ -88,7 +88,7 @@ def fake_prompt_and_verbalizer(m, n_rel, seq_len, vocab_size):
     verb = Verbalizer(tuple(f"R{i}" for i in range(n_rel)), m, base)
     mask_positions = tuple(range(seq_len - m, seq_len))
     ids = np.zeros(seq_len, dtype=np.int64)
-    return EncodedPrompt(ids, mask_positions, (), (), seq_len), verb
+    return EncodedPrompt(ids, mask_positions, seq_len), verb
 
 
 class TestPerViewLabelProbs:

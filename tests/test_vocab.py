@@ -155,14 +155,6 @@ class TestWrapTemplate:
             seen.add(prompt.ids.tobytes())
         assert len(seen) == len(ds)
 
-    def test_subject_positions_point_at_subject(self):
-        prompt = wrap_template(self.inst, self.vocab, 2, 64)
-        words = decode(prompt, self.vocab)
-        for p in prompt.subj_positions:
-            assert words[p] == "sub0"
-        for p in prompt.obj_positions:
-            assert words[p] == "obj0"
-
 
 class TestSentenceEncoding:
     def test_marked_sentence_shape(self):
