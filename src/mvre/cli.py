@@ -283,16 +283,21 @@ def cmd_pretrain(args, cfg: dict) -> int:
     return 0
 
 
-def _check_checkpoint_keys(cfg: dict, checkpoint: str, model_config):
-    """A run from a checkpoint keeps the checkpoint's model and runs no inner
-    pretraining: a key set away from its default that the run would not
-    apply is a configuration error."""
-    for key in _field_keys("model"):
-        given, used = _get(cfg, key), getattr(model_config, key.split(".", 1)[1])
-        if given != DEFAULTS[key] and given != used:
+def _check_checkpoint_keys(cfg: dict, checkpoint: str, artifacts: TrainedArtifacts,
+                           training: bool):
+    """A run from a checkpoint keeps the checkpoint's model and m: a key set
+    away from its default that the run would not apply is a configuration
+    error. A training run also needs ``train.m`` to be the checkpoint's, even
+    at its default, and runs no inner pretraining."""
+    held = {key: getattr(artifacts.model.config, key.split(".", 1)[1])
+            for key in _field_keys("model")}
+    held["train.m"] = artifacts.verbalizer.m
+    for key, used in held.items():
+        given = _get(cfg, key)
+        if given != used and (given != DEFAULTS[key] or (training and key == "train.m")):
             raise CliError(f"config key {key!r} is {given!r}, but the run uses {used!r} "
                            f"from checkpoint {checkpoint}")
-    for key in ("train.pretrain_steps", "train.pretrain_lr"):
+    for key in ("train.pretrain_steps", "train.pretrain_lr") if training else ():
         if _get(cfg, key) != DEFAULTS[key]:
             raise CliError(f"config key {key!r} is {_get(cfg, key)!r}, but the run from "
                            f"checkpoint {checkpoint} pretrains for 0 steps")
@@ -306,7 +311,7 @@ def cmd_train(args, cfg: dict) -> int:
     pretrained = None
     if args.checkpoint is not None:
         pretrained, _ = _artifacts_from_checkpoint(args.checkpoint)
-        _check_checkpoint_keys(cfg, args.checkpoint, pretrained.model.config)
+        _check_checkpoint_keys(cfg, args.checkpoint, pretrained, training=True)
         tc = replace(tc, max_len=pretrained.model.config.max_len)
     artifacts, result = train(episode, schema, tc, pretrained=pretrained)
     out = _out_dir(args, cfg)
@@ -319,12 +324,18 @@ def cmd_train(args, cfg: dict) -> int:
 
 def cmd_eval(args, cfg: dict) -> int:
     artifacts, extra = _artifacts_from_checkpoint(args.checkpoint)
+    _check_checkpoint_keys(cfg, args.checkpoint, artifacts, training=False)
     na = extra.get("schema", {}).get("na_label")
     dataset = load_jsonl(args.dataset, na_label=na)
     tc = replace(build_configs(cfg)["train"], m=artifacts.verbalizer.m,
                  max_len=artifacts.model.config.max_len)
     if not dataset.instances:
         raise CliError(f"dataset {args.dataset} holds no instances")
+    missing = [label for label in dataset.relations
+               if label not in artifacts.verbalizer.relation_order]
+    if missing:
+        raise CliError(f"dataset {args.dataset} has labels that checkpoint {args.checkpoint} "
+                       f"cannot predict: {missing}")
     f1 = evaluate(artifacts, dataset, tc, na, include_na=_get(cfg, "eval.include_na"))
     out = _out_dir(args, cfg)
     write_json({"config": cfg, "micro_f1": f1, "n_instances": len(dataset),

@@ -27,7 +27,7 @@ from .data import Dataset, DatasetSplits, merge_datasets, sample_kshot
 from .errors import AnalysisError, UndefinedRatioError, ValidationError
 from .init_schemes import COMBINED, DYNAMIC, INIT_MODES, apply_init
 from .losses import (MIXTURE, PRODUCT, ViewPosteriorHead, infer_batch, local_loss,
-                     global_loss, mvdl_loss, verbalizer_embeddings, view_scores)
+                     global_loss, mvdl_loss, total_loss, verbalizer_embeddings, view_scores)
 from .model import AdamW, MlmModel, ModelConfig, PretrainConfig, PretrainResult, pretrain_mlm
 from .schema import RelationSchema
 from .vocab import OBJ_SUB, SUB_OBJ, Verbalizer, Vocab, build_vocab, wrap_template
@@ -188,8 +188,8 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
     Starts from a copy of the pretrained bundle's model; without one, builds a
     bundle from the whole episode with ``pretrain_bundle`` (seeded with
     ``config.seed``, pretrained for ``config.pretrain_steps``). Applies the
-    configured virtual-word initialization, then minimizes the decoupled loss
-    plus the weighted contrastive terms with mini-batch AdamW.
+    configured virtual-word initialization, then minimizes ``total_loss`` (the
+    decoupled loss plus the weighted contrastive terms) with mini-batch AdamW.
     """
     t0 = time.perf_counter()
     config.validate()
@@ -231,13 +231,10 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
             batch = order[start : start + config.batch_size]
             scores = view_scores(model, head, [prompts[i] for i in batch], verbalizer,
                                  rng=drop_rng, train=True)
-            loss = ad.tmean(mvdl_loss(scores, [labels[i] for i in batch]))
-            if alpha != 0.0:
-                emb = verbalizer_embeddings(model, verbalizer)
-                loss = loss + alpha * local_loss(emb, n_rel, config.m)
-            if beta != 0.0:
-                emb = verbalizer_embeddings(model, verbalizer)
-                loss = loss + beta * global_loss(emb, n_rel, config.m)
+            mvdl = ad.tmean(mvdl_loss(scores, [labels[i] for i in batch]))
+            local = local_loss(verbalizer_embeddings(model, verbalizer), n_rel, config.m)
+            global_ = global_loss(verbalizer_embeddings(model, verbalizer), n_rel, config.m)
+            loss = total_loss(mvdl, local, global_, alpha, beta)
             grads = ad.grad(loss, params)
             opt.step(grads)
             batch_losses.append(loss.item())
@@ -298,14 +295,14 @@ def run_grid(splits: DatasetSplits, schema: RelationSchema, ks: list[int],
 
     The spread column is the population standard deviation over seeds
     (divides by n). Individual runs are independent; MVRE_THREADS > 1 fans
-    them out over worker processes without changing any result.
+    them out over min(MVRE_THREADS, runs) worker processes, bit for bit.
     """
     labels = labels or [f"config{i}" for i in range(len(configs))]
     tasks = [(splits, schema, k, seed, cfg)
              for k in ks for cfg in configs for seed in seeds]
     workers = _worker_count()
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             scores = list(pool.map(_grid_task, tasks))
     else:
         scores = [_grid_task(t) for t in tasks]

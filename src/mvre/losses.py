@@ -1,5 +1,5 @@
 """Multi-view scoring and losses: view posterior, decoupled NLL, global/local
-contrastive regularizers, total objective, and inference aggregation.
+contrastive regularizers, the training objective, and inference aggregation.
 
 For one encoded prompt with m masks, the model yields m view states h_1..h_m.
 A single learned vector w turns them into a posterior over views,
@@ -170,7 +170,7 @@ def global_loss(emb: Tensor, n_relations: int, m: int) -> Tensor:
 
 
 def total_loss(mvdl, local, global_, alpha: float, beta: float):
-    """Weighted objective: mvdl + alpha * local + beta * global."""
+    """The loss of every training step: mvdl + alpha * local + beta * global."""
     return mvdl + alpha * local + beta * global_
 
 

@@ -205,10 +205,12 @@ def forward(model: MlmModel, prompt: EncodedPrompt,
 # -- optimizer ------------------------------------------------------------------
 
 
-def adamw_step(params, grads: dict[str, np.ndarray], state: dict, lr: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-               weight_decay: float = 0.0):
-    """One decoupled-weight-decay Adam update, in place on params and state.
+ADAMW_BETAS, ADAMW_EPS = (0.9, 0.999), 1e-8
+
+
+class AdamW:
+    """Decoupled-weight-decay Adam, in place on a fixed parameter set; a step
+    that leaves a non-finite value raises, naming the parameter.
 
     ``params`` is a name -> parameter dict or a sequence of them, as for
     ``ad.grad``. An ``ad.Arena`` moves as one vector and reads its gradient
@@ -218,60 +220,49 @@ def adamw_step(params, grads: dict[str, np.ndarray], state: dict, lr: float,
     element goes through the expressions of a per-parameter update in the
     same association, so the grouping does not change a bit.
     """
-    b1, b2 = betas
-    slots = []  # (values, gradient): one per arena, one per loose parameter
-    for group in ad.param_groups(params):
-        if isinstance(group, ad.Arena):
-            slots.append((group.flat(), group.grad_vector(grads)))
-            continue
-        for name, p in group.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p.data)
-            elif g.shape != p.data.shape:
-                raise ValueError(f"gradient shape {g.shape} mismatches param {name!r} "
-                                 f"{p.data.shape}")
-            slots.append((p.data, g))
-    if not state:
-        n = max((w.size for w, _ in slots), default=0)
-        state.update(m=[np.zeros_like(w) for w, _ in slots],
-                     v=[np.zeros_like(w) for w, _ in slots], t=0, scratch=np.empty((2, n)))
-    state["t"] += 1
-    t = state["t"]
-    for (w, g), m, v in zip(slots, state["m"], state["v"]):
-        s, u = (x.reshape(w.shape) for x in state["scratch"][:, : w.size])
-        if weight_decay != 0.0:
-            w -= np.multiply(w, lr * weight_decay, out=s)  # w - lr * weight_decay * w
-        m *= b1  # m = b1 * m + (1 - b1) * g
-        m += np.multiply(g, 1.0 - b1, out=s)
-        v *= b2  # v = b2 * v + (1 - b2) * (g * g)
-        v += np.multiply(np.multiply(g, g, out=s), 1.0 - b2, out=s)
-        np.divide(m, 1.0 - b1 ** t, out=s)  # m_hat
-        np.divide(v, 1.0 - b2 ** t, out=u)  # v_hat
-        np.sqrt(u, out=u)  # w - lr * m_hat / (sqrt(v_hat) + eps)
-        u += eps
-        s *= lr
-        s /= u
-        w -= s
 
-
-class AdamW:
-    """Stateful wrapper around :func:`adamw_step` for a fixed parameter set;
-    a step that leaves a non-finite value raises, naming the parameter."""
-
-    def __init__(self, params, lr: float, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
-        self.state: dict = {}
+        self.t = 0  # the moments m, v and the scratch are made by the first step
 
     def step(self, grads: dict[str, np.ndarray]):
-        adamw_step(self.params, grads, self.state, self.lr, self.betas,
-                   self.eps, self.weight_decay)
-        ad.check_finite(self.params, f" after AdamW step {self.state['t']}")
+        b1, b2 = ADAMW_BETAS
+        slots = []  # (values, gradient): one per arena, one per loose parameter
+        for group in ad.param_groups(self.params):
+            if isinstance(group, ad.Arena):
+                slots.append((group.flat(), group.grad_vector(grads)))
+                continue
+            for name, p in group.items():
+                g = grads.get(name)
+                if g is None:
+                    g = np.zeros_like(p.data)
+                elif g.shape != p.data.shape:
+                    raise ValueError(f"gradient shape {g.shape} mismatches param {name!r} "
+                                     f"{p.data.shape}")
+                slots.append((p.data, g))
+        if self.t == 0:
+            self.m = [np.zeros_like(w) for w, _ in slots]
+            self.v = [np.zeros_like(w) for w, _ in slots]
+            self.scratch = np.empty((2, max((w.size for w, _ in slots), default=0)))
+        self.t += 1
+        for (w, g), m, v in zip(slots, self.m, self.v):
+            s, u = (x.reshape(w.shape) for x in self.scratch[:, : w.size])
+            if self.weight_decay != 0.0:
+                w -= np.multiply(w, self.lr * self.weight_decay, out=s)  # w - lr * wd * w
+            m *= b1  # m = b1 * m + (1 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=s)
+            v *= b2  # v = b2 * v + (1 - b2) * (g * g)
+            v += np.multiply(np.multiply(g, g, out=s), 1.0 - b2, out=s)
+            np.divide(m, 1.0 - b1 ** self.t, out=s)  # m_hat
+            np.divide(v, 1.0 - b2 ** self.t, out=u)  # v_hat
+            np.sqrt(u, out=u)  # w - lr * m_hat / (sqrt(v_hat) + eps)
+            u += ADAMW_EPS
+            s *= self.lr
+            s /= u
+            w -= s
+        ad.check_finite(self.params, f" after AdamW step {self.t}")
 
 
 # -- masked-token pretraining ---------------------------------------------------

@@ -117,10 +117,11 @@ def reference_view_posterior(head, states):
 
 def reference_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
                          weight_decay=0.0):
-    """AdamW one parameter at a time: the former ``adamw_step``.
+    """AdamW one parameter at a time, with its moments in ``state``: the
+    former ``adamw_step``.
 
-    ``model.adamw_step`` updates all parameters as one flat vector and must
-    give the same bits.
+    ``model.AdamW.step`` updates each arena as one flat vector and must give
+    the same bits.
     """
     b1, b2 = betas
     for name, p in params.items():

@@ -287,7 +287,11 @@ class TestTrainEvalRound:
         (SMALL, "bc500313b7d01d7fe3ff804cc0e544648ca731e2b8100d2be852a724290ba5f2",
          "ccf44fbe9a15314524e5744c42502184574da8550b14791b0d20638158278cf7"),
         (SMALL + M3, "a2efa89b052a92a94c1c7accfc55c99b62309805196d97f0e930b5dba45106ca",
-         "9b58be12d9a006756ca4732fe8dcd3a9bc6d2145ca29f33e926faecc2b6f4f0a")])
+         "9b58be12d9a006756ca4732fe8dcd3a9bc6d2145ca29f33e926faecc2b6f4f0a"),
+        # no Global-Local terms: a zero weight must add exact zeros
+        (SMALL + ["train.alpha=0", "train.beta=0"],
+         "d64b044400dc0e7324e9d3647fffcdeb34250f7c07cba345c1da9c3eaec6a8d4",
+         "edaff6ea081ebc3f54822ff555f39c23e1342a7b3bf30efc14706d54daf4aee7")])
     def test_train_artifacts_pinned(self, tmp_path, sets, ckpt_sha, result_sha):
         sets = [arg for item in sets for arg in ("--set", item)]
         assert run("train", "--out", str(tmp_path), "--seed", "11", *sets) == 0
@@ -379,6 +383,33 @@ class TestTrainEvalRound:
         assert code == 1 and "Traceback" not in err
         assert err.startswith(f"error: {out / 'model.ckpt'}: ") and field in err
 
+    def test_eval_labels_the_checkpoint_cannot_predict_exit_2(self, tmp_path, capsys):
+        ckpt, corpus = tmp_path / "t" / "model.ckpt", tmp_path / "c" / "corpus.jsonl"
+        assert run("train", "--out", str(ckpt.parent), *FAST_SETS,
+                   "--set", "train.epochs=0") == 0
+        assert run("generate-corpus", "--out", str(corpus.parent), *FAST_SETS,
+                   "--set", "corpus.n_relations=4") == 0
+        capsys.readouterr()
+        code = run("eval", "--out", str(tmp_path / "e"), "--checkpoint", str(ckpt),
+                   "--dataset", str(corpus))
+        assert code == 2
+        assert (f"dataset {corpus} has labels that checkpoint {ckpt} cannot predict: "
+                f"['rel3']") in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_eval_takes_the_train_runs_resolved_config(self, tmp_path):
+        # inner pretraining and non-default model keys: eval checks neither
+        # train.pretrain_* nor a model key that matches the checkpoint
+        train_out = tmp_path / "t"
+        assert run("train", "--out", str(train_out), *FAST_SETS,
+                   "--set", "train.pretrain_steps=2", "--set", "train.m=3") == 0
+        assert run("generate-corpus", "--out", str(tmp_path / "c"), *FAST_SETS) == 0
+        assert run("eval", "--out", str(tmp_path / "e"),
+                   "--config", str(train_out / "resolved_config.json"),
+                   "--checkpoint", str(train_out / "model.ckpt"),
+                   "--dataset", str(tmp_path / "c" / "corpus.jsonl")) == 0
+        assert (tmp_path / "e" / "eval.json").exists()
+
     def test_eval_empty_dataset_exits_2(self, tmp_path, capsys):
         out = tmp_path / "t"
         assert run("train", "--out", str(out), *FAST_SETS, "--set", "train.epochs=0") == 0
@@ -443,24 +474,39 @@ class TestTrainFromCheckpoint:
         assert run("pretrain", "--out", str(out), *FAST_SETS) == 0
         return out / "pretrained.ckpt"
 
-    @pytest.mark.parametrize("sets,message", [
-        (["model.d=16", "model.n_layers=3"], "'model.d' is 16, but the run uses 12"),
-        (["model.n_layers=3"], "'model.n_layers' is 3, but the run uses 1"),
-        (["model.max_len=64"], "'model.max_len' is 64, but the run uses 48"),
-        (["model.dropout=0.1"], "'model.dropout' is 0.1, but the run uses 0.0"),
-        (["train.pretrain_steps=20"], "'train.pretrain_steps' is 20, but the run from"),
-        (["train.pretrain_lr=0.01"], "'train.pretrain_lr' is 0.01, but the run from")])
-    def test_setting_the_run_cannot_use_exits_2(self, tmp_path, capsys, checkpoint,
-                                                sets, message):
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("corpus")
+        assert run("generate-corpus", "--out", str(out), *FAST_SETS) == 0
+        return out / "corpus.jsonl"
+
+    # FAST_SETS sets train.m=2, the checkpoint's m; train.m=4 is the default
+    @pytest.mark.parametrize("command,sets,message", [
+        ("train", ["model.d=16", "model.n_layers=3"], "'model.d' is 16, but the run uses 12"),
+        ("train", ["model.n_layers=3"], "'model.n_layers' is 3, but the run uses 1"),
+        ("train", ["model.max_len=64"], "'model.max_len' is 64, but the run uses 48"),
+        ("train", ["model.dropout=0.1"], "'model.dropout' is 0.1, but the run uses 0.0"),
+        ("train", ["train.pretrain_steps=20"], "'train.pretrain_steps' is 20, but the run from"),
+        ("train", ["train.pretrain_lr=0.01"], "'train.pretrain_lr' is 0.01, but the run from"),
+        ("train", ["train.m=3"], "'train.m' is 3, but the run uses 2"),
+        ("train", ["train.m=4"], "'train.m' is 4, but the run uses 2"),
+        ("eval", ["model.d=16", "model.n_layers=3"], "'model.d' is 16, but the run uses 12"),
+        ("eval", ["model.dropout=0.1"], "'model.dropout' is 0.1, but the run uses 0.0"),
+        ("eval", ["train.m=5"], "'train.m' is 5, but the run uses 2"),
+        ("eval", ["train.m=5", "model.d=16", "model.max_len=20"],
+         "'model.d' is 16, but the run uses 12")])
+    def test_setting_the_run_cannot_use_exits_2(self, tmp_path, capsys, checkpoint, corpus,
+                                                command, sets, message):
         out = tmp_path / "t"
-        code = run("train", "--out", str(out), "--checkpoint", str(checkpoint), *FAST_SETS,
-                   *[arg for item in sets for arg in ("--set", item)])
+        files = ["--dataset", str(corpus)] if command == "eval" else []
+        code = run(command, "--out", str(out), "--checkpoint", str(checkpoint), *files,
+                   *FAST_SETS, *[arg for item in sets for arg in ("--set", item)])
         assert code == 2
         err = capsys.readouterr().err
         assert message in err and str(checkpoint) in err
         assert not out.exists()
 
-    def test_default_and_matching_settings_pass(self, tmp_path, checkpoint):
+    def test_default_and_matching_settings_pass(self, tmp_path, checkpoint, corpus):
         # FAST_SETS' model keys match the checkpoint; without them every model
         # key is at its default, and the run takes the checkpoint's max_len
         defaults = [arg for i, arg in enumerate(FAST_SETS) if not arg.startswith("model.")
@@ -470,6 +516,11 @@ class TestTrainFromCheckpoint:
                        str(checkpoint), *sets, "--set", "train.pretrain_lr=0.002") == 0
         result = json.loads((tmp_path / "default" / "result.json").read_text())
         assert result["config"]["max_len"] == 48
+        # eval reads m from the checkpoint, so the default train.m passes too
+        for name, sets in (("eval-default", ["--set", "train.m=4"]),
+                           ("eval-match", FAST_SETS)):
+            assert run("eval", "--out", str(tmp_path / name), "--checkpoint", str(checkpoint),
+                       "--dataset", str(corpus), *sets) == 0
 
     def test_pretrain_schema_file_takes_train_m(self, tmp_path):
         assert run("generate-corpus", "--out", str(tmp_path / "c"), *FAST_SETS,

@@ -14,7 +14,7 @@ from mvre.experiments import (GridRow, TrainConfig, evaluate, micro_f1, predict,
                               sweep_m, train, view_aspect_heatmap,
                               _population_std, grid_rows_csv, heatmap_csv)
 from mvre.losses import infer
-from mvre.model import MlmModel, ModelConfig, PretrainConfig
+from mvre.model import AdamW, MlmModel, ModelConfig, PretrainConfig
 from mvre.schema import synthetic_schema
 from mvre.vocab import build_vocab, wrap_template
 
@@ -195,6 +195,32 @@ class TestTrain:
         assert TrainConfig(init_mode="combined").resolved_alpha_beta() == (1.2, 0.7)
         assert TrainConfig(init_mode="static", alpha=0.0,
                            beta=0.0).resolved_alpha_beta() == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kw,weights", [
+        ({}, (2.0, 0.1)), ({"init_mode": "combined"}, (1.2, 0.7)),
+        ({"alpha": 0.0, "beta": 0.0}, (0.0, 0.0))])
+    def test_trained_objective_is_total_loss(self, monkeypatch, kw, weights):
+        # one losses.total_loss call per optimizer step, with the resolved weights
+        calls, steps = [], []
+        real_total, real_step = exp.total_loss, AdamW.step
+
+        def total_spy(mvdl, local, global_, alpha, beta):
+            calls.append((alpha, beta))
+            return real_total(mvdl, local, global_, alpha, beta)
+
+        def step_spy(opt, grads):
+            steps.append(len(calls))
+            real_step(opt, grads)
+
+        monkeypatch.setattr(exp, "total_loss", total_spy)
+        monkeypatch.setattr(AdamW, "step", step_spy)
+        spec, ds, schema, splits = small_world()
+        episode = sample_kshot(splits, 2, 1)
+        cfg = fast_config(epochs=2, batch_size=4, **kw)
+        train(episode, schema, cfg)
+        n_steps = cfg.epochs * -(-len(episode.train.instances) // cfg.batch_size)
+        assert steps == list(range(1, n_steps + 1))
+        assert calls == [weights] * n_steps
 
     def test_best_dev_selection_keeps_best_snapshot(self):
         spec, ds, schema, splits = small_world()
@@ -414,6 +440,32 @@ class TestParallelGrid:
         monkeypatch.setenv("MVRE_THREADS", "2")
         parallel = run_grid(splits, schema, [1], [1, 2], [cfg])
         assert serial[0].f1s == parallel[0].f1s
+
+    def test_workers_capped_at_task_count(self, monkeypatch):
+        # an in-process stand-in records the pool size, so no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(exp, "_grid_task", lambda task: 0.5)
+        spec, ds, schema, splits = small_world()
+        for threads, ks in (("16", [1]), ("3", [1, 2])):  # 2 tasks, then 4
+            monkeypatch.setenv("MVRE_THREADS", threads)
+            rows = run_grid(splits, schema, ks, [1, 2], [fast_config()])
+            assert [row.f1s for row in rows] == [[0.5, 0.5]] * len(ks)
+        assert sizes == [2, 3]
 
     def test_similarity_protocol_identical_with_workers(self, monkeypatch):
         spec, ds, schema, splits = small_world()

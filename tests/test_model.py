@@ -16,7 +16,7 @@ from mvre.data import CorpusSpec, Dataset, generate_corpus, make_splits, sample_
 from mvre.errors import ValidationError
 from mvre.experiments import TrainConfig, train
 from mvre.losses import ViewPosteriorHead
-from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig, adamw_step,
+from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig,
                         forward, forward_batch, forward_ids, load_checkpoint,
                         maskable_positions, pretrain_mlm, save_checkpoint)
 from mvre.schema import synthetic_schema
@@ -322,25 +322,24 @@ class TestAdamW:
     def test_zero_grad_no_decay_fixed_point(self):
         p = ad.parameter(np.array([1.0, -2.0]))
         params = {"p": p}
-        adamw_step(params, {"p": np.zeros(2)}, {}, lr=0.1)
+        AdamW(params, lr=0.1).step({"p": np.zeros(2)})
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_zero_grad_with_decay_scales(self):
         p = ad.parameter(np.array([1.0, -2.0]))
-        adamw_step({"p": p}, {"p": np.zeros(2)}, {}, lr=0.1, weight_decay=0.5)
+        AdamW({"p": p}, lr=0.1, weight_decay=0.5).step({"p": np.zeros(2)})
         np.testing.assert_allclose(p.data, [0.95, -1.9])
 
     def test_hand_computed_single_step(self):
         # m=0.1, v=0.001 -> m_hat=1, v_hat=1 -> p = 1 - 0.1/(1+1e-8)
         p = ad.parameter(np.array(1.0))
-        adamw_step({"p": p}, {"p": np.array(1.0)}, {}, lr=0.1,
-                   betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+        AdamW({"p": p}, lr=0.1, weight_decay=0.0).step({"p": np.array(1.0)})
         assert p.data == pytest.approx(0.9, abs=1e-6)
 
     def test_shape_mismatch_rejected(self):
         p = ad.parameter(np.ones(3))
         with pytest.raises(ValueError, match="shape"):
-            adamw_step({"p": p}, {"p": np.ones(4)}, {}, lr=0.1)
+            AdamW({"p": p}, lr=0.1).step({"p": np.ones(4)})
 
     def test_matches_reference_trajectory(self):
         # against an independently coded update rule, several steps
@@ -367,10 +366,10 @@ class TestAdamW:
         start = {k: rng.normal(size=s) for k, s in shapes.items()}
         flat = {k: ad.parameter(v) for k, v in start.items()}
         ref = {k: ad.parameter(v) for k, v in start.items()}
-        flat_state, ref_state = {}, {}
+        opt, ref_state = AdamW(flat, lr=0.01, weight_decay=0.1), {}
         for _ in range(5):
             grads = {k: rng.normal(size=s) for k, s in shapes.items() if k != "b"}
-            adamw_step(flat, grads, flat_state, lr=0.01, weight_decay=0.1)
+            opt.step(grads)
             reference_adamw_step(ref, grads, ref_state, lr=0.01, weight_decay=0.1)
             for k in shapes:
                 assert flat[k].data.shape == shapes[k]
