@@ -8,11 +8,12 @@ default and type; only the keys no field backs are written out in ``DEFAULTS``.
 Resolution order: defaults, then the ``--config`` file, then repeated
 ``--set key=value`` overrides, then ``--seed``. Unknown keys are rejected,
 and every value is type-checked and all four config objects are built and
-validated before any command runs. Exit codes: 0 on success, 1 on a runtime
-failure (including non-finite parameters), 2 on a usage or configuration
-error. Every run echoes its fully resolved configuration next to its
-outputs, and wall-clock data goes to a separate log file so the artifact
-files stay byte-reproducible.
+validated before any command runs. A run from a checkpoint keeps its
+model, m and relation order (``_from_checkpoint``). Exit codes: 0 on success,
+1 on a runtime failure (including non-finite parameters), 2 on a usage or
+configuration error. Every run echoes its fully resolved configuration next
+to its outputs, and wall-clock data goes to a separate log file so the
+artifact files stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -238,15 +239,41 @@ def _save_checkpoint(path: Path, artifacts: TrainedArtifacts, schema, head_w=Non
                                       "m": schema.m, "na_label": schema.na_label}})
 
 
-def _artifacts_from_checkpoint(path: str) -> tuple[TrainedArtifacts, dict]:
+def _from_checkpoint(path: str, cfg: dict, training: bool = False, schema=None,
+                     schema_file=None) -> tuple[TrainedArtifacts, TrainConfig, dict]:
+    """The bundle of checkpoint ``path``, the run's train config with the
+    checkpoint's m and ``max_len``, and the header's ``extra``. A run keeps
+    the checkpoint's model, m and relation order: a ``model.*`` key or
+    ``train.m`` set away from its default to another value, or a ``schema``
+    with other relations or another order, is a configuration error. A
+    training run also needs the checkpoint's m, even at the default
+    ``train.m``, and runs no inner pretraining."""
     ckpt = load_checkpoint(path)
     if ckpt.vocab_payload is None:
         raise CliError(f"checkpoint {path} carries no vocabulary")
     vocab, verbalizer = vocab_from_payload(ckpt.vocab_payload)
-    head = ViewPosteriorHead(ckpt.model.config.d)
+    model_config = ckpt.model.config
+    held = {key: getattr(model_config, key.split(".", 1)[1]) for key in _field_keys("model")}
+    held["train.m"] = verbalizer.m
+    for key, used in held.items():
+        given = _get(cfg, key)
+        if given != used and (given != DEFAULTS[key] or (training and key == "train.m")):
+            raise CliError(f"config key {key!r} is {given!r}, but the run uses {used!r} "
+                           f"from checkpoint {path}")
+    for key in ("train.pretrain_steps", "train.pretrain_lr") if training else ():
+        if _get(cfg, key) != DEFAULTS[key]:
+            raise CliError(f"config key {key!r} is {_get(cfg, key)!r}, but the run from "
+                           f"checkpoint {path} pretrains for 0 steps")
+    if schema is not None and schema.relations != verbalizer.relation_order:
+        raise CliError(f"schema.relations {list(schema.relations)} of "
+                       f"{schema_file or 'the generated corpus'} differ from "
+                       f"verbalizer.relation_order {list(verbalizer.relation_order)} "
+                       f"of checkpoint {path}")
+    head = ViewPosteriorHead(model_config.d)
     if ckpt.head_w is not None:
         head.w.data[...] = ckpt.head_w
-    return TrainedArtifacts(ckpt.model, head, vocab, verbalizer), ckpt.extra
+    config = replace(build_configs(cfg)["train"], m=verbalizer.m, max_len=model_config.max_len)
+    return TrainedArtifacts(ckpt.model, head, vocab, verbalizer), config, ckpt.extra
 
 
 # -- commands -------------------------------------------------------------------
@@ -283,36 +310,13 @@ def cmd_pretrain(args, cfg: dict) -> int:
     return 0
 
 
-def _check_checkpoint_keys(cfg: dict, checkpoint: str, artifacts: TrainedArtifacts,
-                           training: bool):
-    """A run from a checkpoint keeps the checkpoint's model and m: a key set
-    away from its default that the run would not apply is a configuration
-    error. A training run also needs ``train.m`` to be the checkpoint's, even
-    at its default, and runs no inner pretraining."""
-    held = {key: getattr(artifacts.model.config, key.split(".", 1)[1])
-            for key in _field_keys("model")}
-    held["train.m"] = artifacts.verbalizer.m
-    for key, used in held.items():
-        given = _get(cfg, key)
-        if given != used and (given != DEFAULTS[key] or (training and key == "train.m")):
-            raise CliError(f"config key {key!r} is {given!r}, but the run uses {used!r} "
-                           f"from checkpoint {checkpoint}")
-    for key in ("train.pretrain_steps", "train.pretrain_lr") if training else ():
-        if _get(cfg, key) != DEFAULTS[key]:
-            raise CliError(f"config key {key!r} is {_get(cfg, key)!r}, but the run from "
-                           f"checkpoint {checkpoint} pretrains for 0 steps")
-
-
 def cmd_train(args, cfg: dict) -> int:
     dataset, schema = _load_corpus_and_schema(args, cfg)
-    tc = build_configs(cfg)["train"]
-    splits = _splits(dataset, cfg)
-    episode = sample_kshot(splits, _get(cfg, "data.k"), tc.seed)
-    pretrained = None
+    tc, pretrained = build_configs(cfg)["train"], None
     if args.checkpoint is not None:
-        pretrained, _ = _artifacts_from_checkpoint(args.checkpoint)
-        _check_checkpoint_keys(cfg, args.checkpoint, pretrained, training=True)
-        tc = replace(tc, max_len=pretrained.model.config.max_len)
+        pretrained, tc, _ = _from_checkpoint(args.checkpoint, cfg, training=True,
+                                             schema=schema, schema_file=args.schema)
+    episode = sample_kshot(_splits(dataset, cfg), _get(cfg, "data.k"), tc.seed)
     artifacts, result = train(episode, schema, tc, pretrained=pretrained)
     out = _out_dir(args, cfg)
     _save_checkpoint(out / "model.ckpt", artifacts, schema, head_w=artifacts.head.w.data)
@@ -323,12 +327,9 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    artifacts, extra = _artifacts_from_checkpoint(args.checkpoint)
-    _check_checkpoint_keys(cfg, args.checkpoint, artifacts, training=False)
+    artifacts, tc, extra = _from_checkpoint(args.checkpoint, cfg)
     na = extra.get("schema", {}).get("na_label")
     dataset = load_jsonl(args.dataset, na_label=na)
-    tc = replace(build_configs(cfg)["train"], m=artifacts.verbalizer.m,
-                 max_len=artifacts.model.config.max_len)
     if not dataset.instances:
         raise CliError(f"dataset {args.dataset} holds no instances")
     missing = [label for label in dataset.relations
@@ -379,14 +380,12 @@ def cmd_sim_protocol(args, cfg: dict) -> int:
 
 def cmd_probe_init(args, cfg: dict) -> int:
     if args.checkpoint is not None:
-        artifacts, _ = _artifacts_from_checkpoint(args.checkpoint)
         if args.schema is None:
             raise CliError("probe-init with --checkpoint also needs --schema")
-        schema = load_schema(args.schema).with_m(artifacts.verbalizer.m)
-        if schema.relations != artifacts.verbalizer.relation_order:
-            raise CliError(f"schema.relations {list(schema.relations)} of {args.schema} differ "
-                           f"from the checkpoint's verbalizer.relation_order "
-                           f"{list(artifacts.verbalizer.relation_order)}")
+        schema = load_schema(args.schema)
+        artifacts, tc, _ = _from_checkpoint(args.checkpoint, cfg, schema=schema,
+                                            schema_file=args.schema)
+        schema = schema.with_m(tc.m)
     else:
         dataset, schema = _load_corpus_and_schema(args, cfg)
         configs = build_configs(cfg)
@@ -416,7 +415,7 @@ def _load_aspects(path: str) -> dict[str, list[str]]:
 
 
 def cmd_analyze_views(args, cfg: dict) -> int:
-    artifacts, _ = _artifacts_from_checkpoint(args.checkpoint)
+    artifacts, _, _ = _from_checkpoint(args.checkpoint, cfg)
     if args.aspects is not None:
         aspect_sets = _load_aspects(args.aspects)
     else:

@@ -185,7 +185,8 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
           pretrained: TrainedArtifacts | None = None) -> tuple[TrainedArtifacts, RunResult]:
     """Prompt-tune on a k-shot episode and evaluate on its test split.
 
-    Starts from a copy of the pretrained bundle's model; without one, builds a
+    Starts from a copy of the pretrained bundle's model, whose m and relation
+    order must be the config's and the schema's; without one, builds a
     bundle from the whole episode with ``pretrain_bundle`` (seeded with
     ``config.seed``, pretrained for ``config.pretrain_steps``). Applies the
     configured virtual-word initialization, then minimizes ``total_loss`` (the
@@ -209,6 +210,9 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
     if verbalizer.m != config.m:
         raise ValidationError(f"pretrained bundle was built with m={verbalizer.m}, "
                               f"config wants m={config.m}")
+    if schema.relations != verbalizer.relation_order:
+        raise ValidationError(f"schema relations {list(schema.relations)} differ from the "
+                              f"pretrained bundle's {list(verbalizer.relation_order)}")
 
     head = ViewPosteriorHead(model.config.d)
     apply_init(config.init_mode, schema, vocab, verbalizer, model)
@@ -229,8 +233,7 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
         batch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            scores = view_scores(model, head, [prompts[i] for i in batch], verbalizer,
-                                 rng=drop_rng, train=True)
+            scores = view_scores(model, head, [prompts[i] for i in batch], verbalizer, drop_rng)
             mvdl = ad.tmean(mvdl_loss(scores, [labels[i] for i in batch]))
             local = local_loss(verbalizer_embeddings(model, verbalizer), n_rel, config.m)
             global_ = global_loss(verbalizer_embeddings(model, verbalizer), n_rel, config.m)
@@ -274,11 +277,11 @@ def _population_std(xs) -> float:
 
 
 def _worker_count() -> int:
-    """Worker cap from the MVRE_THREADS environment variable; 1 means serial."""
-    try:
-        return max(1, int(os.environ.get("MVRE_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Worker cap from the MVRE_THREADS environment variable; unset or 1 means serial."""
+    raw = os.environ.get("MVRE_THREADS", "1")
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise ValidationError(f"MVRE_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _grid_task(task) -> float:

@@ -93,13 +93,13 @@ def per_view_label_probs(logits: Tensor, prompt: EncodedPrompt,
 
 
 def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
-                verbalizer: Verbalizer, rng=None, train: bool = False) -> ViewScores:
+                verbalizer: Verbalizer, rng=None) -> ViewScores:
     """Forward one prompt, or a list of prompts as one packed batch, and
     package posterior + per-view relation probabilities (see ``ViewScores``).
     The encoder reads the mask rows only; under ``ad.no_grad()`` the same
     ops run and record no graph.
 
-    ``rng``/``train`` activate dropout when the model config enables it.
+    A generator ``rng`` applies the model config's dropout.
     """
     single = isinstance(prompts, EncodedPrompt)
     batch = [prompts] if single else list(prompts)
@@ -108,8 +108,7 @@ def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
             raise ValueError(f"prompt has {prompt.m} masks but verbalizer expects "
                              f"{verbalizer.m}")
     hidden, logits = forward_batch(model, [pr.ids[: pr.attention_length] for pr in batch],
-                                   rng=rng, train=train,
-                                   reads=[pr.mask_positions for pr in batch])
+                                   rng=rng, reads=[pr.mask_positions for pr in batch])
     shape = (verbalizer.m,) if single else (len(batch), verbalizer.m)
     return ViewScores(view_posterior(head, ad.reshape(hidden, (*shape, -1))),
                       ad.index(ad.softmax(logits), _label_picks(shape, verbalizer)))

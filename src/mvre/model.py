@@ -135,7 +135,7 @@ _FFN = ("ln2.gamma", "ln2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
 def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = None,
-                  train: bool = False, reads=None) -> tuple[Tensor, Tensor]:
+                  reads=None) -> tuple[Tensor, Tensor]:
     """Run the encoder over a batch of raw (unpadded) id sequences, packed.
 
     The live tokens of all sequences are stacked into one [sum L, d] matrix
@@ -147,8 +147,9 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
     sequence by sequence: post-norm hidden states [R, d] and the logits the
     head gives them [R, V]. The last layer runs its row-wise work on the read
     rows only. Every value and gradient has the bits of one graph per
-    sequence read at those rows, and dropout draws its masks in that graph's
-    order: sequence, then layer, then attention before FFN. Under
+    sequence read at those rows. Dropout applies exactly when ``rng`` is
+    given and draws its masks in that graph's order: sequence, then layer,
+    then attention before FFN. Under
     ``ad.no_grad()`` the same ops run and record no graph.
     """
     cfg = model.config
@@ -162,7 +163,7 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
             raise ValueError("token id out of vocabulary range")
     rows = ad.packed_rows([len(ids) for ids in seqs])
     reads = None if reads is None else ad.read_rows(rows, reads)
-    drop = cfg.dropout if (train and rng is not None) else 0.0
+    drop = cfg.dropout if rng is not None else 0.0
     draws = (np.concatenate([rng.random((2 * cfg.n_layers, len(ids), cfg.d)) for ids in seqs],
                             axis=1) if drop > 0.0 else None)
     p = model._params
@@ -185,21 +186,18 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
 
 
 def forward_ids(model: MlmModel, ids: np.ndarray,
-                rng: np.random.Generator | None = None,
-                train: bool = False) -> tuple[Tensor, Tensor]:
+                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
     """Run the encoder over one raw (unpadded) id sequence: a batch of one.
 
     Returns (hidden, logits); hidden is the post-norm state the head reads.
     """
-    return forward_batch(model, [ids], rng=rng, train=train)
+    return forward_batch(model, [ids], rng=rng)
 
 
 def forward(model: MlmModel, prompt: EncodedPrompt,
-            rng: np.random.Generator | None = None,
-            train: bool = False) -> tuple[Tensor, Tensor]:
+            rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
     """Encode a prompt; PAD positions are excluded by trimming to the live prefix."""
-    return forward_ids(model, prompt.ids[: prompt.attention_length], rng=rng,
-                       train=train)
+    return forward_ids(model, prompt.ids[: prompt.attention_length], rng=rng)
 
 
 # -- optimizer ------------------------------------------------------------------

@@ -69,7 +69,7 @@ def scalar_cosine(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return ad._make(np.asarray(c), (a, b), backward)
 
 
-def reference_forward_ids(model, ids, rng=None, train=False):
+def reference_forward_ids(model, ids, rng=None):
     """The encoder as a graph of small nodes: the former ``forward_ids``.
 
     ``model.forward_ids`` runs each sublayer as one node and must reproduce
@@ -78,7 +78,7 @@ def reference_forward_ids(model, ids, rng=None, train=False):
     cfg, p = model.config, model.params()
     ids = np.asarray(ids, dtype=np.int64)
     L = len(ids)
-    drop = cfg.dropout if (train and rng is not None) else 0.0
+    drop = cfg.dropout if rng is not None else 0.0
     x = ad.embedding(p["token_embed"], ids) + ad.index(p["pos_embed"], slice(0, L))
     dh = cfg.d // cfg.n_heads
     scale = 1.0 / np.sqrt(dh)

@@ -494,11 +494,16 @@ class TestTrainFromCheckpoint:
         ("eval", ["model.dropout=0.1"], "'model.dropout' is 0.1, but the run uses 0.0"),
         ("eval", ["train.m=5"], "'train.m' is 5, but the run uses 2"),
         ("eval", ["train.m=5", "model.d=16", "model.max_len=20"],
-         "'model.d' is 16, but the run uses 12")])
+         "'model.d' is 16, but the run uses 12"),
+        ("probe-init", ["model.d=16"], "'model.d' is 16, but the run uses 12"),
+        ("probe-init", ["train.m=5"], "'train.m' is 5, but the run uses 2"),
+        ("analyze-views", ["model.n_layers=3"], "'model.n_layers' is 3, but the run uses 1"),
+        ("analyze-views", ["train.m=5"], "'train.m' is 5, but the run uses 2")])
     def test_setting_the_run_cannot_use_exits_2(self, tmp_path, capsys, checkpoint, corpus,
                                                 command, sets, message):
         out = tmp_path / "t"
-        files = ["--dataset", str(corpus)] if command == "eval" else []
+        files = {"eval": ["--dataset", str(corpus)],
+                 "probe-init": ["--schema", str(corpus.parent / "schema.json")]}.get(command, [])
         code = run(command, "--out", str(out), "--checkpoint", str(checkpoint), *files,
                    *FAST_SETS, *[arg for item in sets for arg in ("--set", item)])
         assert code == 2
@@ -521,6 +526,29 @@ class TestTrainFromCheckpoint:
                            ("eval-match", FAST_SETS)):
             assert run("eval", "--out", str(tmp_path / name), "--checkpoint", str(checkpoint),
                        "--dataset", str(corpus), *sets) == 0
+
+    # the checkpoint's verbalizer holds rel0, rel1 and rel2, in that order
+    @pytest.mark.parametrize("n_relations,reverse,code", [
+        (2, False, 2), (4, False, 2), (3, True, 2), (3, False, 0)])
+    def test_schema_relations_must_be_the_checkpoints(self, tmp_path, capsys, checkpoint,
+                                                      n_relations, reverse, code):
+        assert run("generate-corpus", "--out", str(tmp_path / "c"), *FAST_SETS,
+                   "--set", f"corpus.n_relations={n_relations}") == 0
+        schema = tmp_path / "c" / "schema.json"
+        payload = json.loads(schema.read_text())
+        if reverse:
+            payload["relations"].reverse()
+            schema.write_text(json.dumps(payload))
+        out = tmp_path / "t"
+        assert run("train", "--out", str(out), "--checkpoint", str(checkpoint), *FAST_SETS,
+                   "--corpus", str(tmp_path / "c" / "corpus.jsonl"),
+                   "--schema", str(schema)) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert (f"schema.relations {payload['relations']} of {schema} differ from "
+                    f"verbalizer.relation_order ['rel0', 'rel1', 'rel2'] of checkpoint "
+                    f"{checkpoint}") in err
+            assert not out.exists()
 
     def test_pretrain_schema_file_takes_train_m(self, tmp_path):
         assert run("generate-corpus", "--out", str(tmp_path / "c"), *FAST_SETS,

@@ -1,5 +1,6 @@
 """Training-loop contracts, metric oracles, grids, protocols, heatmap."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,18 @@ class TestTrain:
         artifacts, _ = train(episode, schema, fast_config(epochs=0))
         with pytest.raises(ValidationError, match="m="):
             train(episode, schema, fast_config(m=3, epochs=0), pretrained=artifacts)
+
+    def test_reordered_pretrained_relations_rejected(self):
+        # apply_init writes each relation's vectors by the bundle's order
+        spec, ds, schema, splits = small_world()
+        episode = sample_kshot(splits, 1, 1)
+        cfg = fast_config(epochs=0)
+        bundle, _ = pretrain_bundle(ds, schema, cfg.model, PretrainConfig(steps=0))
+        reordered = replace(schema, relations=schema.relations[::-1])
+        with pytest.raises(ValidationError, match=re.escape(
+                "['rel2', 'rel1', 'rel0'] differ from the pretrained bundle's "
+                "['rel0', 'rel1', 'rel2']")):
+            train(episode, reordered, cfg, pretrained=bundle)
 
     @pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
     def test_bad_lr_rejected(self, lr):
@@ -441,8 +454,10 @@ class TestParallelGrid:
         parallel = run_grid(splits, schema, [1], [1, 2], [cfg])
         assert serial[0].f1s == parallel[0].f1s
 
-    def test_workers_capped_at_task_count(self, monkeypatch):
-        # an in-process stand-in records the pool size, so no process starts
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The sizes of the pools a grid opens: an in-process stand-in records
+        them, so no process starts, and every run scores 0.5 untrained."""
         sizes = []
 
         class InlinePool:
@@ -460,12 +475,26 @@ class TestParallelGrid:
 
         monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(exp, "_grid_task", lambda task: 0.5)
+        return sizes
+
+    def test_workers_capped_at_task_count(self, monkeypatch, pool_sizes):
         spec, ds, schema, splits = small_world()
         for threads, ks in (("16", [1]), ("3", [1, 2])):  # 2 tasks, then 4
             monkeypatch.setenv("MVRE_THREADS", threads)
             rows = run_grid(splits, schema, ks, [1, 2], [fast_config()])
             assert [row.f1s for row in rows] == [[0.5, 0.5]] * len(ks)
-        assert sizes == [2, 3]
+        assert pool_sizes == [2, 3]
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "2.5", ""])
+    def test_bad_thread_count_fails_before_any_run(self, monkeypatch, pool_sizes, threads):
+        runs = []
+        monkeypatch.setattr(exp, "_grid_task", runs.append)
+        spec, ds, schema, splits = small_world()
+        monkeypatch.setenv("MVRE_THREADS", threads)
+        with pytest.raises(ValidationError, match=re.escape(f"MVRE_THREADS must be a positive "
+                                                            f"integer, got {threads!r}")):
+            run_grid(splits, schema, [1], [1, 2], [fast_config()])
+        assert pool_sizes == [] and runs == []
 
     def test_similarity_protocol_identical_with_workers(self, monkeypatch):
         spec, ds, schema, splits = small_world()

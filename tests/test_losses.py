@@ -513,14 +513,14 @@ class TestPackedBatchAgainstPerSequenceGraphs:
         """``experiments.train``'s loss of one batch, MVDL + local + global."""
         verb = self.verb
         if packed:
-            scores = view_scores(model, head, self.prompts, verb, rng=rng, train=True)
+            scores = view_scores(model, head, self.prompts, verb, rng=rng)
             mvdl = ad.tmean(mvdl_loss(scores, self.labels))
             local_fn, global_fn = local_loss, global_loss
         else:
             terms = []
             for prompt, y in zip(self.prompts, self.labels):
                 hidden, logits = reference_forward_ids(
-                    model, prompt.ids[: prompt.attention_length], rng=rng, train=True)
+                    model, prompt.ids[: prompt.attention_length], rng=rng)
                 states = [ad.index(hidden, pos) for pos in prompt.mask_positions]
                 scores = ViewScores(reference_view_posterior(head, states),
                                     scalar_per_view_label_probs(logits, prompt, verb))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mvre import autodiff as ad
-from mvre.cli import _artifacts_from_checkpoint
+from mvre.cli import DEFAULTS, _from_checkpoint
 from mvre.data import CorpusSpec, Dataset, generate_corpus, make_splits, sample_kshot
 from mvre.errors import ValidationError
 from mvre.experiments import TrainConfig, train
@@ -103,7 +103,7 @@ class TestSublayersBitwise:
     """One node per sublayer gives the bits of the former graph of small nodes."""
 
     def run(self, forward_fn, model, ids, w, rows, rng=None):
-        hidden, logits = forward_fn(model, ids, rng=rng, train=rng is not None)
+        hidden, logits = forward_fn(model, ids, rng=rng)
         # reads a few rows of the head, as the masked-token loss does, so most
         # positions get an exactly zero upstream gradient
         loss = ad.tsum(ad.index(logits, rows) * w)
@@ -200,16 +200,15 @@ class TestPackedBatchBitwise:
         logit or None, gradients). Mode "reads" runs the forward as
         ``pretrain_mlm`` does, on the read rows; "packed" computes every row and
         gathers the read ones; "graphs" runs one reference graph per sequence."""
-        train = rng is not None
         if mode == "reads":
-            rows, logits = forward_batch(model, seqs, rng=rng, train=train, reads=reads)[1], None
+            rows, logits = forward_batch(model, seqs, rng=rng, reads=reads)[1], None
         elif mode == "packed":
-            _, logits = forward_batch(model, seqs, rng=rng, train=train)
+            _, logits = forward_batch(model, seqs, rng=rng)
             rows = ad.index(logits, np.concatenate(
                 [s + r for s, r in zip(offsets(self.LENGTHS), reads)]))
             logits = logits.data
         else:
-            outs = [reference_forward_ids(model, ids, rng=rng, train=train)[1] for ids in seqs]
+            outs = [reference_forward_ids(model, ids, rng=rng)[1] for ids in seqs]
             rows = ad.concat([ad.index(lg, r) for lg, r in zip(outs, reads)])
             logits = np.concatenate([lg.data for lg in outs])
         probs = ad.softmax(rows)
@@ -274,11 +273,10 @@ class TestReadRowsBitwise:
 
     def assert_same(self, cfg, seed, dropout_seed=None):
         model, seqs, _, _ = TestPackedBatchBitwise().batch(cfg, seed)
-        train = dropout_seed is not None
 
         def forward(reads=None):  # a fresh, equal generator for each call
-            rng = np.random.default_rng(dropout_seed) if train else None
-            return forward_batch(model, seqs, rng=rng, train=train, reads=reads)
+            rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+            return forward_batch(model, seqs, rng=rng, reads=reads)
 
         hidden, logits = forward()
         for reads in self.read_sets(np.random.default_rng(seed)):
@@ -417,7 +415,7 @@ class TestParameterArena:
                         vocab_payload=vocab_payload(self.vocab, self.verb))
         ckpt = load_checkpoint(path)
         assert_packed(ckpt.model.params())
-        artifacts, _ = _artifacts_from_checkpoint(str(path))
+        artifacts, _, _ = _from_checkpoint(str(path), dict(DEFAULTS))
         for params in (artifacts.model.params(), artifacts.head.params()):
             assert_packed(params)
         assert artifacts.head.w.data.tobytes() == head_w.tobytes()
