@@ -38,7 +38,6 @@ import contextlib
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericError
 
@@ -364,9 +363,69 @@ def sigmoid(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+# The coefficients of cephes ``erf`` (ndtr.c): ``erf(x) = x T(x*x) / U(x*x)``
+# for |x| <= 1, else ``1 - erfc(|x|)`` with x's sign, where
+# ``erfc(a) = exp(-a*a) P(a) / Q(a)`` for a < 8. U and Q lead with the 1 that
+# cephes ``p1evl`` implies (``x * 1.0`` is exact, so the bits are p1evl's).
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """cephes ``polevl``: Horner's rule, one rounding per multiply and per add."""
+    y = x * coef[0]
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Error function of an array, C-ordered: the bits of ``scipy.special.erf``,
+    a numpy transcription of the cephes ``erf`` it runs.
+
+    Each multiply and add rounds once, in cephes' order (numpy fuses none).
+    ``exp`` is the C library's: numpy's float64 ``exp`` is a SIMD routine whose
+    last bit differs from libm's on some inputs, while its complex128 ``exp``
+    calls libm's ``cexp``, which gives ``exp(r)`` for ``r + 0j``. Cephes'
+    branch for a >= 8 (other coefficients, and 0 once a*a passes log(DBL_MAX))
+    never reaches erf's bits: erfc(8) < 1.2e-29, far below half an ulp of 1,
+    so ``1 - erfc`` rounds to 1 for every a >= 8, as it does at a = 8. So a
+    is clamped to 8. Only the elements with |x| > 1 pay for ``erfc``.
+    """
+    with np.errstate(all="ignore"):  # overflow in x*x for huge |x| is overwritten
+        flat = np.ravel(x)
+        z = flat * flat
+        out = _polevl(z, _ERF_T)
+        out *= flat
+        out /= _polevl(z, _ERF_U)
+        far = np.flatnonzero(z > 1.0)  # |x| > 1, NaN excluded
+        if far.size:
+            xf = flat[far]
+            a = np.minimum(np.abs(xf), 8.0)
+            e = (-(a * a)).astype(np.complex128)
+            np.exp(e, out=e)
+            y = _polevl(a, _ERFC_P)
+            y *= e.real
+            y /= _polevl(a, _ERFC_Q)
+            out[far] = np.copysign(1.0 - y, xf)
+    return out.reshape(np.shape(x))
+
+
 def _gelu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU of an array and the normal CDF its gradient reuses."""
-    cdf = 0.5 * (1.0 + erf(a * _INV_SQRT2))
+    cdf = _erf(a * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     return a * cdf, cdf
 
 
@@ -376,7 +435,8 @@ def _gelu_grad(g: np.ndarray, a: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def gelu(a) -> Tensor:
-    """Gaussian error linear unit, exact erf form."""
+    """Gaussian error linear unit, exact erf form: ``a * 0.5 * (1 + erf(a / sqrt 2))``
+    with ``_erf``, the cephes erf on the C library's ``exp``, bit for bit."""
     a = _as_tensor(a)
     out_data, cdf = _gelu(a.data)
 
@@ -605,11 +665,11 @@ def _split_heads(a: np.ndarray, n_heads: int) -> np.ndarray:
     return np.ascontiguousarray(a.reshape(a.shape[0], n_heads, -1).transpose(1, 0, 2))
 
 
-def _merge_heads(out: np.ndarray, heads: np.ndarray):
-    """Write an [H, L, dh] stack into the C-ordered [L, d] block ``out``. (A
-    reshape of the transposed stack can return an F-ordered view, whose column
-    sums, e.g. a bias gradient, have other bits.)"""
-    out.reshape(out.shape[0], heads.shape[0], -1)[...] = heads.transpose(1, 0, 2)
+def _merge_heads(heads: np.ndarray) -> np.ndarray:
+    """An [H, L, dh] stack as a new C-ordered [L, d] array. (A reshape of the
+    transposed stack can return an F-ordered view, whose column sums, e.g. a
+    bias gradient, have other bits.)"""
+    return np.ascontiguousarray(heads.transpose(1, 0, 2)).reshape(heads.shape[1], -1)
 
 
 def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
@@ -622,10 +682,12 @@ def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
     heads are concatenated and projected, ``@ wo + bo``. ``rows`` holds each
     sequence's row block (default: one sequence, all rows); with ``reads``
     only the read rows of the output are computed, the others are zero.
-    Replays the per-head graph: each sequence's heads run as one contiguous
-    [H, L, dh] stack, scores are ``(qh @ kh.T) * scale``, the key gradient is
-    ``(qh.T @ g).T`` and the gradient of ``xn`` sums the q, k and v paths in
-    that order.
+    Replays the per-head graph: q, k and v are split once per batch into
+    contiguous [H, sum L, dh] stacks, each sequence's heads run as one stacked
+    matmul on its rows ``[:, r]`` of them (every head's [L, dh] block a
+    contiguous matrix, as in the per-head graph), scores are
+    ``(qh @ kh.T) * scale``, the key gradient is ``(qh.T @ g).T`` and the
+    gradient of ``xn`` sums the q, k and v paths in that order.
     """
     ts = x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo = tuple(map(
         _as_tensor, (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo)))
@@ -639,31 +701,31 @@ def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
     q += bq.data
     k += bk.data
     v += bv.data
-    cat = np.empty_like(q)
-    stacks = []
+    qh, kh, vh = (_split_heads(a, n_heads) for a in (q, k, v))
+    cat_h, atts = np.empty_like(vh), []
     for s, r in enumerate(rows):
-        qs, ks, vs = (_split_heads(a[r], n_heads) for a in (q, k, v))
-        scores = np.matmul(qs, ks.transpose(0, 2, 1))
+        scores = np.matmul(qh[:, r], kh[:, r].transpose(0, 2, 1))
         if reads is None:
             scores *= scale
             att = _softmax(scores, -1)
         else:  # only the read query rows get a softmax
             att, p = np.zeros_like(scores), reads.positions[s]
             att[:, p] = _softmax(scores[:, p] * scale, -1)
-        _merge_heads(cat[r], np.matmul(att, vs))
-        stacks.append((qs, ks, vs, att))
+        np.matmul(att, vh[:, r], out=cat_h[:, r])
+        atts.append(att)
+    cat = _merge_heads(cat_h)
     out_data = _matmul_rows(cat, wo.data, rows)
     _add_rows(out_data, bo.data, reads)
 
     def backward(g):
-        gcat = _linear_backward(g, cat, wo, bo, rows)
-        gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-        for r, (qs, ks, vs, att) in zip(rows, stacks):
-            gh = _split_heads(gcat[r], n_heads)
-            gs = _softmax_grad(np.matmul(gh, vs.transpose(0, 2, 1)), att, -1) * scale
-            _merge_heads(gq[r], np.matmul(gs, ks))
-            _merge_heads(gk[r], np.matmul(qs.transpose(0, 2, 1), gs).transpose(0, 2, 1))
-            _merge_heads(gv[r], np.matmul(att.transpose(0, 2, 1), gh))
+        gh = _split_heads(_linear_backward(g, cat, wo, bo, rows), n_heads)
+        gqh, gkh, gvh = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
+        for r, att in zip(rows, atts):
+            gs = _softmax_grad(np.matmul(gh[:, r], vh[:, r].transpose(0, 2, 1)), att, -1) * scale
+            np.matmul(gs, kh[:, r], out=gqh[:, r])
+            gkh[:, r] = np.matmul(qh[:, r].transpose(0, 2, 1), gs).transpose(0, 2, 1)
+            np.matmul(att.transpose(0, 2, 1), gh[:, r], out=gvh[:, r])
+        gq, gk, gv = (_merge_heads(a) for a in (gqh, gkh, gvh))
         gxn = _linear_backward(gq, xn, wq, bq, rows)
         gxn += _linear_backward(gk, xn, wk, bk, rows)
         gxn += _linear_backward(gv, xn, wv, bv, rows)

@@ -240,14 +240,16 @@ def _save_checkpoint(path: Path, artifacts: TrainedArtifacts, schema, head_w=Non
 
 
 def _from_checkpoint(path: str, cfg: dict, training: bool = False, schema=None,
-                     schema_file=None) -> tuple[TrainedArtifacts, TrainConfig, dict]:
+                     schema_file=None,
+                     pretrain_keys=()) -> tuple[TrainedArtifacts, TrainConfig, dict]:
     """The bundle of checkpoint ``path``, the run's train config with the
-    checkpoint's m and ``max_len``, and the header's ``extra``. A run keeps
-    the checkpoint's model, m and relation order: a ``model.*`` key or
+    checkpoint's model, m and ``max_len``, and the header's ``extra``. A run
+    keeps the checkpoint's model, m and relation order: a ``model.*`` key or
     ``train.m`` set away from its default to another value, or a ``schema``
     with other relations or another order, is a configuration error. A
     training run also needs the checkpoint's m, even at the default
-    ``train.m``, and runs no inner pretraining."""
+    ``train.m``. The run pretrains nothing, so a ``pretrain_keys`` key away
+    from its default is an error too."""
     ckpt = load_checkpoint(path)
     if ckpt.vocab_payload is None:
         raise CliError(f"checkpoint {path} carries no vocabulary")
@@ -260,10 +262,10 @@ def _from_checkpoint(path: str, cfg: dict, training: bool = False, schema=None,
         if given != used and (given != DEFAULTS[key] or (training and key == "train.m")):
             raise CliError(f"config key {key!r} is {given!r}, but the run uses {used!r} "
                            f"from checkpoint {path}")
-    for key in ("train.pretrain_steps", "train.pretrain_lr") if training else ():
+    for key in pretrain_keys:
         if _get(cfg, key) != DEFAULTS[key]:
             raise CliError(f"config key {key!r} is {_get(cfg, key)!r}, but the run from "
-                           f"checkpoint {path} pretrains for 0 steps")
+                           f"checkpoint {path} does not pretrain")
     if schema is not None and schema.relations != verbalizer.relation_order:
         raise CliError(f"schema.relations {list(schema.relations)} of "
                        f"{schema_file or 'the generated corpus'} differ from "
@@ -272,7 +274,8 @@ def _from_checkpoint(path: str, cfg: dict, training: bool = False, schema=None,
     head = ViewPosteriorHead(model_config.d)
     if ckpt.head_w is not None:
         head.w.data[...] = ckpt.head_w
-    config = replace(build_configs(cfg)["train"], m=verbalizer.m, max_len=model_config.max_len)
+    config = replace(build_configs(cfg)["train"], m=verbalizer.m, max_len=model_config.max_len,
+                     model=model_config)
     return TrainedArtifacts(ckpt.model, head, vocab, verbalizer), config, ckpt.extra
 
 
@@ -314,8 +317,9 @@ def cmd_train(args, cfg: dict) -> int:
     dataset, schema = _load_corpus_and_schema(args, cfg)
     tc, pretrained = build_configs(cfg)["train"], None
     if args.checkpoint is not None:
-        pretrained, tc, _ = _from_checkpoint(args.checkpoint, cfg, training=True,
-                                             schema=schema, schema_file=args.schema)
+        pretrained, tc, _ = _from_checkpoint(
+            args.checkpoint, cfg, training=True, schema=schema, schema_file=args.schema,
+            pretrain_keys=("train.pretrain_steps", "train.pretrain_lr"))
     episode = sample_kshot(_splits(dataset, cfg), _get(cfg, "data.k"), tc.seed)
     artifacts, result = train(episode, schema, tc, pretrained=pretrained)
     out = _out_dir(args, cfg)
@@ -384,7 +388,8 @@ def cmd_probe_init(args, cfg: dict) -> int:
             raise CliError("probe-init with --checkpoint also needs --schema")
         schema = load_schema(args.schema)
         artifacts, tc, _ = _from_checkpoint(args.checkpoint, cfg, schema=schema,
-                                            schema_file=args.schema)
+                                            schema_file=args.schema,
+                                            pretrain_keys=_field_keys("pretrain"))
         schema = schema.with_m(tc.m)
     else:
         dataset, schema = _load_corpus_and_schema(args, cfg)

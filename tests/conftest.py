@@ -1,6 +1,7 @@
 """Shared numeric oracles and file helpers for the test suite."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -139,6 +140,76 @@ def reference_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
         if weight_decay != 0.0:
             p.data = p.data - lr * weight_decay * p.data
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# cephes ndtr.c, whole: erf for |x| <= 1 (T/U), erfc for 1 <= a < 8 (P/Q) and
+# a >= 8 (R/S), underflowing to 0 once a*a > MAXLOG. Q, U and S have an
+# implicit leading 1 (p1evl).
+_CEPHES_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+             7.00332514112805075473E3, 5.55923013010394962768E4)
+_CEPHES_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+             2.26290000613890934246E4, 4.92673942608635921086E4)
+_CEPHES_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+             4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+             9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_CEPHES_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+             9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+             1.65666309194161350182E3, 5.57535340817727675546E2)
+_CEPHES_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+             6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_CEPHES_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+             1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_CEPHES_MAXLOG = 7.09782712893383996843E2
+
+
+def _polevl(x: float, coef) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def reference_erfc(a: float) -> float:
+    """cephes ``erfc``, one Python float operation per C one, on ``math.exp``."""
+    if math.isnan(a):
+        return math.nan
+    x = -a if a < 0.0 else a
+    if x < 1.0:
+        return 1.0 - reference_erf(a)
+    z = -a * a
+    if z < -_CEPHES_MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        p, q = _polevl(x, _CEPHES_P), _p1evl(x, _CEPHES_Q)
+    else:
+        p, q = _polevl(x, _CEPHES_R), _p1evl(x, _CEPHES_S)
+    y = (z * p) / q
+    if a < 0.0:
+        y = 2.0 - y
+    if y == 0.0:
+        return 2.0 if a < 0.0 else 0.0
+    return y
+
+
+def reference_erf(x: float) -> float:
+    """cephes ``erf``, the function ``scipy.special.erf`` runs: the oracle of
+    ``autodiff._erf``."""
+    if math.isnan(x):
+        return math.nan
+    if x < 0.0:
+        return -reference_erf(-x)
+    if abs(x) > 1.0:
+        return 1.0 - reference_erfc(x)
+    z = x * x
+    return x * _polevl(z, _CEPHES_T) / _p1evl(z, _CEPHES_U)
 
 
 def rewrite_header(path, edit):

@@ -1,12 +1,14 @@
 """Gradient correctness of every engine op against central finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mvre import autodiff as ad
 from mvre.errors import NumericError
 
-from conftest import assert_grads_close, scalar_cosine
+from conftest import assert_grads_close, reference_erf, scalar_cosine
 
 
 def sum_of_squares(y):
@@ -65,6 +67,53 @@ class TestElementwiseGradients:
         a = ad.parameter(rng.normal(size=(3, 4)))
         b = ad.parameter(rng.normal(size=(4,)) + 2.0)
         assert_grads_close(lambda: ad.tsum(a * b + a / b - b), {"a": a, "b": b})
+
+
+def erf_sample() -> np.ndarray:
+    """Seeded inputs over every branch of cephes erf, both signs, with the
+    values at and next to each branch boundary and the special values."""
+    rng = np.random.default_rng(20231229)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 8.0,
+             np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 26.64, 26.7, 1e155, 1e300,
+             np.finfo(np.float64).max, np.inf, tiny, 1000 * tiny,
+             np.finfo(np.float64).tiny, np.nextafter(np.finfo(np.float64).tiny, 0.0)]
+    magnitudes = np.concatenate([
+        edges, rng.uniform(0.0, 1.0, 3000), rng.uniform(1.0, 8.0, 6000),
+        rng.uniform(8.0, 26.7, 500), rng.uniform(26.7, 1e3, 500),
+        10.0 ** rng.uniform(-320, -5, 500)])
+    return np.concatenate([magnitudes, -magnitudes, [np.nan, -np.nan]])
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit patterns, any NaN standing for any NaN."""
+    nan = np.isnan(a)
+    return bool(np.array_equal(nan, np.isnan(b))
+                and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestErfKernel:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_cephes_bits(self, strict):
+        x = erf_sample()
+        expected = np.array([reference_erf(float(v)) for v in x])
+        with warnings.catch_warnings(), np.errstate(all="raise" if strict else "warn"):
+            if strict:
+                warnings.simplefilter("error")
+            got = ad._erf(x)
+        assert same_bits(got, expected)
+
+    def test_scipy_bits(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.concatenate([erf_sample(), np.random.default_rng(7).normal(0.0, 4.0, 100_000)])
+        assert same_bits(ad._erf(x), special.erf(x))
+
+    def test_shapes_and_layouts(self):
+        x = erf_sample()[:600]
+        for arr in (x.reshape(20, 30), np.asfortranarray(x.reshape(20, 30)), x[::2],
+                    np.array(0.5)):
+            got = ad._erf(arr)
+            assert got.shape == arr.shape and same_bits(got.ravel(), ad._erf(arr.ravel()))
 
 
 class TestMatmulGradients:

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import os
 import random
-from dataclasses import replace
+import subprocess
+import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
 from mvre.cli import DEFAULTS, build_configs, main, resolve_config, CliError
+from mvre.model import load_checkpoint
 
 from conftest import drop_base_word, repeat_relation, rewrite_header
 
@@ -521,6 +525,10 @@ class TestTrainFromCheckpoint:
                        str(checkpoint), *sets, "--set", "train.pretrain_lr=0.002") == 0
         result = json.loads((tmp_path / "default" / "result.json").read_text())
         assert result["config"]["max_len"] == 48
+        # result.json records the checkpoint's model: d=12, 1 layer
+        model = result["config"]["model"]
+        assert model == asdict(load_checkpoint(checkpoint).model.config)
+        assert (model["d"], model["n_layers"], model["max_len"]) == (12, 1, 48)
         # eval reads m from the checkpoint, so the default train.m passes too
         for name, sets in (("eval-default", ["--set", "train.m=4"]),
                            ("eval-match", FAST_SETS)):
@@ -695,6 +703,30 @@ class TestReportCommands:
             assert "schema.relations" in err and "verbalizer.relation_order" in err
             assert str(relations) in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--seed", "5"], "'pretrain.seed' is 5"),
+        (["--set", "pretrain.steps=99"], "'pretrain.steps' is 99"),
+        (["--set", "pretrain.mask_rate=0.5"], "'pretrain.mask_rate' is 0.5")])
+    def test_probe_init_from_checkpoint_rejects_pretrain_keys(self, tmp_path, capsys, argv,
+                                                              message):
+        checkpoint, out = FIXTURES / "probe_toy.ckpt", tmp_path / "pi"
+        assert run("probe-init", "--out", str(out), "--checkpoint", str(checkpoint),
+                   "--schema", str(FIXTURES / "probe_schema.json"), *argv) == 2
+        err = capsys.readouterr().err
+        assert f"{message}, but the run from checkpoint {checkpoint} does not pretrain" in err
+        assert not out.exists()
+
+
+class TestImports:
+    def test_import_and_help_load_no_scipy(self):
+        code = ("import sys, mvre, mvre.cli\n"
+                "try:\n    mvre.cli.main(['--help'])\nexcept SystemExit:\n    pass\n"
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestCommandFlags:
