@@ -9,7 +9,7 @@ duty as input vectors and output scores.
 import numpy as np
 
 from mvre import autodiff as ad
-from mvre import (CorpusSpec, MlmModel, ModelConfig, build_vocab, forward,
+from mvre import (CorpusSpec, MlmModel, ModelConfig, build_vocab, forward_batch,
                   generate_corpus, synthetic_schema, wrap_template)
 
 # --- gradients by hand vs by engine ------------------------------------------
@@ -54,10 +54,10 @@ model = MlmModel(ModelConfig(d=32, n_layers=2, n_heads=2, max_len=48,
                              vocab_size=len(vocab)), seed=0)
 
 prompt = wrap_template(dataset.instances[0], vocab, m=3, max_len=48)
-hidden, logits = forward(model, prompt)
+hidden, logits = forward_batch(model, [prompt.ids])
 probs = ad.softmax(logits).data
-print(f"\nprompt length {prompt.attention_length}, masks at {prompt.mask_positions}")
+print(f"\nprompt length {len(prompt.ids)}, masks at {prompt.mask_positions}")
 print(f"hidden {hidden.shape}, logits {logits.shape}")
 print(f"every softmax row sums to 1: {np.allclose(probs.sum(-1), 1.0)}")
 print(f"forward is deterministic: "
-      f"{np.array_equal(logits.data, forward(model, prompt)[1].data)}")
+      f"{np.array_equal(logits.data, forward_batch(model, [prompt.ids])[1].data)}")

@@ -24,8 +24,8 @@ from .losses import (ViewPosteriorHead, ViewScores, infer, global_loss, local_lo
                      relation_scores, total_loss, verbalizer_embeddings,
                      view_posterior, view_scores)
 from .model import (AdamW, Checkpoint, MlmModel, ModelConfig, PretrainConfig,
-                    PretrainResult, forward, forward_ids,
-                    load_checkpoint, pretrain_mlm, save_checkpoint)
+                    PretrainResult, forward_batch, load_checkpoint, pretrain_mlm,
+                    save_checkpoint)
 from .schema import (RelationSchema, load_schema, save_schema, schema_from_relations,
                      si_tokens_from_label, synthetic_schema)
 from .vocab import (EncodedPrompt, Verbalizer, Vocab, build_vocab, decode,

@@ -83,10 +83,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def T(self) -> "Tensor":
         return transpose(self)
 

@@ -65,9 +65,7 @@ def encode_probe_template(template: str, vocab: Vocab, m: int,
     out.append(SEP)
     if len(out) > max_len:
         raise InitError(f"probe template needs {len(out)} tokens, max_len is {max_len}")
-    ids = np.full(max_len, vocab.pad_id, dtype=np.int64)
-    ids[: len(out)] = vocab.encode_words(out)
-    return EncodedPrompt(ids, tuple(mask_positions), len(out))
+    return EncodedPrompt(vocab.encode_words(out), tuple(mask_positions))
 
 
 def _static_vectors(schema: RelationSchema, vocab: Vocab,
@@ -104,7 +102,7 @@ def _dynamic_vectors(schema: RelationSchema, vocab: Vocab, model: MlmModel) -> t
             raise InitError(f"relation {rel!r} has no probe template")
         prompts.append(encode_probe_template(template, vocab, m, model.config.max_len))
     with ad.no_grad():
-        _, logits = forward_batch(model, [p.ids[: p.attention_length] for p in prompts],
+        _, logits = forward_batch(model, [p.ids for p in prompts],
                                   reads=[p.mask_positions for p in prompts])
         probs = ad.softmax(logits).data  # [|Y| * m, V], rows relation by relation, then view
     tok_ids = np.where(banned, -np.inf, probs).argmax(axis=-1)

@@ -107,8 +107,8 @@ def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
         if prompt.m != verbalizer.m:
             raise ValueError(f"prompt has {prompt.m} masks but verbalizer expects "
                              f"{verbalizer.m}")
-    hidden, logits = forward_batch(model, [pr.ids[: pr.attention_length] for pr in batch],
-                                   rng=rng, reads=[pr.mask_positions for pr in batch])
+    hidden, logits = forward_batch(model, [pr.ids for pr in batch], rng=rng,
+                                   reads=[pr.mask_positions for pr in batch])
     shape = (verbalizer.m,) if single else (len(batch), verbalizer.m)
     return ViewScores(view_posterior(head, ad.reshape(hidden, (*shape, -1))),
                       ad.index(ad.softmax(logits), _label_picks(shape, verbalizer)))

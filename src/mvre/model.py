@@ -6,9 +6,9 @@ an embedding row (e.g. virtual-word initialization) shapes both input and
 output behavior at once.
 
 Everything runs in float64; forward passes are deterministic functions of
-(parameters, input), and padded positions are simply trimmed before the
-encoder, which keeps them out of attention entirely. A batch runs packed
-(``forward_batch``): the live tokens of all its sequences form one
+(parameters, input). ``forward_batch`` is the one entry: it takes a list of
+id sequences, each exactly its live tokens (a prompt carries no padding),
+and runs them packed: the tokens of all its sequences form one
 [sum L, d] matrix, so row-wise math runs once per batch while every matmul
 and each sequence's attention run per sequence; each sequence gets the bits
 it gets alone, and each gradient the bits of one graph per sequence. A
@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Dataset
 from .errors import ValidationError
-from .vocab import EncodedPrompt, Vocab, encode_sentence, vocab_from_payload
+from .vocab import Vocab, encode_sentence, vocab_from_payload
 
 logger = logging.getLogger(__name__)
 
@@ -136,9 +136,10 @@ _FFN = ("ln2.gamma", "ln2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = None,
                   reads=None) -> tuple[Tensor, Tensor]:
-    """Run the encoder over a batch of raw (unpadded) id sequences, packed.
+    """Run the encoder over a batch of id sequences, packed; a batch of one
+    is ``forward_batch(model, [ids])``.
 
-    The live tokens of all sequences are stacked into one [sum L, d] matrix
+    The tokens of all sequences are stacked into one [sum L, d] matrix
     (``autodiff`` describes the packed layout): layer norms, bias adds, GELU,
     residual adds and the embedding gather run once per batch, every matmul
     and each sequence's attention per sequence. ``reads[s]`` holds the
@@ -183,21 +184,6 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
     hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"], rows=rows,
                            reads=reads)
     return hidden, tied.head(hidden, p["head_bias"], reads)
-
-
-def forward_ids(model: MlmModel, ids: np.ndarray,
-                rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
-    """Run the encoder over one raw (unpadded) id sequence: a batch of one.
-
-    Returns (hidden, logits); hidden is the post-norm state the head reads.
-    """
-    return forward_batch(model, [ids], rng=rng)
-
-
-def forward(model: MlmModel, prompt: EncodedPrompt,
-            rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
-    """Encode a prompt; PAD positions are excluded by trimming to the live prefix."""
-    return forward_ids(model, prompt.ids[: prompt.attention_length], rng=rng)
 
 
 # -- optimizer ------------------------------------------------------------------

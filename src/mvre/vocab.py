@@ -8,9 +8,10 @@ per relation are appended after the base vocabulary in a fixed
 A prompt wraps a sentence as::
 
     [CLS] ... [SUB] subject [/SUB] ... [OBJ] object [/OBJ] ... [SEP]
-    subject-tokens [MASK] x m object-tokens [SEP] [PAD]...
+    subject-tokens [MASK] x m object-tokens [SEP]
 
-with the suffix's entity order set per run (``train.entity_order``).
+with the suffix's entity order set per run (``train.entity_order``). A
+prompt holds exactly these live tokens; ``max_len`` bounds its length.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ SUB_OPEN, SUB_CLOSE = "[SUB]", "[/SUB]"
 OBJ_OPEN, OBJ_CLOSE = "[OBJ]", "[/OBJ]"
 UNK = "[UNK]"
 
+# no prompt holds [PAD]; it keeps its id, which fixes the layout of every checkpoint
 SPECIAL_TOKENS = (PAD, CLS, SEP, MASK, SUB_OPEN, SUB_CLOSE, OBJ_OPEN, OBJ_CLOSE, UNK)
 
 SUB_OBJ = "sub_obj"
@@ -64,10 +66,6 @@ class Vocab:
         return self.words[idx]
 
     @property
-    def pad_id(self) -> int:
-        return self._id_of[PAD]
-
-    @property
     def mask_id(self) -> int:
         return self._id_of[MASK]
 
@@ -75,10 +73,10 @@ class Vocab:
     def special_ids(self) -> tuple[int, ...]:
         return tuple(self._id_of[w] for w in SPECIAL_TOKENS)
 
-    def encode_words(self, words) -> list[int]:
-        """``id_of`` of each word, with one lookup per word."""
+    def encode_words(self, words) -> np.ndarray:
+        """``id_of`` of each word as an int64 array, with one lookup per word."""
         get, unk = self._id_of.get, self._id_of[UNK]
-        return [get(w, unk) for w in words]
+        return np.array([get(w, unk) for w in words], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,11 @@ def build_vocab(dataset: Dataset, schema) -> tuple[Vocab, Verbalizer]:
 
 @dataclass(frozen=True)
 class EncodedPrompt:
-    """Model-ready id sequence with the positions of its m ``[MASK]`` tokens."""
+    """Model-ready id sequence, ``[CLS]`` ... ``[SEP]`` with no padding, and the
+    positions of its m ``[MASK]`` tokens."""
 
     ids: np.ndarray
     mask_positions: tuple[int, ...]
-    attention_length: int
 
     @property
     def m(self) -> int:
@@ -201,23 +199,21 @@ def wrap_template(instance: RelationInstance, vocab: Vocab, m: int, max_len: int
                 f"entities and markers do not fit within max_len={max_len}")
         sent = [tok for i, tok in enumerate(sent) if i not in to_drop]
 
-    words = [CLS] + sent + [SEP] + suffix + [SEP]
-    ids = np.full(max_len, vocab.pad_id, dtype=np.int64)
-    ids[: len(words)] = vocab.encode_words(words)
     first_mask = 1 + len(sent) + 1 + len(first)  # after CLS, the sentence, SEP and `first`
-    return EncodedPrompt(ids, tuple(range(first_mask, first_mask + m)), len(words))
+    return EncodedPrompt(vocab.encode_words([CLS] + sent + [SEP] + suffix + [SEP]),
+                         tuple(range(first_mask, first_mask + m)))
 
 
 def decode(prompt: EncodedPrompt, vocab: Vocab) -> list[str]:
-    """Words of the non-PAD prefix of a prompt."""
-    return [vocab.word_of(int(i)) for i in prompt.ids[: prompt.attention_length]]
+    """Words of a prompt."""
+    return [vocab.word_of(int(i)) for i in prompt.ids]
 
 
 def encode_sentence(instance: RelationInstance, vocab: Vocab,
                     entity_markers: bool = True) -> np.ndarray:
     """CLS + marked sentence + SEP as raw ids (no padding); pretraining input."""
     words, _ = _marked_sentence(instance, entity_markers)
-    return np.array(vocab.encode_words([CLS] + words + [SEP]), dtype=np.int64)
+    return vocab.encode_words([CLS] + words + [SEP])
 
 
 _PAYLOAD = {"words", "base_size", "m", "relation_order"}

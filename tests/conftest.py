@@ -71,10 +71,11 @@ def scalar_cosine(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
 
 
 def reference_forward_ids(model, ids, rng=None):
-    """The encoder as a graph of small nodes: the former ``forward_ids``.
+    """The encoder over one sequence as a graph of small nodes.
 
-    ``model.forward_ids`` runs each sublayer as one node and must reproduce
-    this graph bit for bit, in hidden states, logits and every gradient.
+    ``model.forward_batch(model, [ids])`` runs each sublayer as one node and
+    must reproduce this graph bit for bit, in hidden states, logits and every
+    gradient.
     """
     cfg, p = model.config, model.params()
     ids = np.asarray(ids, dtype=np.int64)

@@ -22,7 +22,7 @@ from mvre.init_schemes import dynamic_init
 from mvre.losses import (MVDL_EPS, ViewPosteriorHead, global_loss, infer,
                          local_loss, mvdl_loss, total_loss,
                          verbalizer_embeddings, view_posterior, view_scores)
-from mvre.model import AdamW, MlmModel, ModelConfig, forward, load_checkpoint
+from mvre.model import AdamW, MlmModel, ModelConfig, forward_batch, load_checkpoint
 from mvre.schema import RelationSchema, load_schema
 from mvre.vocab import build_vocab, vocab_from_payload, wrap_template
 
@@ -155,7 +155,7 @@ class TestCriterion2ReductionProperty:
             opt_b = AdamW(params_b, lr=3e-3)
             refs = []
             for p, y in zip(prompts, labels):
-                _, logits = forward(model_b, p)
+                _, logits = forward_batch(model_b, [p.ids])
                 row = ad.softmax(ad.index(logits, p.mask_positions[0]))
                 refs.append(-ad.log(ad.index(row, verb.virtual_id_by_index(y, 1))
                                     + MVDL_EPS))
@@ -251,8 +251,7 @@ class TestCriterion6InferenceOracle:
                     logits = rng.normal(size=(seq, 12)) * 2
                     w = rng.normal(size=d)
                     positions = tuple(range(seq - m, seq))
-                    prompt = EncodedPrompt(np.zeros(seq, dtype=np.int64),
-                                           positions, seq)
+                    prompt = EncodedPrompt(np.zeros(seq, dtype=np.int64), positions)
                     head = ViewPosteriorHead(d)
                     head.w.data[...] = w
                     states = [ad.tensor(hidden[p]) for p in positions]

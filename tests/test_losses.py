@@ -13,7 +13,7 @@ from mvre.losses import (MVDL_EPS, ViewPosteriorHead, ViewScores, global_loss,
                          infer, infer_batch, local_loss, mvdl_loss,
                          per_view_label_probs, relation_scores, total_loss,
                          verbalizer_embeddings, view_posterior, view_scores)
-from mvre.model import AdamW, MlmModel, ModelConfig, forward
+from mvre.model import AdamW, MlmModel, ModelConfig, forward_batch
 from mvre.schema import synthetic_schema
 from mvre.vocab import EncodedPrompt, Verbalizer, build_vocab, wrap_template
 
@@ -88,7 +88,7 @@ def fake_prompt_and_verbalizer(m, n_rel, seq_len, vocab_size):
     verb = Verbalizer(tuple(f"R{i}" for i in range(n_rel)), m, base)
     mask_positions = tuple(range(seq_len - m, seq_len))
     ids = np.zeros(seq_len, dtype=np.int64)
-    return EncodedPrompt(ids, mask_positions, seq_len), verb
+    return EncodedPrompt(ids, mask_positions), verb
 
 
 class TestPerViewLabelProbs:
@@ -283,7 +283,7 @@ class TestInferOracle:
                         prompt = wrap_template(inst, vocab, m, 40)
                         pred, scores = infer(model, head, prompt, verb)
                         with ad.no_grad():
-                            hidden, logits = forward(model, prompt)
+                            hidden, logits = forward_batch(model, [prompt.ids])
                         expected = self.brute_force(hidden.data, logits.data,
                                                     head.w.data, prompt, verb)
                         np.testing.assert_allclose(scores, expected, atol=1e-12)
@@ -295,7 +295,7 @@ class TestInferOracle:
         prompt = wrap_template(ds.instances[0], vocab, 1, 40)
         pred, scores = infer(model, head, prompt, verb)
         with ad.no_grad():
-            _, logits = forward(model, prompt)
+            _, logits = forward_batch(model, [prompt.ids])
         row = logits.data[prompt.mask_positions[0]]
         vids = [verb.virtual_id(r, 1) for r in verb.relation_order]
         assert pred == verb.relation_order[int(np.argmax(row[vids]))]
@@ -478,7 +478,7 @@ class TestBitwiseAgainstScalarGraphs:
                 p.zero_grad()
             terms = []
             for y, prompt in enumerate(prompts):
-                hidden, logits = forward(model, prompt)
+                hidden, logits = forward_batch(model, [prompt.ids])
                 states = [ad.index(hidden, pos) for pos in prompt.mask_positions]
                 scores = ViewScores(view_posterior(head, states),
                                     probs_fn(logits, prompt, verb))
@@ -506,7 +506,7 @@ class TestPackedBatchAgainstPerSequenceGraphs:
         self.vocab, self.verb = build_vocab(self.ds, self.schema)
         # prompts of unequal lengths, labels given by position
         self.prompts = [wrap_template(inst, self.vocab, 3, 40) for inst in self.ds.instances[:5]]
-        assert len({p.attention_length for p in self.prompts}) > 1
+        assert len({len(p.ids) for p in self.prompts}) > 1
         self.labels = [i % 4 for i in range(5)]
 
     def objective(self, packed, model, head, rng):
@@ -519,8 +519,7 @@ class TestPackedBatchAgainstPerSequenceGraphs:
         else:
             terms = []
             for prompt, y in zip(self.prompts, self.labels):
-                hidden, logits = reference_forward_ids(
-                    model, prompt.ids[: prompt.attention_length], rng=rng)
+                hidden, logits = reference_forward_ids(model, prompt.ids, rng=rng)
                 states = [ad.index(hidden, pos) for pos in prompt.mask_positions]
                 scores = ViewScores(reference_view_posterior(head, states),
                                     scalar_per_view_label_probs(logits, prompt, verb))

@@ -17,8 +17,8 @@ from mvre.errors import ValidationError
 from mvre.experiments import TrainConfig, train
 from mvre.losses import ViewPosteriorHead
 from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig,
-                        forward, forward_batch, forward_ids, load_checkpoint,
-                        maskable_positions, pretrain_mlm, save_checkpoint)
+                        forward_batch, load_checkpoint, maskable_positions,
+                        pretrain_mlm, save_checkpoint)
 from mvre.schema import synthetic_schema
 from mvre.vocab import build_vocab, encode_sentence, vocab_payload, wrap_template
 
@@ -49,7 +49,7 @@ class TestForward:
         self.prompt = wrap_template(self.ds.instances[0], self.vocab, 2, 48)
 
     def test_softmax_rows_normalize(self):
-        _, logits = forward(self.model, self.prompt)
+        _, logits = forward_batch(self.model, [self.prompt.ids])
         probs = ad.softmax(logits).data
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -57,29 +57,29 @@ class TestForward:
         zeroed = self.model.copy()
         for p in zeroed.params().values():
             p.data[...] = 0.0
-        _, logits = forward(zeroed, self.prompt)
+        _, logits = forward_batch(zeroed, [self.prompt.ids])
         probs = ad.softmax(logits).data
         np.testing.assert_allclose(probs, 1.0 / len(self.vocab), atol=1e-12)
 
     def test_bitwise_deterministic(self):
-        _, l1 = forward(self.model, self.prompt)
-        _, l2 = forward(self.model, self.prompt)
+        _, l1 = forward_batch(self.model, [self.prompt.ids])
+        _, l2 = forward_batch(self.model, [self.prompt.ids])
         assert l1.data.tobytes() == l2.data.tobytes()
 
     def test_hidden_rows_cover_live_prefix(self):
-        hidden, logits = forward(self.model, self.prompt)
-        assert hidden.shape == (self.prompt.attention_length, self.model.config.d)
-        assert logits.shape == (self.prompt.attention_length, len(self.vocab))
+        hidden, logits = forward_batch(self.model, [self.prompt.ids])
+        assert hidden.shape == (len(self.prompt.ids), self.model.config.d)
+        assert logits.shape == (len(self.prompt.ids), len(self.vocab))
 
     def test_too_long_sequence_rejected(self):
         ids = np.zeros(self.model.config.max_len + 1, dtype=np.int64)
         with pytest.raises(ValueError, match="max_len"):
-            forward_ids(self.model, ids)
+            forward_batch(self.model, [ids])
 
     def test_out_of_vocab_id_rejected(self):
         ids = np.array([len(self.vocab) + 5])
         with pytest.raises(ValueError, match="vocabulary"):
-            forward_ids(self.model, ids)
+            forward_batch(self.model, [ids])
 
     def test_gradients_flow_through_encoder(self):
         small = toy_setup(d=8, n_heads=2, instances_per_relation=2)
@@ -87,7 +87,7 @@ class TestForward:
         prompt = wrap_template(ds.instances[0], vocab, 1, 48)
 
         def f():
-            _, logits = forward(model, prompt)
+            _, logits = forward_batch(model, [prompt.ids])
             row = ad.softmax(ad.index(logits, prompt.mask_positions[0]))
             return -ad.log(ad.index(row, 5) + 1e-12)
 
@@ -122,7 +122,8 @@ class TestSublayersBitwise:
         def generator():  # a fresh, equal one for each side
             return None if dropout_seed is None else np.random.default_rng(dropout_seed)
 
-        new = self.run(forward_ids, model, ids, w, rows, generator())
+        new = self.run(lambda model, ids, rng: forward_batch(model, [ids], rng=rng),
+                       model, ids, w, rows, generator())
         old = self.run(reference_forward_ids, model, ids, w, rows, generator())
         assert new[0].tobytes() == old[0].tobytes()
         assert new[1].tobytes() == old[1].tobytes()
@@ -156,7 +157,7 @@ class TestSublayersBitwise:
         _, _, _, _, _, model = toy_setup(d=32, n_layers=2, n_heads=2)
         ids = np.arange(1, 12)
         with ad.no_grad():
-            hidden, logits = forward_ids(model, ids)
+            hidden, logits = forward_batch(model, [ids])
             ref_hidden, ref_logits = reference_forward_ids(model, ids)
         assert hidden._parents == () and not logits.requires_grad
         assert hidden.data.tobytes() == ref_hidden.data.tobytes()
@@ -386,8 +387,8 @@ def assert_packed(params: ad.Arena):
 
 
 def masked_token_loss(model, prompts, targets):
-    _, logits = forward_batch(model, [p.ids[: p.attention_length] for p in prompts])
-    rows = (offsets([p.attention_length for p in prompts])
+    _, logits = forward_batch(model, [p.ids for p in prompts])
+    rows = (offsets([len(p.ids) for p in prompts])
             + np.array([p.mask_positions[0] for p in prompts]))
     probs = ad.softmax(ad.index(logits, rows))
     return ad.tmean(-ad.log(ad.index(probs, (np.arange(len(rows)), targets)) + 1e-12))
@@ -712,7 +713,7 @@ class TestStability:
         opt = AdamW(model.params(), lr=0.01, weight_decay=0.01)
         for step in range(1000):
             p = prompts[step % len(prompts)]
-            _, logits = forward(model, p)
+            _, logits = forward_batch(model, [p.ids])
             row = ad.softmax(ad.index(logits, p.mask_positions[0]))
             loss = -ad.log(ad.index(row, targets[step % 4]) + 1e-12)
             opt.step(ad.grad(loss, model.params()))

@@ -9,6 +9,7 @@ import pytest
 
 from mvre.data import CorpusSpec, Dataset, RelationInstance, generate_corpus
 from mvre.errors import EncodingError, ValidationError
+from mvre.init_schemes import encode_probe_template
 from mvre.schema import schema_from_relations, synthetic_schema
 from mvre.vocab import (MASK, OBJ_SUB, SPECIAL_TOKENS, SUB_OBJ, build_vocab,
                         decode, encode_sentence, vocab_from_payload, vocab_payload,
@@ -112,10 +113,17 @@ class TestWrapTemplate:
             prompt = wrap_template(self.inst, self.vocab, m, 64)
             assert prompt.ids.max() < self.vocab.base_size
 
-    def test_pad_to_max_len(self):
-        prompt = wrap_template(self.inst, self.vocab, 2, 40)
-        assert prompt.ids.shape == (40,)
-        assert np.all(prompt.ids[prompt.attention_length:] == self.vocab.pad_id)
+    def test_ids_are_the_live_tokens(self):
+        # both encoders, with and without truncation: no padding, at most max_len
+        for max_len in (16, 40):
+            for prompt in (wrap_template(self.inst, self.vocab, 2, max_len),
+                           encode_probe_template("sub0 [MASK]*m obj0 .", self.vocab, 2,
+                                                 max_len)):
+                words = [self.vocab.word_of(int(i)) for i in prompt.ids]
+                assert words == decode(prompt, self.vocab)
+                assert words[0] == "[CLS]" and words[-1] == "[SEP]"
+                assert "[PAD]" not in words
+                assert len(prompt.ids) <= max_len
 
     def test_truncation_keeps_entities(self):
         toks = tuple(["pre"] * 10 + ["S"] + ["mid"] * 10 + ["O"] + ["post"] * 10)
@@ -125,7 +133,7 @@ class TestWrapTemplate:
         prompt = wrap_template(inst, vocab, 2, 20)
         words = decode(prompt, vocab)
         assert "S" in words and "O" in words
-        assert prompt.attention_length <= 20
+        assert len(prompt.ids) <= 20
         # the farthest-out context went first
         assert words.count("mid") >= words.count("pre")
 
@@ -140,7 +148,7 @@ class TestWrapTemplate:
     def test_entity_markers_optional(self):
         with_markers = wrap_template(self.inst, self.vocab, 1, 64)
         without = wrap_template(self.inst, self.vocab, 1, 64, entity_markers=False)
-        assert with_markers.attention_length == without.attention_length + 4
+        assert len(with_markers.ids) == len(without.ids) + 4
         w = decode(without, self.vocab)
         assert "[SUB]" not in w and "[/OBJ]" not in w
 
