@@ -981,19 +981,28 @@ class Arena(dict):
 
 def param_groups(params) -> list[dict[str, Tensor]]:
     """``params`` as a list of name -> parameter dicts: it is one such dict (an
-    ``Arena`` or a plain dict) or a sequence of them."""
+    ``Arena`` or a plain dict) or a sequence of them, as :func:`grad` takes it."""
     return [params] if isinstance(params, dict) else list(params)
 
 
+def arenas(params) -> list[Arena]:
+    """``params``, an ``Arena`` or a sequence of them, as a list: the form the
+    optimizer and :func:`check_finite` take. A plain dict raises ``TypeError``."""
+    groups = param_groups(params)
+    if not all(isinstance(group, Arena) for group in groups):
+        raise TypeError(f"expected an ad.Arena or a sequence of them, got "
+                        f"{[type(group).__name__ for group in groups]}")
+    return groups
+
+
 def check_finite(params, when: str = ""):
-    """Raise ``FloatingPointError`` naming the first parameter holding NaN/Inf;
-    an arena is checked as one vector first."""
-    for group in param_groups(params):
-        if isinstance(group, Arena) and np.isfinite(group.flat()).all():
-            continue
-        for name, p in group.items():
-            if not np.isfinite(p.data).all():
-                raise FloatingPointError(f"parameter {name!r} contains NaN/Inf{when}")
+    """Raise ``FloatingPointError`` naming the first parameter holding NaN/Inf.
+    ``params`` is an ``Arena`` or a sequence of them; each is checked as one
+    vector, and a failing one is searched for the parameter."""
+    for arena in arenas(params):
+        if not np.isfinite(arena.flat()).all():
+            name = next(n for n, p in arena.items() if not np.isfinite(p.data).all())
+            raise FloatingPointError(f"parameter {name!r} contains NaN/Inf{when}")
 
 
 # -- gradient helpers ---------------------------------------------------------

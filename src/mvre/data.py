@@ -28,8 +28,8 @@ from .errors import LoadError, SamplingError, ValidationError
 
 NA_DEFAULT = "no_relation"
 
-# words reserved for internal vocabulary entries must never enter a corpus
-_RESERVED_PREFIX = "[V:"
+# the prefix of every virtual word (``vocab.virtual_word``); no corpus word may carry it
+VIRTUAL_PREFIX = "[V:"
 
 _FILLER_ZIPF_EXPONENT = 1.8
 _ENTITY_ZIPF_EXPONENT = 1.5
@@ -355,8 +355,9 @@ def load_jsonl(path: str | Path, na_label: str | None = None) -> Dataset:
             if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
                 raise LoadError("'token' must be a list of strings", lineno)
             for t in tokens:
-                if t.startswith(_RESERVED_PREFIX):
-                    raise LoadError(f"token {t!r} uses the reserved '[V:' prefix", lineno)
+                if t.startswith(VIRTUAL_PREFIX):
+                    raise LoadError(f"token {t!r} uses the reserved {VIRTUAL_PREFIX!r} prefix",
+                                    lineno)
             bounds = []
             for key in _REQUIRED_KEYS[1:5]:  # subj_start, subj_end, obj_start, obj_end
                 try:

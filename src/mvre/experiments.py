@@ -384,11 +384,7 @@ def view_aspect_heatmap(model: MlmModel, vocab: Vocab, verbalizer: Verbalizer,
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = te / safe[:, None]
 
-    ordinary = np.arange(len(vocab.words))
-    keep = np.ones(len(vocab.words), dtype=bool)
-    keep[list(vocab.special_ids)] = False
-    keep[vocab.base_size :] = False
-    ordinary = ordinary[keep]
+    ordinary = np.flatnonzero(vocab.ordinary_mask)
 
     aspect_names = list(aspect_word_sets)
     aspect_ids: dict[str, list[int]] = {}

@@ -92,9 +92,6 @@ def _static_vectors(schema: RelationSchema, vocab: Vocab,
 def _dynamic_vectors(schema: RelationSchema, vocab: Vocab, model: MlmModel) -> tuple[np.ndarray, list[ProbeRecord]]:
     """Probe each relation's template; returns embeddings [|Y|, m, d] and the report."""
     m = schema.m
-    banned = np.zeros(len(vocab.words), dtype=bool)
-    banned[list(vocab.special_ids)] = True
-    banned[vocab.base_size :] = True  # virtual words are never initialization donors
     prompts = []
     for rel in schema.relations:
         template = schema.probe_templates.get(rel)
@@ -105,7 +102,8 @@ def _dynamic_vectors(schema: RelationSchema, vocab: Vocab, model: MlmModel) -> t
         _, logits = forward_batch(model, [p.ids for p in prompts],
                                   reads=[p.mask_positions for p in prompts])
         probs = ad.softmax(logits).data  # [|Y| * m, V], rows relation by relation, then view
-    tok_ids = np.where(banned, -np.inf, probs).argmax(axis=-1)
+    # only corpus words donate: never a special or a virtual word
+    tok_ids = np.where(vocab.ordinary_mask, probs, -np.inf).argmax(axis=-1)
     report = [ProbeRecord(schema.relations[row // m], row % m + 1, vocab.word_of(t),
                           float(probs[row, t])) for row, t in enumerate(tok_ids.tolist())]
     te = model.token_embed.data

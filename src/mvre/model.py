@@ -196,43 +196,29 @@ class AdamW:
     """Decoupled-weight-decay Adam, in place on a fixed parameter set; a step
     that leaves a non-finite value raises, naming the parameter.
 
-    ``params`` is a name -> parameter dict or a sequence of them, as for
-    ``ad.grad``. An ``ad.Arena`` moves as one vector and reads its gradient
-    vector, so ``grads`` must hold the views ``ad.grad`` returned for it; a
-    plain dict moves parameter by parameter, a missing gradient counting as
-    zeros. Each update runs in place through two scratch vectors, and each
-    element goes through the expressions of a per-parameter update in the
-    same association, so the grouping does not change a bit.
+    ``params`` is an ``ad.Arena`` or a sequence of them (a plain dict raises
+    ``TypeError``). Each arena moves as one vector and reads its gradient
+    vector, so ``grads`` must hold the views ``ad.grad`` returned for it. Each
+    update runs in place through two scratch vectors, and each element goes
+    through the expressions of a per-parameter update in the same
+    association, so the grouping does not change a bit.
     """
 
     def __init__(self, params, lr: float, weight_decay: float = 0.0):
-        self.params = params
+        self.params = ad.arenas(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.t = 0  # the moments m, v and the scratch are made by the first step
+        self.t = 0
+        self.m = [np.zeros_like(arena.flat()) for arena in self.params]
+        self.v = [np.zeros_like(m) for m in self.m]
+        self.scratch = np.empty((2, max((m.size for m in self.m), default=0)))
 
     def step(self, grads: dict[str, np.ndarray]):
         b1, b2 = ADAMW_BETAS
-        slots = []  # (values, gradient): one per arena, one per loose parameter
-        for group in ad.param_groups(self.params):
-            if isinstance(group, ad.Arena):
-                slots.append((group.flat(), group.grad_vector(grads)))
-                continue
-            for name, p in group.items():
-                g = grads.get(name)
-                if g is None:
-                    g = np.zeros_like(p.data)
-                elif g.shape != p.data.shape:
-                    raise ValueError(f"gradient shape {g.shape} mismatches param {name!r} "
-                                     f"{p.data.shape}")
-                slots.append((p.data, g))
-        if self.t == 0:
-            self.m = [np.zeros_like(w) for w, _ in slots]
-            self.v = [np.zeros_like(w) for w, _ in slots]
-            self.scratch = np.empty((2, max((w.size for w, _ in slots), default=0)))
+        slots = [(arena.flat(), arena.grad_vector(grads)) for arena in self.params]
         self.t += 1
         for (w, g), m, v in zip(slots, self.m, self.v):
-            s, u = (x.reshape(w.shape) for x in self.scratch[:, : w.size])
+            s, u = self.scratch[:, : w.size]
             if self.weight_decay != 0.0:
                 w -= np.multiply(w, self.lr * self.weight_decay, out=s)  # w - lr * wd * w
             m *= b1  # m = b1 * m + (1 - b1) * g
@@ -318,6 +304,10 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     config.validate()
     rng = np.random.default_rng([config.seed, 0xA11])
     encoded = [encode_sentence(inst, vocab) for inst in corpus.instances]
+    for i, ids in enumerate(encoded):
+        if len(ids) > model.config.max_len:
+            raise ValidationError(f"pretraining sentence {i} is {len(ids)} tokens long with "
+                                  f"its markers, over model.max_len={model.config.max_len}")
     maskable = maskable_positions(encoded, vocab)
     n_hold = int(round(len(encoded) * config.holdout_fraction))
     if n_hold >= len(encoded):

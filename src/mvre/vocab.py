@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, RelationInstance
+from .data import VIRTUAL_PREFIX, Dataset, RelationInstance
 from .errors import EncodingError, ValidationError
 
 PAD, CLS, SEP, MASK = "[PAD]", "[CLS]", "[SEP]", "[MASK]"
@@ -33,8 +33,6 @@ SPECIAL_TOKENS = (PAD, CLS, SEP, MASK, SUB_OPEN, SUB_CLOSE, OBJ_OPEN, OBJ_CLOSE,
 
 SUB_OBJ = "sub_obj"
 OBJ_SUB = "obj_sub"
-
-VIRTUAL_PREFIX = "[V:"
 
 
 def virtual_word(relation: str, view: int) -> str:
@@ -72,6 +70,13 @@ class Vocab:
     @property
     def special_ids(self) -> tuple[int, ...]:
         return tuple(self._id_of[w] for w in SPECIAL_TOKENS)
+
+    @property
+    def ordinary_mask(self) -> np.ndarray:
+        """True at each corpus word's id; False at the specials and the virtual words."""
+        mask = np.arange(len(self.words)) < self.base_size
+        mask[list(self.special_ids)] = False
+        return mask
 
     def encode_words(self, words) -> np.ndarray:
         """``id_of`` of each word as an int64 array, with one lookup per word."""

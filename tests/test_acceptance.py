@@ -138,8 +138,7 @@ class TestCriterion2ReductionProperty:
 
             model_a = MlmModel(cfg, seed=seed)
             head = ViewPosteriorHead(cfg.d)
-            params_a = dict(model_a.params())
-            params_a.update(head.params())
+            params_a = (model_a.params(), head.params())
             opt_a = AdamW(params_a, lr=3e-3)
             terms = [mvdl_loss(view_scores(model_a, head, p, verb), y)
                      for p, y in zip(prompts, labels)]
@@ -151,7 +150,7 @@ class TestCriterion2ReductionProperty:
             opt_a.step(ad.grad(loss_a, params_a))
 
             model_b = MlmModel(cfg, seed=seed)
-            params_b = dict(model_b.params())
+            params_b = model_b.params()
             opt_b = AdamW(params_b, lr=3e-3)
             refs = []
             for p, y in zip(prompts, labels):
@@ -209,7 +208,8 @@ class TestCriterion5GlOptimizationDirection:
         n_rel, m, d = 4, 4, 16
         alpha, beta = 2.0, 0.1
         rng = np.random.default_rng(5)
-        emb = ad.parameter(rng.normal(size=(n_rel * m, d)))
+        arena = ad.Arena({"emb": rng.normal(size=(n_rel * m, d))})
+        emb = arena["emb"]
 
         def cosines(x):
             unit = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -221,10 +221,10 @@ class TestCriterion5GlOptimizationDirection:
             return float(np.mean(intra)), float(np.mean(inter))
 
         before_intra, before_inter = cosines(emb.data)
-        opt = AdamW({"emb": emb}, lr=0.02)
+        opt = AdamW(arena, lr=0.02)
         for _ in range(100):
             loss = alpha * local_loss(emb, n_rel, m) + beta * global_loss(emb, n_rel, m)
-            opt.step(ad.grad(loss, {"emb": emb}))
+            opt.step(ad.grad(loss, arena))
         after_intra, after_inter = cosines(emb.data)
         report(5, f"100 contrastive steps raise intra-relation cosine "
                   f"({before_intra:.3f}->{after_intra:.3f}) and lower "

@@ -12,6 +12,7 @@ from mvre.data import (CorpusSpec, Dataset, DatasetSplits, RelationInstance,
                        corpus_aspect_groups, generate_corpus, load_jsonl,
                        make_splits, merge_datasets, sample_kshot, save_jsonl)
 from mvre.errors import LoadError, SamplingError, ValidationError
+from mvre.vocab import virtual_word
 
 DEFAULT_SPEC = CorpusSpec()
 
@@ -193,7 +194,7 @@ class TestJsonl:
 
     def test_reserved_prefix_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        rec = {"token": ["[V:x:1]", "b", "c"], "subj_start": 0, "subj_end": 0,
+        rec = {"token": [virtual_word("x", 1), "b", "c"], "subj_start": 0, "subj_end": 0,
                "obj_start": 2, "obj_end": 2, "relation": "r1"}
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(LoadError, match="reserved"):

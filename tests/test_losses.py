@@ -354,7 +354,8 @@ class TestGlOptimizationDirection:
     def test_local_tightens_and_global_separates(self):
         n_rel, m, d = 4, 4, 16
         rng = np.random.default_rng(2024)
-        emb = ad.parameter(rng.normal(size=(n_rel * m, d)))
+        arena = ad.Arena({"emb": rng.normal(size=(n_rel * m, d))})
+        emb = arena["emb"]
 
         def mean_cosines(x):
             unit = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -373,10 +374,10 @@ class TestGlOptimizationDirection:
             return float(np.mean(intra)), float(np.mean(inter))
 
         before_intra, before_inter = mean_cosines(emb.data)
-        opt = AdamW({"emb": emb}, lr=0.02)
+        opt = AdamW(arena, lr=0.02)
         for _ in range(100):
             loss = 2.0 * local_loss(emb, n_rel, m) + 0.1 * global_loss(emb, n_rel, m)
-            opt.step(ad.grad(loss, {"emb": emb}))
+            opt.step(ad.grad(loss, arena))
         after_intra, after_inter = mean_cosines(emb.data)
         assert after_intra > before_intra
         assert after_inter < before_inter

@@ -317,62 +317,74 @@ class TestReadRowsBitwise:
             forward_batch(model, [[1, 2, 3, 4], [5, 6, 7]], reads=reads)
 
 
+def arena_grads(arena: ad.Arena, g: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The gradient views ``ad.grad`` returns for ``arena``, holding exactly
+    ``g`` (zeros for a parameter ``g`` omits): the gradient of sum(p * g)."""
+    return ad.grad(sum(ad.tsum(arena[k] * v) for k, v in g.items()), arena)
+
+
 class TestAdamW:
     def test_zero_grad_no_decay_fixed_point(self):
-        p = ad.parameter(np.array([1.0, -2.0]))
-        params = {"p": p}
-        AdamW(params, lr=0.1).step({"p": np.zeros(2)})
-        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+        arena = ad.Arena({"p": np.array([1.0, -2.0])})
+        AdamW(arena, lr=0.1).step(arena_grads(arena, {"p": np.zeros(2)}))
+        np.testing.assert_array_equal(arena["p"].data, [1.0, -2.0])
 
     def test_zero_grad_with_decay_scales(self):
-        p = ad.parameter(np.array([1.0, -2.0]))
-        AdamW({"p": p}, lr=0.1, weight_decay=0.5).step({"p": np.zeros(2)})
-        np.testing.assert_allclose(p.data, [0.95, -1.9])
+        arena = ad.Arena({"p": np.array([1.0, -2.0])})
+        AdamW(arena, lr=0.1, weight_decay=0.5).step(arena_grads(arena, {"p": np.zeros(2)}))
+        np.testing.assert_allclose(arena["p"].data, [0.95, -1.9])
 
     def test_hand_computed_single_step(self):
         # m=0.1, v=0.001 -> m_hat=1, v_hat=1 -> p = 1 - 0.1/(1+1e-8)
-        p = ad.parameter(np.array(1.0))
-        AdamW({"p": p}, lr=0.1, weight_decay=0.0).step({"p": np.array(1.0)})
-        assert p.data == pytest.approx(0.9, abs=1e-6)
+        arena = ad.Arena({"p": np.array(1.0)})
+        AdamW(arena, lr=0.1, weight_decay=0.0).step(arena_grads(arena, {"p": np.array(1.0)}))
+        assert arena["p"].data == pytest.approx(0.9, abs=1e-6)
 
-    def test_shape_mismatch_rejected(self):
-        p = ad.parameter(np.ones(3))
-        with pytest.raises(ValueError, match="shape"):
-            AdamW({"p": p}, lr=0.1).step({"p": np.ones(4)})
+    def test_plain_dict_rejected(self):
+        p = ad.parameter(np.ones(2))
+        arena = ad.Arena({"q": np.ones(2)})
+        for params in ({"p": p}, [{"p": p}], (arena, {"p": p})):
+            with pytest.raises(TypeError, match=r"ad\.Arena"):
+                AdamW(params, lr=0.1)
+            with pytest.raises(TypeError, match=r"ad\.Arena"):
+                ad.check_finite(params)
 
     def test_matches_reference_trajectory(self):
         # against an independently coded update rule, several steps
         rng = np.random.default_rng(3)
-        p = ad.parameter(rng.normal(size=4))
-        ref = p.data.copy()
+        arena = ad.Arena({"p": rng.normal(size=4)})
+        ref = arena["p"].data.copy()
         m = np.zeros(4)
         v = np.zeros(4)
-        opt = AdamW({"p": p}, lr=0.01, weight_decay=0.1)
+        opt = AdamW(arena, lr=0.01, weight_decay=0.1)
         for t in range(1, 6):
             g = rng.normal(size=4)
-            opt.step({"p": g})
+            opt.step(arena_grads(arena, {"p": g}))
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mh = m / (1 - 0.9 ** t)
             vh = v / (1 - 0.999 ** t)
             ref = ref - 0.01 * 0.1 * ref
             ref = ref - 0.01 * mh / (np.sqrt(vh) + 1e-8)
-        np.testing.assert_allclose(p.data, ref, rtol=1e-12)
+        np.testing.assert_allclose(arena["p"].data, ref, rtol=1e-12)
 
     def test_flat_update_matches_per_parameter_update(self):
         rng = np.random.default_rng(5)
         shapes = {"a": (16, 24), "b": (24,), "c": (), "d": (8, 8)}
         start = {k: rng.normal(size=s) for k, s in shapes.items()}
-        flat = {k: ad.parameter(v) for k, v in start.items()}
+        flat = ad.Arena(start)
         ref = {k: ad.parameter(v) for k, v in start.items()}
         opt, ref_state = AdamW(flat, lr=0.01, weight_decay=0.1), {}
         for _ in range(5):
-            grads = {k: rng.normal(size=s) for k, s in shapes.items() if k != "b"}
+            g = {k: rng.normal(size=s) for k, s in shapes.items() if k != "b"}
+            grads = arena_grads(flat, g)
+            assert all(grads[k].tobytes() == v.tobytes() for k, v in g.items())
             opt.step(grads)
-            reference_adamw_step(ref, grads, ref_state, lr=0.01, weight_decay=0.1)
+            reference_adamw_step(ref, g, ref_state, lr=0.01, weight_decay=0.1)
             for k in shapes:
                 assert flat[k].data.shape == shapes[k]
                 assert flat[k].data.tobytes() == ref[k].data.tobytes(), k
+        assert_packed(flat)
 
 
 def assert_packed(params: ad.Arena):
@@ -515,6 +527,29 @@ class TestPretrain:
         with pytest.raises(ValidationError, match="holdout_fraction=0.9 holds out all 3"):
             pretrain_mlm(self.model, corpus, self.vocab,
                          PretrainConfig(steps=1, holdout_fraction=0.9))
+
+    @pytest.mark.parametrize("part", ["train", "held-out"])
+    def test_sentence_over_max_len_rejected_before_any_step(self, monkeypatch, part):
+        # 43 words + [CLS], [SEP] and four entity markers = 49 tokens, over max_len 48
+        instances = list(self.ds.instances)
+        order = np.random.default_rng([0, 0xA11]).permutation(len(instances))
+        n_hold = int(round(len(instances) * 0.1))
+        i = int(order[0] if part == "held-out" else order[-1])
+        assert (i in order[:n_hold]) == (part == "held-out")
+        instances[i] = replace(instances[i], tokens=instances[i].tokens
+                               + ("w",) * (43 - len(instances[i].tokens)))
+        steps, real_step = [], AdamW.step
+
+        def step_spy(opt, grads):
+            steps.append(opt.t)
+            real_step(opt, grads)
+
+        monkeypatch.setattr(AdamW, "step", step_spy)
+        with pytest.raises(ValidationError, match=rf"pretraining sentence {i} is 49 tokens "
+                                                  rf"long .*model\.max_len=48"):
+            pretrain_mlm(self.model, Dataset(instances, self.ds.relations), self.vocab,
+                         PretrainConfig(steps=3, seed=0, log_every=0))
+        assert steps == []
 
     def test_edge_values_accepted(self):
         PretrainConfig(steps=0, mask_rate=1.0, holdout_fraction=0.0).validate()
