@@ -28,9 +28,10 @@ def f():
     return ad.tsum(ad.softmax(a) * mask)
 
 rng = np.random.default_rng(0)
-a = ad.parameter(rng.normal(size=(3, 5)))
+arena = ad.Arena({"a": rng.normal(size=(3, 5))})  # ad.grad differentiates arenas
+a = arena["a"]
 mask = rng.normal(size=(3, 5))
-analytic = ad.grad(f(), {"a": a})["a"]
+analytic = ad.grad(f(), arena)["a"]
 h = 1e-6
 numeric = np.zeros_like(a.data)
 flat, nflat = a.data.reshape(-1), numeric.reshape(-1)

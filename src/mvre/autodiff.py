@@ -3,7 +3,8 @@
 A ``Tensor`` wraps an ndarray and records the operations applied to it.
 Calling :meth:`Tensor.backward` on a scalar walks the recorded graph in
 reverse topological order and accumulates gradients into every tensor
-created with ``requires_grad=True``.
+created with ``requires_grad=True``: the raw tape, on which a loose leaf
+(:func:`parameter`) collects its gradient in ``.grad``.
 
 The op set is deliberately small: elementwise arithmetic, matmul,
 embedding gather / indexing, reshape, softmax, layer norm, GELU, sigmoid, log,
@@ -19,7 +20,7 @@ small ops, one graph per sequence, that it replaces (see "packed sequences").
 Everything runs in the dtype of its inputs (float64 by default throughout
 the package). A model's parameters are packed into an ``Arena``, one flat
 vector with a parallel gradient vector (see "parameter arenas"); a packed
-parameter's ``.data`` must never be rebound.
+parameter's ``.data`` must never be rebound. :func:`grad` takes arenas only.
 
 Training and inference run the same ops: under :func:`no_grad` each op
 computes its value and records no graph (no parents, no backward). A packed
@@ -88,9 +89,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
@@ -931,14 +929,15 @@ def dropout(a, rate: float, rng) -> Tensor:
 #
 # An arena packs parameters into one flat float64 vector: each ``.data`` is a
 # view into it, and a parallel vector holds the gradients. ``grad`` zeroes that
-# vector and binds each ``.grad`` to its view, so the backward pass adds into it
-# (``0.0 + g`` has the bits of a fresh ``g + 0.0``, -0.0 becoming +0.0, and a
-# parameter the loss never reaches reads zeros); an optimizer then updates the
+# vector, binds each ``.grad`` to its view for one backward pass, which adds
+# into it (``0.0 + g`` has the bits of a fresh ``g + 0.0``, -0.0 becoming +0.0,
+# and a parameter the loss never reaches reads zeros), and unbinds them: only
+# the call that zeroed a view writes into it. An optimizer then updates the
 # vector in place. Packing is the last rebind of ``.data``: write into it
 # instead. Every whole-arena read (``Arena.flat``) checks the views, so a
 # rebound parameter raises rather than leaving a stale copy in training.
-# Callers hand arenas to ``grad`` and the optimizer themselves: a parameter
-# does not know its arena.
+# Callers hand arenas to ``grad``, the optimizer and ``check_finite``
+# themselves (see ``arenas``): a parameter does not know its arena.
 
 class Arena(dict):
     """Name -> new leaf ``Tensor`` holding ``values[name]``, packed in order."""
@@ -979,16 +978,11 @@ class Arena(dict):
         return self._grad
 
 
-def param_groups(params) -> list[dict[str, Tensor]]:
-    """``params`` as a list of name -> parameter dicts: it is one such dict (an
-    ``Arena`` or a plain dict) or a sequence of them, as :func:`grad` takes it."""
-    return [params] if isinstance(params, dict) else list(params)
-
-
 def arenas(params) -> list[Arena]:
-    """``params``, an ``Arena`` or a sequence of them, as a list: the form the
-    optimizer and :func:`check_finite` take. A plain dict raises ``TypeError``."""
-    groups = param_groups(params)
+    """``params``, an ``Arena`` or a sequence of them, as a list: the form
+    :func:`grad`, the optimizer and :func:`check_finite` take. Anything else,
+    a plain dict of parameters included, raises ``TypeError``."""
+    groups = [params] if isinstance(params, dict) else list(params)
     if not all(isinstance(group, Arena) for group in groups):
         raise TypeError(f"expected an ad.Arena or a sequence of them, got "
                         f"{[type(group).__name__ for group in groups]}")
@@ -1008,28 +1002,26 @@ def check_finite(params, when: str = ""):
 # -- gradient helpers ---------------------------------------------------------
 
 def grad(loss: Tensor, params) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss for every parameter in ``params`` (one name
-    -> parameter dict or a sequence of them, see :func:`param_groups`).
+    """Gradients of a scalar loss for every parameter of ``params``, an
+    ``Arena`` or a sequence of them (see :func:`arenas`).
 
-    An ``Arena``'s gradient vector is zeroed and each parameter's ``.grad``
-    bound to its view first, so the arrays returned for an arena's parameters
-    are those views: the next ``grad`` on that arena overwrites them, so copy
-    any that must outlive it. Parameters the loss does not depend on receive
-    zeros of matching shape.
+    Each arena's gradient vector is zeroed and each parameter's ``.grad``
+    bound to its view for this backward pass only, so the arrays returned are
+    those views, and a parameter the loss does not reach gets exact zeros.
+    No later backward pass adds into them, but the next ``grad`` on the same
+    arena zeroes and refills them: copy any that must outlive it.
     """
     if not isinstance(loss, Tensor):
         raise ValueError("loss must be a Tensor")
     if loss.data.size != 1:
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
-    groups = param_groups(params)
-    for group in groups:
-        if isinstance(group, Arena):
-            group._grad.fill(0.0)
-            for p, view in zip(group.values(), group._grads):
-                p.grad = view
-        else:
-            for p in group.values():
-                p.grad = None
+    groups = arenas(params)
+    for arena in groups:
+        arena._grad.fill(0.0)
+        for p, view in zip(arena.values(), arena._grads):
+            p.grad = view
     loss.backward()
-    return {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for group in groups for name, p in group.items()}
+    for arena in groups:
+        for p in arena.values():
+            p.grad = None
+    return {name: view for arena in groups for name, view in zip(arena, arena._grads)}

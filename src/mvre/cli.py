@@ -113,6 +113,8 @@ def _get(cfg: dict, key: str):
         convert, kind = integral, "an integer"
     else:
         convert, kind = float, "a number"
+    if any(isinstance(x, bool) for x in (value if isinstance(value, list) else [value])):
+        raise CliError(f"config key {key!r} needs {kind}, got {value!r}")  # float(True) is 1.0
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
@@ -332,7 +334,11 @@ def cmd_train(args, cfg: dict) -> int:
 
 def cmd_eval(args, cfg: dict) -> int:
     artifacts, tc, extra = _from_checkpoint(args.checkpoint, cfg)
-    na = extra.get("schema", {}).get("na_label")
+    schema = extra.get("schema", {})
+    if not (isinstance(schema, dict) and isinstance(schema.get("na_label"), str | None)):
+        raise ValueError(f"{args.checkpoint}: header field 'extra.schema' must be an object "
+                         f"whose 'na_label' is a string or null, got {schema!r}")
+    na = schema.get("na_label")
     dataset = load_jsonl(args.dataset, na_label=na)
     if not dataset.instances:
         raise CliError(f"dataset {args.dataset} holds no instances")

@@ -196,8 +196,8 @@ class AdamW:
     """Decoupled-weight-decay Adam, in place on a fixed parameter set; a step
     that leaves a non-finite value raises, naming the parameter.
 
-    ``params`` is an ``ad.Arena`` or a sequence of them (a plain dict raises
-    ``TypeError``). Each arena moves as one vector and reads its gradient
+    ``params`` is an ``ad.Arena`` or a sequence of them, as ``ad.grad`` takes
+    it (``ad.arenas``). Each arena moves as one vector and reads its gradient
     vector, so ``grads`` must hold the views ``ad.grad`` returned for it. Each
     update runs in place through two scratch vectors, and each element goes
     through the expressions of a per-parameter update in the same

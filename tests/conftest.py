@@ -46,11 +46,15 @@ def max_relative_error(analytic: dict[str, np.ndarray],
     return worst
 
 
-def assert_grads_close(f, params: dict[str, ad.Tensor], tol: float = 1e-4, h: float = 1e-5):
-    loss = f()
-    analytic = ad.grad(loss, params)
-    numeric = central_difference(f, params, h=h)
-    err = max_relative_error(analytic, numeric)
+def assert_grads_close(f, params, names=None, tol: float = 1e-4, h: float = 1e-5):
+    """``ad.grad`` of scalar f() for ``params`` (an ``ad.Arena`` or a sequence
+    of them) matches central differences on the parameters ``names`` (all of
+    them by default)."""
+    analytic = ad.grad(f(), params)
+    leaves = {name: p for arena in ad.arenas(params) for name, p in arena.items()}
+    names = list(leaves) if names is None else names
+    numeric = central_difference(f, {name: leaves[name] for name in names}, h=h)
+    err = max_relative_error({name: analytic[name] for name in names}, numeric)
     assert err < tol, f"max relative gradient error {err:.3e} >= {tol}"
 
 

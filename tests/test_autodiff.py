@@ -23,14 +23,13 @@ class TestBasics:
         assert w.grad == pytest.approx(6.0)
 
     def test_non_scalar_loss_rejected(self):
-        w = ad.parameter(np.ones(3))
+        arena = ad.Arena({"w": np.ones(3)})
         with pytest.raises(ValueError, match="scalar"):
-            ad.grad(w * w, {"w": w})
+            ad.grad(arena["w"] * arena["w"], arena)
 
     def test_unreachable_param_gets_zero_gradient(self):
-        w = ad.parameter(np.array(2.0))
-        other = ad.parameter(np.ones((2, 3)))
-        grads = ad.grad(w * w, {"w": w, "other": other})
+        arena = ad.Arena({"w": np.array(2.0), "other": np.ones((2, 3))})
+        grads = ad.grad(arena["w"] * arena["w"], arena)
         assert grads["other"].shape == (2, 3)
         assert np.all(grads["other"] == 0.0)
 
@@ -60,13 +59,13 @@ class TestBasics:
 class TestElementwiseGradients:
     @pytest.mark.parametrize("op", [ad.log, ad.sigmoid, ad.gelu])
     def test_unary(self, op, rng):
-        x = ad.parameter(rng.uniform(0.2, 2.0, size=(3, 4)))
-        assert_grads_close(lambda: ad.tsum(op(x)), {"x": x})
+        p = ad.Arena({"x": rng.uniform(0.2, 2.0, size=(3, 4))})
+        assert_grads_close(lambda: ad.tsum(op(p["x"])), p)
 
     def test_binary_broadcasting(self, rng):
-        a = ad.parameter(rng.normal(size=(3, 4)))
-        b = ad.parameter(rng.normal(size=(4,)) + 2.0)
-        assert_grads_close(lambda: ad.tsum(a * b + a / b - b), {"a": a, "b": b})
+        p = ad.Arena({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4,)) + 2.0})
+        a, b = p["a"], p["b"]
+        assert_grads_close(lambda: ad.tsum(a * b + a / b - b), p)
 
 
 def erf_sample() -> np.ndarray:
@@ -118,86 +117,78 @@ class TestErfKernel:
 
 class TestMatmulGradients:
     def test_2d_2d(self, rng):
-        a = ad.parameter(rng.normal(size=(3, 4)))
-        b = ad.parameter(rng.normal(size=(4, 2)))
-        assert_grads_close(lambda: ad.tsum(a @ b), {"a": a, "b": b})
+        p = ad.Arena({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))})
+        assert_grads_close(lambda: ad.tsum(p["a"] @ p["b"]), p)
 
     def test_1d_2d(self, rng):
-        a = ad.parameter(rng.normal(size=4))
-        b = ad.parameter(rng.normal(size=(4, 3)))
-        assert_grads_close(lambda: ad.tsum(a @ b), {"a": a, "b": b})
+        p = ad.Arena({"a": rng.normal(size=4), "b": rng.normal(size=(4, 3))})
+        assert_grads_close(lambda: ad.tsum(p["a"] @ p["b"]), p)
 
     def test_2d_1d(self, rng):
-        a = ad.parameter(rng.normal(size=(3, 4)))
-        b = ad.parameter(rng.normal(size=4))
-        assert_grads_close(lambda: ad.tsum(a @ b), {"a": a, "b": b})
+        p = ad.Arena({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=4)})
+        assert_grads_close(lambda: ad.tsum(p["a"] @ p["b"]), p)
 
     def test_dot(self, rng):
-        a = ad.parameter(rng.normal(size=4))
-        b = ad.parameter(rng.normal(size=4))
-        assert_grads_close(lambda: a @ b, {"a": a, "b": b})
+        p = ad.Arena({"a": rng.normal(size=4), "b": rng.normal(size=4)})
+        assert_grads_close(lambda: p["a"] @ p["b"], p)
 
     def test_transpose(self, rng):
-        a = ad.parameter(rng.normal(size=(3, 4)))
-        b = ad.parameter(rng.normal(size=(3, 2)))
-        assert_grads_close(lambda: ad.tsum(a.T @ b), {"a": a, "b": b})
+        p = ad.Arena({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 2))})
+        assert_grads_close(lambda: ad.tsum(p["a"].T @ p["b"]), p)
 
 
 class TestStructuredGradients:
     def test_softmax(self, rng):
-        x = ad.parameter(rng.normal(size=(4, 7)))
+        p = ad.Arena({"x": rng.normal(size=(4, 7))})
         w = rng.normal(size=(4, 7))
-        assert_grads_close(lambda: ad.tsum(ad.softmax(x) * w), {"x": x})
+        assert_grads_close(lambda: ad.tsum(ad.softmax(p["x"]) * w), p)
 
     def test_softmax_cross_entropy(self, rng):
         # classic case: -log softmax picked at one class per row
-        x = ad.parameter(rng.normal(size=(4, 7)))
+        p = ad.Arena({"x": rng.normal(size=(4, 7))})
         targets = rng.integers(0, 7, size=4)
 
         def f():
-            probs = ad.softmax(x)
+            probs = ad.softmax(p["x"])
             picked = ad.index(probs, (np.arange(4), targets))
             return -ad.tsum(ad.log(picked))
 
-        assert_grads_close(f, {"x": x})
+        assert_grads_close(f, p)
 
     def test_layer_norm(self, rng):
-        x = ad.parameter(rng.normal(size=(5, 8)))
-        gamma = ad.parameter(rng.normal(size=8))
-        beta = ad.parameter(rng.normal(size=8))
+        p = ad.Arena({"x": rng.normal(size=(5, 8)), "gamma": rng.normal(size=8),
+                      "beta": rng.normal(size=8)})
         w = rng.normal(size=(5, 8))
-        assert_grads_close(lambda: ad.tsum(ad.layer_norm(x, gamma, beta) * w),
-                           {"x": x, "gamma": gamma, "beta": beta})
+        assert_grads_close(lambda: ad.tsum(ad.layer_norm(*p.values()) * w), p)
 
     def test_attention_sublayer(self, rng):
         L, d = 3, 4
         names = ("x", "gamma", "beta", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
         shapes = {"x": (L, d), "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d)}
-        args = {n: ad.parameter(rng.normal(size=shapes.get(n, (d,)))) for n in names}
+        args = ad.Arena({n: rng.normal(size=shapes.get(n, (d,))) for n in names})
         w = rng.normal(size=(L, d))
         # the key bias shifts a whole row of scores, which softmax ignores:
         # its gradient is zero, checked apart from the relative comparison
-        checked = {n: t for n, t in args.items() if n != "bk"}
+        checked = [n for n in names if n != "bk"]
         for n_heads in (1, 2):
             def f():
                 return ad.tsum(ad.attention_sublayer(*args.values(), n_heads=n_heads) * w)
-            assert_grads_close(f, checked)
+            assert_grads_close(f, args, checked)
             np.testing.assert_allclose(ad.grad(f(), args)["bk"], 0.0, atol=1e-12)
 
     def test_ffn_sublayer(self, rng):
         L, d, h = 3, 4, 6
         shapes = {"x": (L, d), "gamma": (d,), "beta": (d,), "w1": (d, h), "b1": (h,),
                   "w2": (h, d), "b2": (d,)}
-        args = {n: ad.parameter(rng.normal(size=s)) for n, s in shapes.items()}
+        args = ad.Arena({n: rng.normal(size=s) for n, s in shapes.items()})
         w = rng.normal(size=(L, d))
         assert_grads_close(lambda: ad.tsum(ad.ffn_sublayer(*args.values()) * w), args)
 
     def test_cosine_pairs(self, rng):
-        a = ad.parameter(rng.normal(size=(4, 6)))
+        p = ad.Arena({"a": rng.normal(size=(4, 6))})
         left, right = np.array([0, 1, 2, 3, 0]), np.array([1, 1, 0, 2, 3])
         w = rng.normal(size=5)
-        assert_grads_close(lambda: ad.tsum(ad.cosine_pairs(a, left, right) * w),
-                           {"a": a})
+        assert_grads_close(lambda: ad.tsum(ad.cosine_pairs(p["a"], left, right) * w), p)
 
     def test_cosine_pairs_rejects_zero_norm(self):
         a = ad.parameter(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
@@ -205,44 +196,39 @@ class TestStructuredGradients:
             ad.cosine_pairs(a, [0], [1])
 
     def test_embedding_gather(self, rng):
-        table = ad.parameter(rng.normal(size=(10, 4)))
+        p = ad.Arena({"table": rng.normal(size=(10, 4))})
         ids = np.array([1, 3, 3, 7])
         w = rng.normal(size=(4, 4))
-        assert_grads_close(lambda: ad.tsum(ad.embedding(table, ids) * w),
-                           {"table": table})
+        assert_grads_close(lambda: ad.tsum(ad.embedding(p["table"], ids) * w), p)
 
     def test_index_scalar_entry(self, rng):
-        x = ad.parameter(rng.normal(size=(3, 4)))
-        assert_grads_close(lambda: ad.index(x, (1, 2)) * 2.0, {"x": x})
+        p = ad.Arena({"x": rng.normal(size=(3, 4))})
+        assert_grads_close(lambda: ad.index(p["x"], (1, 2)) * 2.0, p)
 
     def test_stack_and_concat(self, rng):
-        a = ad.parameter(rng.normal(size=(2, 3)))
-        b = ad.parameter(rng.normal(size=(2, 3)))
-        assert_grads_close(lambda: sum_of_squares(ad.stack([a, b])), {"a": a, "b": b})
-        assert_grads_close(lambda: sum_of_squares(ad.concat([a, b], axis=1)),
-                           {"a": a, "b": b})
+        p = ad.Arena({"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 3))})
+        assert_grads_close(lambda: sum_of_squares(ad.stack(list(p.values()))), p)
+        assert_grads_close(lambda: sum_of_squares(ad.concat(list(p.values()), axis=1)), p)
 
     def test_reductions(self, rng):
-        x = ad.parameter(rng.normal(size=(3, 4)))
-        assert_grads_close(lambda: ad.tmean(x), {"x": x})
-        assert_grads_close(lambda: sum_of_squares(ad.tsum(x, axis=1, keepdims=True)),
-                           {"x": x})
+        p = ad.Arena({"x": rng.normal(size=(3, 4))})
+        assert_grads_close(lambda: ad.tmean(p["x"]), p)
+        assert_grads_close(lambda: sum_of_squares(ad.tsum(p["x"], axis=1, keepdims=True)), p)
 
 
 class TestComposedGraphs:
     def test_mlp_chain(self, rng):
         x = rng.normal(size=(5, 6))
-        w1 = ad.parameter(rng.normal(size=(6, 8)) * 0.3)
-        b1 = ad.parameter(rng.normal(size=8) * 0.1)
-        w2 = ad.parameter(rng.normal(size=(8, 3)) * 0.3)
+        p = ad.Arena({"w1": rng.normal(size=(6, 8)) * 0.3, "b1": rng.normal(size=8) * 0.1,
+                      "w2": rng.normal(size=(8, 3)) * 0.3})
 
         def f():
-            h = ad.gelu(ad.tensor(x) @ w1 + b1)
-            logits = h @ w2
+            h = ad.gelu(ad.tensor(x) @ p["w1"] + p["b1"])
+            logits = h @ p["w2"]
             probs = ad.softmax(logits)
             return ad.tmean(probs * probs)
 
-        assert_grads_close(f, {"w1": w1, "b1": b1, "w2": w2})
+        assert_grads_close(f, p)
 
     def test_dropout_identity_at_zero_rate(self, rng):
         x = ad.parameter(rng.normal(size=(3, 3)))
@@ -318,7 +304,8 @@ class TestAccumulate:
         arena = ad.Arena({"x": np.ones(3), "y": np.ones(2)})
         x = arena["x"]
         grads = ad.grad(ad.tsum(x * np.array([-0.0, 1.0, -0.0])), arena)
-        assert grads["x"] is x.grad and np.shares_memory(x.grad, grads["y"].base)
+        assert grads["x"].base is grads["y"].base and grads["x"].base.size == 5
+        assert all(p.grad is None for p in arena.values())
         assert grads["x"].tolist() == [0.0, 1.0, 0.0]
         assert not np.any(np.signbit(grads["x"]))
 
@@ -335,3 +322,36 @@ class TestAccumulate:
         ad.tsum(x * np.array([-0.0, 1.0, -0.0])).backward()
         assert x.grad.tolist() == [0.0, 1.0, 0.0]
         assert not np.any(np.signbit(x.grad))
+
+
+class TestGradViews:
+    """Only the call that zeroed a gradient view writes into it: a view
+    ``ad.grad`` returned holds that call's gradient until the next ``grad``
+    on the same arena."""
+
+    def test_later_grad_on_another_arena_leaves_views_unchanged(self):
+        first = ad.Arena({"a": np.array([1.0, 2.0])})
+        second = ad.Arena({"b": np.array([3.0, 3.0])})
+        a, b = first["a"], second["b"]
+        grads = ad.grad(ad.tsum(a * a), first)
+        assert grads["a"].tolist() == [2.0, 4.0]
+        ad.grad(ad.tsum(a * b), second)
+        assert grads["a"].tolist() == [2.0, 4.0]
+
+    def test_later_grad_through_shared_parameters_leaves_views_unchanged(self):
+        arena = ad.Arena({"w": np.array([3.0]), "b": np.array([3.0])})
+        other = ad.Arena({"c": np.array([1.0])})
+        w, b = arena["w"], arena["b"]
+        grads = ad.grad(ad.tsum(w * w) + ad.tsum(b * b), arena)
+        assert grads["w"].tolist() == [6.0] and grads["b"].tolist() == [6.0]
+        later = ad.grad(ad.tsum(w * b * other["c"]), other)
+        assert grads["w"].tolist() == [6.0] and grads["b"].tolist() == [6.0]
+        assert later["c"].tolist() == [9.0]
+
+    def test_raw_backward_after_grad_leaves_views_unchanged(self):
+        arena = ad.Arena({"a": np.array([1.0, 2.0])})
+        a = arena["a"]
+        grads = ad.grad(ad.tsum(a * a), arena)
+        ad.tsum(a * 3.0).backward()
+        assert grads["a"].tolist() == [2.0, 4.0]
+        assert a.grad.tolist() == [3.0, 3.0] and not np.shares_memory(a.grad, grads["a"])

@@ -213,6 +213,17 @@ class TestGenerateCorpus:
         assert override.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override", ["train.m=true", "train.lr=true",
+                                          "model.dropout=false", "sweep.seeds=[true,2]",
+                                          "train.alpha=true"])
+    def test_boolean_for_a_number_exits_2_naming_key(self, tmp_path, capsys, override):
+        # float(True) is 1.0: train.m=true used to run m=1
+        code = run("train", "--out", str(tmp_path / "o"), "--set", override)
+        key = override.split("=")[0]
+        assert code == 2
+        assert f"error: config key {key!r} needs " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_accepted(self):
         assert resolve_config(None, ["train.epochs=3.0"], None, "train")["train.epochs"] == 3.0
 
@@ -373,7 +384,10 @@ class TestTrainEvalRound:
         (lambda h: h["config"].update(width=3), "'config' has unknown keys ['width']"),
         (lambda h: h["arrays"][0].pop("shape"), "'arrays[0]' must hold exactly"),
         (drop_base_word, "words, 'config.vocab_size' is"),
-        (repeat_relation, "'relation_order' repeats")])
+        (repeat_relation, "'relation_order' repeats"),
+        (lambda h: h["extra"].update(schema=5), "'extra.schema' must be an object whose "
+                                                "'na_label' is a string or null, got 5"),
+        (lambda h: h["extra"]["schema"].update(na_label=7), "'na_label': 7,")])
     def test_eval_malformed_header_exits_1_naming_file(self, tmp_path, capsys, edit, field):
         out = tmp_path / "t"
         assert run("train", "--out", str(out), *FAST_SETS, "--set", "train.epochs=0") == 0

@@ -10,8 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_synthetic_corpus.py", "02_autodiff_and_model.py",
-                                  "03_pretrain_and_probe.py", "05_analysis_protocols.py"])
+@pytest.mark.parametrize("demo", [
+    "01_synthetic_corpus.py", "02_autodiff_and_model.py",
+    pytest.param("03_pretrain_and_probe.py", marks=pytest.mark.slow),
+    pytest.param("05_analysis_protocols.py", marks=pytest.mark.slow)])
 def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,

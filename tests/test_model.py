@@ -92,11 +92,9 @@ class TestForward:
             return -ad.log(ad.index(row, 5) + 1e-12)
 
         # full-model finite-difference check on a few parameters
-        params = model.params()
-        subset = {k: params[k] for k in
-                  ["token_embed", "blocks.0.attn.wq", "blocks.0.ffn.w1",
-                   "final_norm.gamma", "head_bias", "pos_embed"]}
-        assert_grads_close(f, subset, tol=1e-4)
+        assert_grads_close(f, model.params(),
+                           ["token_embed", "blocks.0.attn.wq", "blocks.0.ffn.w1",
+                            "final_norm.gamma", "head_bias", "pos_embed"], tol=1e-4)
 
 
 class TestSublayersBitwise:
@@ -348,6 +346,8 @@ class TestAdamW:
                 AdamW(params, lr=0.1)
             with pytest.raises(TypeError, match=r"ad\.Arena"):
                 ad.check_finite(params)
+            with pytest.raises(TypeError, match=r"ad\.Arena"):
+                ad.grad(ad.tsum(p * arena["q"]), params)
 
     def test_matches_reference_trajectory(self):
         # against an independently coded update rule, several steps
@@ -490,8 +490,9 @@ class TestParameterArena:
         prompts = [wrap_template(i, self.vocab, 2, 48) for i in self.ds.instances[:2]]
         grads = ad.grad(masked_token_loss(self.model, prompts, np.array([3, 4])), params)
         base = grads["token_embed"].base
-        assert all(g.base is base and params[n].grad is g for n, g in grads.items())
+        assert all(g.base is base for g in grads.values())
         assert base.size == params.flat().size
+        assert all(p.grad is None for p in params.values())
 
 
 class TestPretrain:
@@ -580,6 +581,7 @@ class TestPretrain:
             assert v.tobytes() == m2.param_values()[k].tobytes()
         assert r1.holdout_accuracy == r2.holdout_accuracy
 
+    @pytest.mark.slow
     def test_accuracy_beats_uniform_by_wide_margin(self):
         """Regression gate: held-out masked-token accuracy >= 50x uniform.
 
