@@ -1,9 +1,10 @@
 """The numeric core: reverse-mode gradients and the tiny masked LM.
 
-The engine records every operation applied to a Tensor; backward() walks
-the graph in reverse. The model is a pre-norm transformer whose output
-head is the transposed token-embedding table, so embeddings serve double
-duty as input vectors and output scores.
+The engine records every operation applied to a Tensor. ad.grad, its one
+backward pass, walks that graph in reverse into the gradient vector of a
+parameter arena; gradients live only inside that walk. The model is a
+pre-norm transformer whose output head is the transposed token-embedding
+table, so embeddings serve double duty as input vectors and output scores.
 """
 
 import numpy as np
@@ -13,14 +14,13 @@ from mvre import (CorpusSpec, MlmModel, ModelConfig, build_vocab, forward_batch,
                   generate_corpus, synthetic_schema, wrap_template)
 
 # --- gradients by hand vs by engine ------------------------------------------
-w = ad.parameter(np.array([1.0, -2.0, 0.5]))
+params = ad.Arena({"w": np.array([1.0, -2.0, 0.5])})  # ad.grad differentiates arenas
+w = params["w"]
 x = np.array([0.3, 0.1, -0.4])
 s_node = ad.sigmoid(w @ ad.tensor(x))
-loss = s_node * s_node
-loss.backward()
+print("engine gradient: ", ad.grad(s_node * s_node, params)["w"])
 z = float(w.data @ x)
 s = 1.0 / (1.0 + np.exp(-z))
-print("engine gradient: ", w.grad)
 print("chain-rule byhand:", 2 * s * s * (1 - s) * x)
 
 # --- finite-difference spot check ---------------------------------------------
@@ -28,7 +28,7 @@ def f():
     return ad.tsum(ad.softmax(a) * mask)
 
 rng = np.random.default_rng(0)
-arena = ad.Arena({"a": rng.normal(size=(3, 5))})  # ad.grad differentiates arenas
+arena = ad.Arena({"a": rng.normal(size=(3, 5))})
 a = arena["a"]
 mask = rng.normal(size=(3, 5))
 analytic = ad.grad(f(), arena)["a"]

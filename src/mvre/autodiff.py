@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A ``Tensor`` wraps an ndarray and records the operations applied to it.
-Calling :meth:`Tensor.backward` on a scalar walks the recorded graph in
-reverse topological order and accumulates gradients into every tensor
-created with ``requires_grad=True``: the raw tape, on which a loose leaf
-(:func:`parameter`) collects its gradient in ``.grad``.
+:func:`grad` is the one backward pass: it walks the recorded graph of a
+scalar loss in reverse topological order into the gradient vectors of
+parameter arenas. Gradients live only inside that walk: afterwards no
+tensor holds one.
 
 The op set is deliberately small: elementwise arithmetic, matmul,
 embedding gather / indexing, reshape, softmax, layer norm, GELU, sigmoid, log,
@@ -20,7 +20,7 @@ small ops, one graph per sequence, that it replaces (see "packed sequences").
 Everything runs in the dtype of its inputs (float64 by default throughout
 the package). A model's parameters are packed into an ``Arena``, one flat
 vector with a parallel gradient vector (see "parameter arenas"); a packed
-parameter's ``.data`` must never be rebound. :func:`grad` takes arenas only.
+parameter's ``.data`` must never be rebound.
 
 Training and inference run the same ops: under :func:`no_grad` each op
 computes its value and records no graph (no parents, no backward). A packed
@@ -104,30 +104,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         np.add.at(self.grad, key, g)
 
-    def backward(self):
-        """Backpropagate from this scalar through the recorded graph."""
-        if self.data.size != 1:
-            raise ValueError(f"backward() requires a scalar loss, got shape {self.data.shape}")
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):
         return add(self, other)
@@ -168,12 +144,6 @@ class Tensor:
 
 def tensor(data) -> Tensor:
     return data if isinstance(data, Tensor) else Tensor(data)
-
-
-def parameter(data) -> Tensor:
-    """A leaf tensor that collects gradients."""
-    t = Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
-    return t
 
 
 def _as_tensor(x) -> Tensor:
@@ -789,7 +759,7 @@ class TiedEmbedding:
                     if held is not None:
                         table._accumulate(held[s].T)
             if pos.requires_grad:
-                if pos.grad is None:
+                if pos.grad is None:  # a table outside the arenas grad() binds
                     pos.grad = np.zeros_like(pos.data)
                 for r in rows:
                     pos.grad[: r.stop - r.start] += g[r]
@@ -1003,13 +973,17 @@ def check_finite(params, when: str = ""):
 
 def grad(loss: Tensor, params) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss for every parameter of ``params``, an
-    ``Arena`` or a sequence of them (see :func:`arenas`).
+    ``Arena`` or a sequence of them (see :func:`arenas`): the tape's one
+    backward pass.
 
     Each arena's gradient vector is zeroed and each parameter's ``.grad``
-    bound to its view for this backward pass only, so the arrays returned are
-    those views, and a parameter the loss does not reach gets exact zeros.
-    No later backward pass adds into them, but the next ``grad`` on the same
-    arena zeroes and refills them: copy any that must outlive it.
+    bound to its view for this pass only, so the arrays returned are those
+    views, and a parameter the loss does not reach gets exact zeros. The walk
+    visits the recorded graph in reverse topological order and releases each
+    node's ``.grad`` as it hands it to the node's backward, so no tensor holds
+    a gradient after ``grad`` returns and the same loss differentiated twice
+    gives the same gradients. The next ``grad`` on the same arena zeroes and refills
+    the views: copy any that must outlive it.
     """
     if not isinstance(loss, Tensor):
         raise ValueError("loss must be a Tensor")
@@ -1020,7 +994,26 @@ def grad(loss: Tensor, params) -> dict[str, np.ndarray]:
         arena._grad.fill(0.0)
         for p, view in zip(arena.values(), arena._grads):
             p.grad = view
-    loss.backward()
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    loss._accumulate(np.ones_like(loss.data))
+    for node in reversed(topo):
+        g, node.grad = node.grad, None
+        if node._backward is not None and g is not None:
+            node._backward(g)
     for arena in groups:
         for p in arena.values():
             p.grad = None

@@ -113,8 +113,8 @@ def _get(cfg: dict, key: str):
         convert, kind = integral, "an integer"
     else:
         convert, kind = float, "a number"
-    if any(isinstance(x, bool) for x in (value if isinstance(value, list) else [value])):
-        raise CliError(f"config key {key!r} needs {kind}, got {value!r}")  # float(True) is 1.0
+    if isinstance(value, bool):  # float(True) is 1.0; integral() rejects it in a list
+        raise CliError(f"config key {key!r} needs {kind}, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):

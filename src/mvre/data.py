@@ -321,7 +321,10 @@ _REQUIRED_KEYS = ("token", "subj_start", "subj_end", "obj_start", "obj_end", "re
 
 
 def integral(value) -> int:
-    """``int(value)`` that refuses to truncate: ``int(2.7)`` would be 2."""
+    """``int(value)`` that refuses to truncate (``int(2.7)`` would be 2) and
+    booleans (``int(True)`` would be 1)."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
     n = int(value)
     if n != float(value):
         raise ValueError(f"{value!r} is not integral")

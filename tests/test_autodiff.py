@@ -17,10 +17,9 @@ def sum_of_squares(y):
 
 class TestBasics:
     def test_square_gradient(self):
-        w = ad.parameter(np.array(3.0))
-        loss = w * w
-        loss.backward()
-        assert w.grad == pytest.approx(6.0)
+        arena = ad.Arena({"w": np.array(3.0)})
+        w = arena["w"]
+        assert ad.grad(w * w, arena)["w"] == pytest.approx(6.0)
 
     def test_non_scalar_loss_rejected(self):
         arena = ad.Arena({"w": np.ones(3)})
@@ -34,26 +33,24 @@ class TestBasics:
         assert np.all(grads["other"] == 0.0)
 
     def test_no_grad_blocks_recording(self):
-        w = ad.parameter(np.array(2.0))
+        w = ad.Arena({"w": np.array(2.0)})["w"]
         with ad.no_grad():
             y = w * w
         assert y._parents == ()
         assert not y.requires_grad
 
     def test_grad_accumulates_across_uses(self):
-        w = ad.parameter(np.array(2.0))
-        loss = w * w + w * 3.0
-        loss.backward()
-        assert w.grad == pytest.approx(7.0)
+        arena = ad.Arena({"w": np.array(2.0)})
+        w = arena["w"]
+        assert ad.grad(w * w + w * 3.0, arena)["w"] == pytest.approx(7.0)
 
     def test_division_of_identical_values_has_exact_zero_gradient(self):
         # x / x must contribute a bitwise-zero gradient, not a rounding residue
         for val in (0.3, 1.7, 123.456, 1e-3):
-            x = ad.parameter(np.array(val))
+            arena = ad.Arena({"x": np.array(val)})
+            x = arena["x"]
             s = ad.tsum(ad.stack([x]))
-            ratio = x / s
-            ratio.backward()
-            assert x.grad == 0.0
+            assert ad.grad(x / s, arena)["x"] == 0.0
 
 
 class TestElementwiseGradients:
@@ -191,7 +188,7 @@ class TestStructuredGradients:
         assert_grads_close(lambda: ad.tsum(ad.cosine_pairs(p["a"], left, right) * w), p)
 
     def test_cosine_pairs_rejects_zero_norm(self):
-        a = ad.parameter(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+        a = ad.Arena({"a": np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])})["a"]
         with pytest.raises(NumericError):
             ad.cosine_pairs(a, [0], [1])
 
@@ -231,13 +228,13 @@ class TestComposedGraphs:
         assert_grads_close(f, p)
 
     def test_dropout_identity_at_zero_rate(self, rng):
-        x = ad.parameter(rng.normal(size=(3, 3)))
+        x = ad.Arena({"x": rng.normal(size=(3, 3))})["x"]
         out = ad.dropout(x, 0.0, rng)
         assert out is x
 
     def test_dropout_scales_kept_entries(self):
         rng = np.random.default_rng(0)
-        x = ad.parameter(np.ones((100, 100)))
+        x = ad.Arena({"x": np.ones((100, 100))})["x"]
         out = ad.dropout(x, 0.5, rng)
         vals = np.unique(out.data)
         assert set(vals.tolist()) == {0.0, 2.0}
@@ -248,10 +245,9 @@ class TestCosinePairsBitwise:
 
     def run_both(self, rows, left, right, weights):
         def value_and_grad(cosines):
-            e = ad.parameter(rows)
-            c = cosines(ad.embedding(e, np.arange(len(rows))))
-            ad.tsum(c * weights).backward()
-            return c.data, e.grad
+            arena = ad.Arena({"e": rows})
+            c = cosines(ad.embedding(arena["e"], np.arange(len(rows))))
+            return c.data, ad.grad(ad.tsum(c * weights), arena)["e"]
 
         new = value_and_grad(lambda emb: ad.cosine_pairs(emb, left, right))
         old = value_and_grad(lambda emb: ad.stack(
@@ -283,22 +279,24 @@ class TestCosinePairsBitwise:
 
 class TestAccumulate:
     def test_shared_upstream_gradient_is_not_aliased(self, rng):
-        # add() hands the same upstream array to both parents; a later
-        # accumulation into one parent must not leak into the other
-        a, b = ad.parameter(rng.normal(size=3)), ad.parameter(rng.normal(size=3))
-        w, v = rng.normal(size=3), rng.normal(size=3)
-        ad.tsum((a + b) * w + a * v).backward()
-        np.testing.assert_array_equal(a.grad, w + v)
-        np.testing.assert_array_equal(b.grad, w)
-        assert not np.shares_memory(a.grad, b.grad)
+        # add() hands the same upstream array to both parents, here the
+        # interior nodes ha and hb; a later accumulation into one of them
+        # must not leak into the other
+        arena = ad.Arena({"a": rng.normal(size=3), "b": rng.normal(size=3)})
+        w, v, u = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
+        ha, hb = arena["a"] * 1.0, arena["b"] * 1.0
+        grads = ad.grad(ad.tsum((ha + hb) * w + ha * v + hb * u), arena)
+        np.testing.assert_array_equal(grads["a"], w + v)
+        np.testing.assert_array_equal(grads["b"], w + u)
+        assert not np.shares_memory(grads["a"], grads["b"])
 
     def test_self_sum_gets_both_contributions(self, rng):
-        x = ad.parameter(rng.normal(size=4))
+        arena = ad.Arena({"x": rng.normal(size=4)})
         w = rng.normal(size=4)
-        y = x + x
-        (ad.tsum(y * w) + ad.tsum(x * w)).backward()
-        np.testing.assert_array_equal(x.grad, w + w + w)
-        assert not np.shares_memory(x.grad, y.grad)
+        hx = arena["x"] * 1.0
+        y = hx + hx
+        grads = ad.grad(ad.tsum(y * w) + ad.tsum(hx * w), arena)
+        np.testing.assert_array_equal(grads["x"], w + w + w)
 
     def test_first_negative_zero_is_stored_as_positive_zero_in_arena(self):
         arena = ad.Arena({"x": np.ones(3), "y": np.ones(2)})
@@ -318,16 +316,17 @@ class TestAccumulate:
         np.testing.assert_array_equal(grads["x"], 2.0 * x.data)
 
     def test_first_negative_zero_is_stored_as_positive_zero(self):
-        x = ad.parameter(np.ones(3))
-        ad.tsum(x * np.array([-0.0, 1.0, -0.0])).backward()
-        assert x.grad.tolist() == [0.0, 1.0, 0.0]
-        assert not np.any(np.signbit(x.grad))
+        # through an interior node, whose first gradient is a fresh array
+        arena = ad.Arena({"x": np.ones(3)})
+        grads = ad.grad(ad.tsum((arena["x"] * 1.0) * np.array([-0.0, 1.0, -0.0])), arena)
+        assert grads["x"].tolist() == [0.0, 1.0, 0.0]
+        assert not np.any(np.signbit(grads["x"]))
 
 
 class TestGradViews:
     """Only the call that zeroed a gradient view writes into it: a view
     ``ad.grad`` returned holds that call's gradient until the next ``grad``
-    on the same arena."""
+    on the same arena. No tensor keeps a gradient after ``grad`` returns."""
 
     def test_later_grad_on_another_arena_leaves_views_unchanged(self):
         first = ad.Arena({"a": np.array([1.0, 2.0])})
@@ -348,10 +347,27 @@ class TestGradViews:
         assert grads["w"].tolist() == [6.0] and grads["b"].tolist() == [6.0]
         assert later["c"].tolist() == [9.0]
 
-    def test_raw_backward_after_grad_leaves_views_unchanged(self):
+    def test_grad_on_one_arena_through_tables_of_another(self, rng):
+        # the tables need gradients but belong to no arena grad() is given
+        tables = ad.Arena({"table": rng.normal(size=(5, 3)), "pos": rng.normal(size=(4, 3))})
+        scale = ad.Arena({"c": np.array(2.0)})
+        emb = ad.TiedEmbedding(tables["table"], tables["pos"], ad.packed_rows([3, 2]))
+        out = emb.embed(np.array([1, 2, 3, 0, 4]))
+        assert ad.grad(ad.tsum(out) * scale["c"], scale)["c"] == out.data.sum()
+        assert all(p.grad is None for p in tables.values())
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda a: ad.tsum(a * a), [2.0, 4.0]),
+        (lambda a: ad.tsum(ad.index(a * 1.0, np.array([0, 0, 1]))), [2.0, 1.0])],
+        ids=["dense", "scatter"])
+    def test_same_loss_twice_gives_same_gradients(self, build, expected):
         arena = ad.Arena({"a": np.array([1.0, 2.0])})
-        a = arena["a"]
-        grads = ad.grad(ad.tsum(a * a), arena)
-        ad.tsum(a * 3.0).backward()
-        assert grads["a"].tolist() == [2.0, 4.0]
-        assert a.grad.tolist() == [3.0, 3.0] and not np.shares_memory(a.grad, grads["a"])
+        loss = build(arena["a"])
+        assert ad.grad(loss, arena)["a"].tolist() == expected
+        assert ad.grad(loss, arena)["a"].tolist() == expected
+        nodes, stack = [], [loss]
+        while stack:  # every tensor reachable from the loss
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node._parents)
+        assert len(nodes) > 3 and all(node.grad is None for node in nodes)

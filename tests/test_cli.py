@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from mvre.cli import DEFAULTS, build_configs, main, resolve_config, CliError
-from mvre.model import load_checkpoint
+from mvre.model import MlmModel, ModelConfig, load_checkpoint, save_checkpoint
 
 from conftest import drop_base_word, repeat_relation, rewrite_header
 
@@ -630,6 +630,15 @@ class TestInputFiles:
         assert code == 1 and err.startswith(f"error: {aspects}: ") and message in err
         assert not out.exists()
 
+    def test_valid_aspects_name_the_heatmap_columns(self, tmp_path):
+        aspects = tmp_path / "aspects.json"
+        aspects.write_text(json.dumps({"second": ["r0a1w0", "r0a1w1"], "first": ["r0a0w0"]}))
+        out = tmp_path / "av"
+        assert run("analyze-views", "--out", str(out), "--checkpoint",
+                   str(FIXTURES / "probe_toy.ckpt"), "--aspects", str(aspects)) == 0
+        header = (out / "heatmap.csv").read_text().splitlines()[0]
+        assert header == "virtual_word,second,first"
+
 
 class TestReportCommands:
     def test_sweep_m_rows(self, tmp_path):
@@ -755,6 +764,26 @@ class TestCommandFlags:
             run(*argv, "--out", str(tmp_path / "o"))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--corpus", "{tmp}/corpus.jsonl"],
+         "--schema is required when --corpus is given"),
+        (["probe-init", "--checkpoint", str(FIXTURES / "probe_toy.ckpt")],
+         "probe-init with --checkpoint also needs --schema"),
+        (["generate-corpus", "--config", "{tmp}/missing.json"],
+         "config file not found: {tmp}/missing.json"),
+        (["generate-corpus", "--config", "{tmp}/list.json"],
+         "config file must hold a JSON object of dotted keys"),
+        (["eval", "--checkpoint", "{tmp}/bare.ckpt", "--dataset", "{tmp}/list.json"],
+         "checkpoint {tmp}/bare.ckpt carries no vocabulary")])
+    def test_missing_or_malformed_input_exits_2(self, tmp_path, capsys, argv, message):
+        (tmp_path / "list.json").write_text('["train.lr", 0.1]')
+        save_checkpoint(tmp_path / "bare.ckpt", MlmModel(ModelConfig(
+            d=8, n_layers=1, n_heads=2, max_len=8, vocab_size=10)))
+        code = run(*[arg.format(tmp=tmp_path) for arg in argv], "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and message.format(tmp=tmp_path) in err
         assert not (tmp_path / "o").exists()
 
     def test_corpus_label_missing_from_schema_exits_2(self, tmp_path, capsys):

@@ -173,7 +173,10 @@ class TestJsonl:
         ("3", "a record must be a JSON object"),
         ('{"subj_start": null}', "'subj_start' must be an integer, got None"),
         ('{"obj_end": "x"}', "'obj_end' must be an integer, got 'x'"),
-        ('{"subj_end": 2.5}', "'subj_end' must be an integer, got 2.5")])
+        ('{"subj_end": 2.5}', "'subj_end' must be an integer, got 2.5"),
+        ('{"subj_start": true, "subj_end": 1}', "'subj_start' must be an integer, got True"),
+        ('{"token": ["a", 3, "c"]}', "'token' must be a list of strings"),
+        ('{"token": "a b c"}', "'token' must be a list of strings")])
     def test_bad_record_reports_line(self, tmp_path, line, match):
         good = {"token": ["a", "b", "c"], "subj_start": 0, "subj_end": 0,
                 "obj_start": 2, "obj_end": 2, "relation": "r1"}

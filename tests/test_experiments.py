@@ -156,6 +156,13 @@ class TestTrain:
                 "['rel0', 'rel1', 'rel2']")):
             train(episode, reordered, cfg, pretrained=bundle)
 
+    def test_empty_train_split_rejected(self):
+        spec, ds, schema, splits = small_world()
+        episode = sample_kshot(splits, 1, 1)
+        empty = replace(episode, train=replace(episode.train, instances=()))
+        with pytest.raises(ValidationError, match="episode train split is empty"):
+            train(empty, schema, fast_config(epochs=0))
+
     @pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
     def test_bad_lr_rejected(self, lr):
         with pytest.raises(ValidationError, match="lr"):

@@ -418,10 +418,9 @@ class TestBitwiseAgainstScalarGraphs:
     """The array-valued losses give the bits of the per-pair / per-view graphs."""
 
     def evaluate(self, build, arrays):
-        params = {k: ad.parameter(v) for k, v in arrays.items()}
+        params = ad.Arena(arrays)
         loss = build(params)
-        loss.backward()
-        return loss, {k: p.grad for k, p in params.items()}
+        return loss, ad.grad(loss, params)
 
     def test_local_and_global(self, rng):
         for n_rel, m in [(1, 2), (2, 1), (2, 3), (3, 2), (8, 3), (4, 4)]:

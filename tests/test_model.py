@@ -339,7 +339,7 @@ class TestAdamW:
         assert arena["p"].data == pytest.approx(0.9, abs=1e-6)
 
     def test_plain_dict_rejected(self):
-        p = ad.parameter(np.ones(2))
+        p = ad.tensor(np.ones(2))
         arena = ad.Arena({"q": np.ones(2)})
         for params in ({"p": p}, [{"p": p}], (arena, {"p": p})):
             with pytest.raises(TypeError, match=r"ad\.Arena"):
@@ -373,7 +373,7 @@ class TestAdamW:
         shapes = {"a": (16, 24), "b": (24,), "c": (), "d": (8, 8)}
         start = {k: rng.normal(size=s) for k, s in shapes.items()}
         flat = ad.Arena(start)
-        ref = {k: ad.parameter(v) for k, v in start.items()}
+        ref = {k: ad.tensor(v) for k, v in start.items()}
         opt, ref_state = AdamW(flat, lr=0.01, weight_decay=0.1), {}
         for _ in range(5):
             g = {k: rng.normal(size=s) for k, s in shapes.items() if k != "b"}
