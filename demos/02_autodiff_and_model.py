@@ -17,7 +17,7 @@ from mvre import (CorpusSpec, MlmModel, ModelConfig, build_vocab, forward_batch,
 params = ad.Arena({"w": np.array([1.0, -2.0, 0.5])})  # ad.grad differentiates arenas
 w = params["w"]
 x = np.array([0.3, 0.1, -0.4])
-s_node = ad.sigmoid(w @ ad.tensor(x))
+s_node = ad.sigmoid(w @ ad.Tensor(x))
 print("engine gradient: ", ad.grad(s_node * s_node, params)["w"])
 z = float(w.data @ x)
 s = 1.0 / (1.0 + np.exp(-z))

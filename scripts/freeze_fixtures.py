@@ -39,7 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from acceptance_workloads import (probe_environment, run_protocol_fixture,
                                   run_trend)
-from mvre.init_schemes import dynamic_init, save_probe_report
+from mvre.init_schemes import DYNAMIC, apply_init, save_probe_report
 from mvre.model import save_checkpoint
 from mvre.schema import save_schema
 from mvre.vocab import vocab_payload
@@ -51,7 +51,7 @@ def write_fixtures(out: Path, t0: float):
     save_checkpoint(out / "probe_toy.ckpt", model,
                     vocab_payload=vocab_payload(vocab, verbalizer))
     save_schema(schema, out / "probe_schema.json")
-    _, report = dynamic_init(schema, vocab, verbalizer, model)
+    _, report = apply_init(DYNAMIC, schema, vocab, verbalizer, model)
     save_probe_report(report, out / "probe_report.json")
     print(f"  {len(report)} probe records ({time.perf_counter() - t0:.0f}s)")
 

@@ -18,7 +18,7 @@ from .experiments import (GridRow, RunResult, TrainConfig, TrainedArtifacts,
                           evaluate, micro_f1, pretrain_bundle, run_grid,
                           run_similarity_protocol, similarity_ratio, sweep_m, train,
                           view_aspect_heatmap)
-from .init_schemes import ProbeRecord, apply_init, dynamic_init, encode_probe_template
+from .init_schemes import ProbeRecord, apply_init, encode_probe_template
 from .losses import (ViewPosteriorHead, ViewScores, infer, global_loss, local_loss,
                      mvdl_loss, per_view_label_probs,
                      relation_scores, total_loss, verbalizer_embeddings,

@@ -7,7 +7,7 @@ parameter arenas. Gradients live only inside that walk: afterwards no
 tensor holds one.
 
 The op set is deliberately small: elementwise arithmetic, matmul,
-embedding gather / indexing, reshape, softmax, layer norm, GELU, sigmoid, log,
+indexing (the embedding gather), reshape, softmax, layer norm, GELU, sigmoid, log,
 row-pair cosine similarity (``cosine_pairs``), per-row dots
 (``row_dots``), sum/mean reductions, and the transformer's parts as single
 nodes over a packed batch of sequences: ``attention_sublayer`` (layer norm,
@@ -17,10 +17,10 @@ embedding, and the tied output head). A packed batch stacks the rows of all
 its sequences into one [sum L, d] array: row-wise math runs once per batch,
 every matmul once per sequence, and each op gives the bits of the graph of
 small ops, one graph per sequence, that it replaces (see "packed sequences").
-Everything runs in the dtype of its inputs (float64 by default throughout
-the package). A model's parameters are packed into an ``Arena``, one flat
-vector with a parallel gradient vector (see "parameter arenas"); a packed
-parameter's ``.data`` must never be rebound.
+Every tensor holds float64: ``Tensor`` converts anything else on the way in.
+A model's parameters are packed into an ``Arena``, one flat vector with a
+parallel gradient vector (see "parameter arenas"); a packed parameter's
+``.data`` must never be rebound.
 
 Training and inference run the same ops: under :func:`no_grad` each op
 computes its value and records no graph (no parents, no backward). A packed
@@ -61,15 +61,14 @@ def no_grad():
 
 
 class Tensor:
-    """An ndarray plus the bookkeeping needed for reverse-mode autodiff."""
+    """A float64 ndarray plus the bookkeeping needed for reverse-mode autodiff.
+    ``data`` that already is a float64 ndarray is kept, not copied: an arena's
+    parameters view its vector this way."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float64, np.float32):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -142,12 +141,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data) -> Tensor:
-    return data if isinstance(data, Tensor) else Tensor(data)
-
-
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    """An op's operand as a Tensor; private, so that a profiler wrapping this
+    module's public functions does not count each coercion as an op call."""
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -293,14 +290,6 @@ def index(a, key) -> Tensor:
             a._scatter(key, g)
 
     return _make(out_data, (a,), backward)
-
-
-def embedding(table, ids) -> Tensor:
-    """Gather rows of an embedding table by integer id."""
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise ValueError("embedding ids must be integers")
-    return index(table, ids)
 
 
 # -- unary functions ------------------------------------------------------
@@ -582,7 +571,7 @@ def _full(a: np.ndarray, reads: Reads | None, n: int) -> np.ndarray:
     inverse of ``_rows`` (``a`` itself when every row is read)."""
     if reads is None:
         return a
-    out = np.zeros((n, *a.shape[1:]), dtype=a.dtype)
+    out = np.zeros((n, *a.shape[1:]))
     out[reads.index] = a
     return out
 
@@ -599,7 +588,7 @@ def _matmul_rows(x: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
     """``x[r] @ w`` for every row block ``r``, written into one packed array."""
     if len(rows) == 1:  # one block of every row: the same BLAS call
         return x @ w
-    out = np.empty((x.shape[0], w.shape[1]), dtype=np.result_type(x, w))
+    out = np.empty((x.shape[0], w.shape[1]))
     for r in rows:
         np.matmul(x[r], w, out=out[r])
     return out
@@ -878,14 +867,14 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, ts, backward)
 
 
-def dropout(a, rate: float, rng) -> Tensor:
-    """Inverted dropout; identity when rate is 0. ``rng`` is a generator, or
-    an array of uniform draws of ``a``'s shape drawn from one."""
+def dropout(a, rate: float, draws: np.ndarray) -> Tensor:
+    """Inverted dropout with ``draws``, uniform draws in [0, 1) of ``a``'s
+    shape: keeps the entries whose draw is at least ``rate``, scaled by
+    ``1 / (1 - rate)``. Identity when rate is 0."""
     a = _as_tensor(a)
     if rate <= 0.0:
         return a
-    draws = rng.random(a.data.shape) if isinstance(rng, np.random.Generator) else rng
-    keep = (draws >= rate).astype(a.data.dtype) / (1.0 - rate)
+    keep = (draws >= rate).astype(np.float64) / (1.0 - rate)
     out_data = a.data * keep
 
     def backward(g):

@@ -31,7 +31,7 @@ from .errors import MvreError, ValidationError
 from .experiments import (TrainConfig, evaluate, grid_rows_csv, heatmap_csv,
                           pretrain_bundle, run_similarity_protocol, sweep_m, train,
                           view_aspect_heatmap, write_json, TrainedArtifacts)
-from .init_schemes import dynamic_init, save_probe_report
+from .init_schemes import DYNAMIC, apply_init, save_probe_report
 from .losses import ViewPosteriorHead
 from .model import ModelConfig, PretrainConfig, load_checkpoint, save_checkpoint
 from .schema import load_schema, save_schema, synthetic_schema
@@ -401,7 +401,8 @@ def cmd_probe_init(args, cfg: dict) -> int:
         dataset, schema = _load_corpus_and_schema(args, cfg)
         configs = build_configs(cfg)
         artifacts, _ = pretrain_bundle(dataset, schema, configs["model"], configs["pretrain"])
-    _, report = dynamic_init(schema, artifacts.vocab, artifacts.verbalizer, artifacts.model)
+    _, report = apply_init(DYNAMIC, schema, artifacts.vocab, artifacts.verbalizer,
+                           artifacts.model)
     out = _out_dir(args, cfg)
     save_probe_report(report, out / "probe_report.json")
     for rec in report:

@@ -368,8 +368,10 @@ def load_jsonl(path: str | Path, na_label: str | None = None) -> Dataset:
                 except (TypeError, ValueError, OverflowError):
                     raise LoadError(f"{key!r} must be an integer, got {rec[key]!r}",
                                     lineno) from None
+            if not isinstance(rec["relation"], str):
+                raise LoadError(f"'relation' must be a string, got {rec['relation']!r}", lineno)
             inst = RelationInstance(tuple(tokens), tuple(bounds[:2]), tuple(bounds[2:]),
-                                    str(rec["relation"]))
+                                    rec["relation"])
             try:
                 inst.validate()
             except ValidationError as e:

@@ -131,12 +131,6 @@ def apply_init(mode: str, schema: RelationSchema, vocab: Vocab, verbalizer: Verb
     return vectors, report
 
 
-def dynamic_init(schema: RelationSchema, vocab: Vocab, verbalizer: Verbalizer,
-                 model: MlmModel) -> tuple[np.ndarray, list[ProbeRecord]]:
-    """``apply_init(DYNAMIC, ...)``: the probed-token embeddings plus the report."""
-    return apply_init(DYNAMIC, schema, vocab, verbalizer, model)
-
-
 def save_probe_report(report: list[ProbeRecord], path: str | Path):
     """Machine-readable probe outcomes: one record per (relation, view)."""
     with open(path, "w", encoding="utf-8") as fh:

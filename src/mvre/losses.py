@@ -55,16 +55,12 @@ class ViewScores:
     per_view: Tensor
 
 
-def view_posterior(head: ViewPosteriorHead, view_states) -> Tensor:
+def view_posterior(head: ViewPosteriorHead, view_states: Tensor) -> Tensor:
     """Normalized sigmoid scores of each view state; sums to one over the views.
 
-    ``view_states`` is a list of m state vectors [d], or one tensor of
-    states [..., m, d] (a batch's), giving a posterior [..., m].
+    ``view_states`` holds m state vectors [m, d] (one prompt's), or [..., m, d]
+    (a batch's), giving a posterior [..., m].
     """
-    if isinstance(view_states, (list, tuple)):
-        if not view_states:
-            raise ValueError("need at least one view state")
-        view_states = ad.stack(view_states)
     if view_states.ndim < 2 or view_states.shape[-1] != head.d:
         raise ValueError(f"view states of shape {view_states.shape} mismatch head dim {head.d}")
     sig = ad.sigmoid(ad.row_dots(view_states, head.w))
@@ -128,7 +124,7 @@ def mvdl_loss(scores: ViewScores, y, eps: float = MVDL_EPS) -> Tensor:
 
 def verbalizer_embeddings(model: MlmModel, verbalizer: Verbalizer) -> Tensor:
     """Token-embedding rows of all virtual words, ordered (relation, view)."""
-    return ad.embedding(model.token_embed, verbalizer.all_ids())
+    return ad.index(model.token_embed, verbalizer.all_ids())
 
 
 def _group_cosines(emb: Tensor, groups: np.ndarray) -> Tensor:
@@ -177,14 +173,14 @@ MIXTURE = "mixture"
 PRODUCT = "product"
 
 
-def relation_scores(scores: ViewScores, mode: str = MIXTURE) -> np.ndarray:
-    """Aggregate per-view relation probabilities into one score per relation."""
-    post = scores.posterior.data if isinstance(scores.posterior, Tensor) else scores.posterior
-    pv = scores.per_view.data if isinstance(scores.per_view, Tensor) else scores.per_view
+def relation_scores(posterior: np.ndarray, per_view: np.ndarray,
+                    mode: str = MIXTURE) -> np.ndarray:
+    """Aggregate one prompt's per-view relation probabilities [m, |Y|] into one
+    score per relation, weighing the views by their posterior [m]."""
     if mode == MIXTURE:
-        return post @ pv
+        return posterior @ per_view
     if mode == PRODUCT:
-        return np.prod(post[:, None] * pv, axis=0)
+        return np.prod(posterior[:, None] * per_view, axis=0)
     raise ValueError(f"unknown score mode {mode!r}")
 
 
@@ -196,7 +192,7 @@ def infer_batch(model: MlmModel, head: ViewPosteriorHead, prompts,
         scores = view_scores(model, head, list(prompts), verbalizer)
     out = []
     for post, per_view in zip(scores.posterior.data, scores.per_view.data):
-        s = relation_scores(ViewScores(post, per_view), mode)
+        s = relation_scores(post, per_view, mode)
         out.append((verbalizer.relation_order[int(np.argmax(s))], s))
     return out
 

@@ -414,7 +414,7 @@ def _header_config(config, bad) -> ModelConfig:
 
 
 def _header_arrays(arrays, bad) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of each array entry of a checkpoint header."""
+    """(name, shape) of each array entry of a checkpoint header; each name once."""
     if not isinstance(arrays, list):
         raise bad(f"header field 'arrays' must be a list, got {arrays!r}")
     out = []
@@ -425,6 +425,8 @@ def _header_arrays(arrays, bad) -> list[tuple[str, tuple[int, ...]]]:
         name, shape = entry["name"], entry["shape"]
         if not isinstance(name, str):
             raise bad(f"header field 'arrays[{i}].name' must be a string, got {name!r}")
+        if any(name == seen for seen, _ in out):
+            raise bad(f"header field 'arrays[{i}].name' repeats the array {name!r}")
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise bad(f"header field 'arrays[{i}].shape' must be a list of sizes, got {shape!r}")
         out.append((name, tuple(shape)))

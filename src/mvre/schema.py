@@ -40,6 +40,9 @@ class RelationSchema:
             raise ValidationError(f"m must be >= 1, got {self.m}")
         if len(set(self.relations)) != len(self.relations):
             raise ValidationError("schema relations contain duplicates")
+        if self.na_label is not None and self.na_label not in self.relations:
+            raise ValidationError(f"field 'na_label' {self.na_label!r} is not one of the "
+                                  f"relations {list(self.relations)}")
         for rel in self.relations:
             tpl = self.probe_templates.get(rel)
             if not tpl:

@@ -85,7 +85,7 @@ def reference_forward_ids(model, ids, rng=None):
     ids = np.asarray(ids, dtype=np.int64)
     L = len(ids)
     drop = cfg.dropout if rng is not None else 0.0
-    x = ad.embedding(p["token_embed"], ids) + ad.index(p["pos_embed"], slice(0, L))
+    x = ad.index(p["token_embed"], ids) + ad.index(p["pos_embed"], slice(0, L))
     dh = cfg.d // cfg.n_heads
     scale = 1.0 / np.sqrt(dh)
     for i in range(cfg.n_layers):
@@ -102,12 +102,12 @@ def reference_forward_ids(model, ids, rng=None):
             heads.append(att @ vh)
         o = ad.concat(heads, axis=1) @ p[b + "attn.wo"] + p[b + "attn.bo"]
         if drop > 0.0:
-            o = ad.dropout(o, drop, rng)
+            o = ad.dropout(o, drop, rng.random(o.shape))
         x = x + o
         xn2 = ad.layer_norm(x, p[b + "ln2.gamma"], p[b + "ln2.beta"])
         f = ad.gelu(xn2 @ p[b + "ffn.w1"] + p[b + "ffn.b1"]) @ p[b + "ffn.w2"] + p[b + "ffn.b2"]
         if drop > 0.0:
-            f = ad.dropout(f, drop, rng)
+            f = ad.dropout(f, drop, rng.random(f.shape))
         x = x + f
     hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"])
     logits = hidden @ p["token_embed"].T + p["head_bias"]

@@ -18,7 +18,7 @@ from mvre.cli import main as cli_main
 from mvre.data import Dataset, RelationInstance, generate_corpus, make_splits, sample_kshot
 from mvre.errors import InitError
 from mvre.experiments import micro_f1, run_similarity_protocol
-from mvre.init_schemes import dynamic_init
+from mvre.init_schemes import DYNAMIC, apply_init
 from mvre.losses import (MVDL_EPS, ViewPosteriorHead, global_loss, infer,
                          local_loss, mvdl_loss, total_loss,
                          verbalizer_embeddings, view_posterior, view_scores)
@@ -176,14 +176,14 @@ class TestCriterion3PosteriorContract:
         for m in range(1, 9):
             head = ViewPosteriorHead(6)
             head.w.data[...] = rng.normal(size=6)
-            states = [ad.tensor(rng.normal(size=6) * 2) for _ in range(m)]
-            post = view_posterior(head, states).data
+            states = [ad.Tensor(rng.normal(size=6) * 2) for _ in range(m)]
+            post = view_posterior(head, ad.stack(states)).data
             ok &= abs(post.sum() - 1.0) <= 1e-9
             ok &= bool(np.all(post > 0) and np.all(post < 1 + 1e-15))
         head = ViewPosteriorHead(2)
         head.w.data[...] = np.array([1.0, 0.0])
-        states = [ad.tensor(np.array([1.0, 0.0])), ad.tensor(np.array([-1.0, 0.0]))]
-        post = view_posterior(head, states).data
+        states = [ad.Tensor(np.array([1.0, 0.0])), ad.Tensor(np.array([-1.0, 0.0]))]
+        post = view_posterior(head, ad.stack(states)).data
         ok &= np.allclose(np.round(post, 4), [0.7311, 0.2689])
         report(3, "posterior sums to 1 +/- 1e-9 and matches the "
                   "sigmoid-normalization hand case", ok)
@@ -193,11 +193,11 @@ class TestCriterion4GlClosedForms:
     def test_anchors(self):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(3, 6))
-        collinear = ad.tensor(np.repeat(base, 4, axis=0))
+        collinear = ad.Tensor(np.repeat(base, 4, axis=0))
         ok = local_loss(collinear, 3, 4).item() == -1.0
-        same_row = ad.tensor(np.tile(rng.normal(size=6), (8, 1)))
+        same_row = ad.Tensor(np.tile(rng.normal(size=6), (8, 1)))
         ok &= global_loss(same_row, 4, 2).item() == 1.0
-        ortho = ad.tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        ortho = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         ok &= local_loss(ortho, 1, 2).item() == -0.5
         ok &= global_loss(ortho, 2, 1).item() == 0.5
         report(4, "contrastive losses hit -1/1 exactly on identical "
@@ -255,11 +255,11 @@ class TestCriterion6InferenceOracle:
                     prompt = EncodedPrompt(np.zeros(seq, dtype=np.int64), positions)
                     head = ViewPosteriorHead(d)
                     head.w.data[...] = w
-                    states = [ad.tensor(hidden[p]) for p in positions]
-                    post = view_posterior(head, states).data
-                    from mvre.losses import per_view_label_probs, relation_scores, ViewScores
-                    pv = per_view_label_probs(ad.tensor(logits), prompt, verb).data
-                    got = relation_scores(ViewScores(ad.tensor(post), ad.tensor(pv)))
+                    states = [ad.Tensor(hidden[p]) for p in positions]
+                    post = view_posterior(head, ad.stack(states)).data
+                    from mvre.losses import per_view_label_probs, relation_scores
+                    pv = per_view_label_probs(ad.Tensor(logits), prompt, verb).data
+                    got = relation_scores(post, pv)
 
                     expected = []
                     sig = [1.0 / (1.0 + math.exp(-sum(wi * hi for wi, hi in zip(w, hidden[p]))))
@@ -311,7 +311,7 @@ class TestCriterion9InitializationDeterminism:
         ckpt = load_checkpoint(FIXTURES / "probe_toy.ckpt")
         vocab, verb = vocab_from_payload(ckpt.vocab_payload)
         schema = load_schema(FIXTURES / "probe_schema.json")
-        _, got = dynamic_init(schema, vocab, verb, ckpt.model)
+        _, got = apply_init(DYNAMIC, schema, vocab, verb, ckpt.model)
         frozen = json.loads((FIXTURES / "probe_report.json").read_text())
         ok = len(got) == len(frozen)
         for rec, ref in zip(got, frozen):
@@ -340,7 +340,7 @@ class TestCriterion9InitializationDeterminism:
             scale = float(rng.uniform(0.01, 2.0))
             for p in model.params().values():
                 p.data *= scale
-            _, rep = dynamic_init(schema, vocab, verb, model)
+            _, rep = apply_init(DYNAMIC, schema, vocab, verb, model)
             for rec in rep:
                 ok &= rec.token not in specials and not rec.token.startswith("[V:")
         report(9, "probing 200 random models never selects special or "

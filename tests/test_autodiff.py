@@ -16,6 +16,14 @@ def sum_of_squares(y):
 
 
 class TestBasics:
+    def test_tensor_holds_float64(self):
+        for data in (np.arange(3), np.ones(3, dtype=np.float32), [1, 2], 5):
+            t = ad.Tensor(data)
+            assert t.data.dtype == np.float64
+            np.testing.assert_array_equal(t.data, np.asarray(data))
+        arr = np.ones((2, 3))
+        assert ad.Tensor(arr).data is arr
+
     def test_square_gradient(self):
         arena = ad.Arena({"w": np.array(3.0)})
         w = arena["w"]
@@ -196,7 +204,7 @@ class TestStructuredGradients:
         p = ad.Arena({"table": rng.normal(size=(10, 4))})
         ids = np.array([1, 3, 3, 7])
         w = rng.normal(size=(4, 4))
-        assert_grads_close(lambda: ad.tsum(ad.embedding(p["table"], ids) * w), p)
+        assert_grads_close(lambda: ad.tsum(ad.index(p["table"], ids) * w), p)
 
     def test_index_scalar_entry(self, rng):
         p = ad.Arena({"x": rng.normal(size=(3, 4))})
@@ -220,7 +228,7 @@ class TestComposedGraphs:
                       "w2": rng.normal(size=(8, 3)) * 0.3})
 
         def f():
-            h = ad.gelu(ad.tensor(x) @ p["w1"] + p["b1"])
+            h = ad.gelu(ad.Tensor(x) @ p["w1"] + p["b1"])
             logits = h @ p["w2"]
             probs = ad.softmax(logits)
             return ad.tmean(probs * probs)
@@ -229,13 +237,13 @@ class TestComposedGraphs:
 
     def test_dropout_identity_at_zero_rate(self, rng):
         x = ad.Arena({"x": rng.normal(size=(3, 3))})["x"]
-        out = ad.dropout(x, 0.0, rng)
+        out = ad.dropout(x, 0.0, rng.random(x.shape))
         assert out is x
 
     def test_dropout_scales_kept_entries(self):
         rng = np.random.default_rng(0)
         x = ad.Arena({"x": np.ones((100, 100))})["x"]
-        out = ad.dropout(x, 0.5, rng)
+        out = ad.dropout(x, 0.5, rng.random(x.shape))
         vals = np.unique(out.data)
         assert set(vals.tolist()) == {0.0, 2.0}
 
@@ -246,7 +254,7 @@ class TestCosinePairsBitwise:
     def run_both(self, rows, left, right, weights):
         def value_and_grad(cosines):
             arena = ad.Arena({"e": rows})
-            c = cosines(ad.embedding(arena["e"], np.arange(len(rows))))
+            c = cosines(ad.index(arena["e"], np.arange(len(rows))))
             return c.data, ad.grad(ad.tsum(c * weights), arena)["e"]
 
         new = value_and_grad(lambda emb: ad.cosine_pairs(emb, left, right))

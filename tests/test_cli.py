@@ -588,6 +588,8 @@ MALFORMED_SCHEMAS = {
     "relations 5": ({"relations": 5, "m": 2}, "field 'relations'"),
     "m x": ({"relations": ["rel0"], "m": "x"}, "field 'm'"),
     "si_tokens list": ({"relations": ["rel0"], "m": 2, "si_tokens": ["a"]}, "field 'si_tokens'"),
+    "na_label typo": ({"relations": ["rel0", "no_relation"], "m": 2, "na_label": "no_relaton"},
+                      "field 'na_label' 'no_relaton' is not one of the relations"),
     "json list": (["rel0"], "JSON object"),
 }
 

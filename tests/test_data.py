@@ -176,7 +176,10 @@ class TestJsonl:
         ('{"subj_end": 2.5}', "'subj_end' must be an integer, got 2.5"),
         ('{"subj_start": true, "subj_end": 1}', "'subj_start' must be an integer, got True"),
         ('{"token": ["a", 3, "c"]}', "'token' must be a list of strings"),
-        ('{"token": "a b c"}', "'token' must be a list of strings")])
+        ('{"token": "a b c"}', "'token' must be a list of strings"),
+        ('{"relation": null}', "'relation' must be a string, got None"),
+        ('{"relation": 5}', "'relation' must be a string, got 5"),
+        ('{"relation": ["x"]}', "'relation' must be a string, got ['x']")])
     def test_bad_record_reports_line(self, tmp_path, line, match):
         good = {"token": ["a", "b", "c"], "subj_start": 0, "subj_end": 0,
                 "obj_start": 2, "obj_end": 2, "relation": "r1"}

@@ -5,7 +5,7 @@ import pytest
 
 from mvre.data import Dataset, RelationInstance
 from mvre.errors import InitError
-from mvre.init_schemes import (apply_init, dynamic_init, encode_probe_template,
+from mvre.init_schemes import (DYNAMIC, apply_init, encode_probe_template,
                                _dynamic_vectors, _static_vectors)
 from mvre.model import MlmModel, ModelConfig
 from mvre.schema import RelationSchema, schema_from_relations
@@ -85,7 +85,7 @@ class TestStaticInit:
 class TestDynamicInit:
     def test_report_shape_and_writes(self):
         ds, schema, vocab, verb, model = make_env(m=3)
-        vectors, report = dynamic_init(schema, vocab, verb, model)
+        vectors, report = apply_init(DYNAMIC, schema, vocab, verb, model)
         assert vectors.shape == (2, 3, model.config.d)
         assert len(report) == 6
         assert {(r.relation, r.view) for r in report} == {
@@ -101,7 +101,7 @@ class TestDynamicInit:
         special = set(vocab.words[i] for i in vocab.special_ids)
         for seed in range(25):
             m2 = MlmModel(model.config, seed=seed)
-            _, report = dynamic_init(schema, vocab, verb, m2)
+            _, report = apply_init(DYNAMIC, schema, vocab, verb, m2)
             for rec in report:
                 assert rec.token not in special
                 assert not rec.token.startswith("[V:")
@@ -110,7 +110,7 @@ class TestDynamicInit:
         ds, schema, vocab, verb, model = make_env()
         for p in model.params().values():
             p.data[...] = 0.0
-        _, report = dynamic_init(schema, vocab, verb, model)
+        _, report = apply_init(DYNAMIC, schema, vocab, verb, model)
         # all-zero model -> uniform logits -> argmax over allowed ids is the
         # first ordinary word, which is the lexicographically first corpus word
         first_ordinary = vocab.word_of(len(vocab.special_ids))
@@ -124,11 +124,11 @@ class TestDynamicInit:
                                 {"relA": schema.probe_templates["relA"]},
                                 schema.si_tokens)
         with pytest.raises(InitError, match="relB"):
-            dynamic_init(broken, vocab, verb, model)
+            apply_init(DYNAMIC, broken, vocab, verb, model)
 
     def test_probabilities_are_full_softmax_values(self):
         ds, schema, vocab, verb, model = make_env()
-        _, report = dynamic_init(schema, vocab, verb, model)
+        _, report = apply_init(DYNAMIC, schema, vocab, verb, model)
         for rec in report:
             assert 0.0 < rec.probability < 1.0
 

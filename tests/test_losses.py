@@ -34,8 +34,8 @@ def states_for(dots, w):
     for val in dots:
         h = np.zeros(d)
         h[0] = val / w[0]
-        states.append(ad.tensor(h))
-    return states
+        states.append(ad.Tensor(h))
+    return ad.stack(states)
 
 
 class TestViewPosterior:
@@ -59,7 +59,7 @@ class TestViewPosterior:
     def test_sums_to_one_all_m(self, rng):
         for m in range(1, 9):
             head = head_with(rng.normal(size=6))
-            states = [ad.tensor(rng.normal(size=6) * 3) for _ in range(m)]
+            states = ad.stack([ad.Tensor(rng.normal(size=6) * 3) for _ in range(m)])
             post = view_posterior(head, states).data
             assert abs(post.sum() - 1.0) <= 1e-9
             assert np.all(post > 0.0) and np.all(post < 1.0 + 1e-15)
@@ -67,14 +67,14 @@ class TestViewPosterior:
     def test_dimension_mismatch(self):
         head = ViewPosteriorHead(4)
         with pytest.raises(ValueError, match="mismatch"):
-            view_posterior(head, [ad.tensor(np.zeros(5))])
+            view_posterior(head, ad.stack([ad.Tensor(np.zeros(5))]))
 
     def test_differentiable_wrt_w_and_h(self, rng):
         head = ViewPosteriorHead(5)
         head.w.data[...] = rng.normal(size=5)
         hs = ad.Arena({f"h{j}": rng.normal(size=5) for j in range(3)})
         def f():
-            p = view_posterior(head, list(hs.values()))
+            p = view_posterior(head, ad.stack(list(hs.values())))
             return ad.tsum(p * p)
 
         assert_grads_close(f, (head.params(), hs))
@@ -93,7 +93,7 @@ def fake_prompt_and_verbalizer(m, n_rel, seq_len, vocab_size):
 class TestPerViewLabelProbs:
     def test_uniform_logits(self):
         prompt, verb = fake_prompt_and_verbalizer(2, 3, 8, 12)
-        logits = ad.tensor(np.zeros((8, 12)))
+        logits = ad.Tensor(np.zeros((8, 12)))
         pv = per_view_label_probs(logits, prompt, verb).data
         np.testing.assert_allclose(pv, 1.0 / 12, atol=1e-15)
 
@@ -102,7 +102,7 @@ class TestPerViewLabelProbs:
         arr = np.zeros((4, 10))
         target = verb.virtual_id("R0", 1)
         arr[prompt.mask_positions[0], target] = 500.0
-        pv = per_view_label_probs(ad.tensor(arr), prompt, verb).data
+        pv = per_view_label_probs(ad.Tensor(arr), prompt, verb).data
         assert pv[0, 0] == pytest.approx(1.0)
         assert pv[0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -111,7 +111,7 @@ class TestPerViewLabelProbs:
         # non-virtual words; verified against an explicit softmax
         prompt, verb = fake_prompt_and_verbalizer(2, 2, 6, 10)
         arr = rng.normal(size=(6, 10))
-        pv = per_view_label_probs(ad.tensor(arr), prompt, verb).data
+        pv = per_view_label_probs(ad.Tensor(arr), prompt, verb).data
         for j in range(2):
             row = arr[prompt.mask_positions[j]]
             full = [math.exp(v) for v in row]
@@ -122,8 +122,7 @@ class TestPerViewLabelProbs:
 
 
 def scores_of(posterior, per_view):
-    return ViewScores(ad.tensor(np.asarray(posterior, dtype=np.float64)),
-                      ad.tensor(np.asarray(per_view, dtype=np.float64)))
+    return ViewScores(ad.Tensor(posterior), ad.Tensor(per_view))
 
 
 class TestMvdlLoss:
@@ -153,55 +152,51 @@ class TestMvdlLoss:
             mvdl_loss(scores_of([1.0], [[0.5]]), 1)
 
 
-def embedding_tensor(rows):
-    return ad.tensor(np.asarray(rows, dtype=np.float64))
-
-
 class TestLocalLoss:
     def test_identical_views_give_minus_one(self, rng):
         base = rng.normal(size=(3, 5))
         emb = np.repeat(base, 4, axis=0)  # 3 relations x 4 identical views
-        assert local_loss(embedding_tensor(emb), 3, 4).item() == pytest.approx(-1.0)
+        assert local_loss(ad.Tensor(emb), 3, 4).item() == pytest.approx(-1.0)
 
     def test_orthogonal_pair_hand_case(self):
         emb = np.array([[1.0, 0.0], [0.0, 1.0]])  # |Y|=1, m=2
-        assert local_loss(embedding_tensor(emb), 1, 2).item() == pytest.approx(-0.5)
+        assert local_loss(ad.Tensor(emb), 1, 2).item() == pytest.approx(-0.5)
 
     def test_m_equals_one_always_minus_one(self, rng):
         emb = rng.normal(size=(4, 6))
-        assert local_loss(embedding_tensor(emb), 4, 1).item() == pytest.approx(-1.0)
+        assert local_loss(ad.Tensor(emb), 4, 1).item() == pytest.approx(-1.0)
 
     def test_range(self, rng):
         for _ in range(20):
             emb = rng.normal(size=(6, 4))
-            val = local_loss(embedding_tensor(emb), 2, 3).item()
+            val = local_loss(ad.Tensor(emb), 2, 3).item()
             assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9
 
     def test_zero_norm_rejected(self):
         emb = np.zeros((2, 3))
         emb[0, 0] = 1.0
         with pytest.raises(NumericError):
-            local_loss(embedding_tensor(emb), 1, 2)
+            local_loss(ad.Tensor(emb), 1, 2)
 
 
 class TestGlobalLoss:
     def test_identical_relations_give_one(self, rng):
         row = rng.normal(size=4)
         emb = np.tile(row, (6, 1))  # 2 relations x 3 views, all identical
-        assert global_loss(embedding_tensor(emb), 2, 3).item() == pytest.approx(1.0)
+        assert global_loss(ad.Tensor(emb), 2, 3).item() == pytest.approx(1.0)
 
     def test_orthogonal_relations_hand_case(self):
         emb = np.array([[1.0, 0.0], [0.0, 1.0]])  # |Y|=2, m=1
-        assert global_loss(embedding_tensor(emb), 2, 1).item() == pytest.approx(0.5)
+        assert global_loss(ad.Tensor(emb), 2, 1).item() == pytest.approx(0.5)
 
     def test_single_relation_always_one(self, rng):
         emb = rng.normal(size=(3, 5))
-        assert global_loss(embedding_tensor(emb), 1, 3).item() == pytest.approx(1.0)
+        assert global_loss(ad.Tensor(emb), 1, 3).item() == pytest.approx(1.0)
 
     def test_range(self, rng):
         for _ in range(20):
             emb = rng.normal(size=(6, 4))
-            val = global_loss(embedding_tensor(emb), 3, 2).item()
+            val = global_loss(ad.Tensor(emb), 3, 2).item()
             assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9
 
 
@@ -214,26 +209,25 @@ class TestTotalLoss:
         assert total_loss(3.3, -0.7, 0.9, alpha=0.0, beta=0.0) == 3.3
 
     def test_works_on_tensors(self):
-        out = total_loss(ad.tensor(1.0), ad.tensor(-1.0), ad.tensor(1.0), 2.0, 0.1)
+        out = total_loss(ad.Tensor(1.0), ad.Tensor(-1.0), ad.Tensor(1.0), 2.0, 0.1)
         assert out.item() == pytest.approx(-0.9)
 
 
 class TestRelationScores:
     def test_hand_mixture(self):
-        s = scores_of([0.5, 0.5], [[0.8, 0.3], [0.6, 0.9]])
-        out = relation_scores(s)
+        out = relation_scores(np.array([0.5, 0.5]), np.array([[0.8, 0.3], [0.6, 0.9]]))
         np.testing.assert_allclose(out, [0.7, 0.6])
 
     def test_scale_invariant_argmax(self, rng):
         post = rng.dirichlet(np.ones(3))
         pv = rng.uniform(0.01, 1.0, size=(3, 4))
-        s1 = relation_scores(scores_of(post, pv))
-        s2 = relation_scores(scores_of(post, pv * 7.3))
+        s1 = relation_scores(post, pv)
+        s2 = relation_scores(post, pv * 7.3)
         assert np.argmax(s1) == np.argmax(s2)
 
     def test_product_mode(self):
-        s = scores_of([0.5, 0.5], [[0.8, 0.3], [0.6, 0.9]])
-        out = relation_scores(s, mode="product")
+        out = relation_scores(np.array([0.5, 0.5]), np.array([[0.8, 0.3], [0.6, 0.9]]),
+                              mode="product")
         np.testing.assert_allclose(out, [0.4 * 0.3, 0.15 * 0.45])
 
 
@@ -300,8 +294,8 @@ class TestInferOracle:
         assert pred == verb.relation_order[int(np.argmax(row[vids]))]
 
     def test_tie_breaks_to_lowest_index(self):
-        s = scores_of([1.0], [[0.4, 0.4, 0.1]])
-        assert int(np.argmax(relation_scores(s))) == 0
+        s = relation_scores(np.array([1.0]), np.array([[0.4, 0.4, 0.1]]))
+        assert int(np.argmax(s)) == 0
 
 
 class TestLossGradients:
@@ -432,7 +426,7 @@ class TestBitwiseAgainstScalarGraphs:
             for new_fn, old_fn in [(local_loss, scalar_local_loss),
                                    (global_loss, scalar_global_loss)]:
                 assert_same_bits(*[
-                    self.evaluate(lambda p: fn(ad.embedding(p["table"], ids), n_rel, m),
+                    self.evaluate(lambda p: fn(ad.index(p["table"], ids), n_rel, m),
                                   {"table": rows})
                     for fn in (new_fn, old_fn)])
 
@@ -470,7 +464,7 @@ class TestBitwiseAgainstScalarGraphs:
             for y, prompt in enumerate(prompts):
                 hidden, logits = forward_batch(model, [prompt.ids])
                 states = [ad.index(hidden, pos) for pos in prompt.mask_positions]
-                scores = ViewScores(view_posterior(head, states),
+                scores = ViewScores(view_posterior(head, ad.stack(states)),
                                     probs_fn(logits, prompt, verb))
                 terms.append(mvdl_fn(scores, y))
             loss = (ad.tmean(ad.stack(terms))
@@ -541,7 +535,8 @@ class TestPackedBatchAgainstPerSequenceGraphs:
             arrays = {f"h{j}": rng.normal(size=6) * 2 for j in range(m)}
             weights = rng.normal(size=m)
             new, old = [self.posterior_grads(fn, head, arrays, weights)
-                        for fn in (view_posterior, reference_view_posterior)]
+                        for fn in (lambda h, s: view_posterior(h, ad.stack(s)),
+                                   reference_view_posterior)]
             assert_same_bits(new, old)
 
     @staticmethod
@@ -596,8 +591,7 @@ class TestTapeFreeInference:
         for mode in ("mixture", "product"):
             batch = infer_batch(model, head, prompts, verb, mode=mode)
             for i, (prompt, (label, scores)) in enumerate(zip(prompts, batch)):
-                old = relation_scores(ViewScores(tape.posterior.data[i],
-                                                 tape.per_view.data[i]), mode)
+                old = relation_scores(tape.posterior.data[i], tape.per_view.data[i], mode)
                 assert scores.tobytes() == old.tobytes()
                 assert label == verb.relation_order[int(np.argmax(old))]
                 one_label, one_scores = infer(model, head, prompt, verb, mode=mode)

@@ -339,7 +339,7 @@ class TestAdamW:
         assert arena["p"].data == pytest.approx(0.9, abs=1e-6)
 
     def test_plain_dict_rejected(self):
-        p = ad.tensor(np.ones(2))
+        p = ad.Tensor(np.ones(2))
         arena = ad.Arena({"q": np.ones(2)})
         for params in ({"p": p}, [{"p": p}], (arena, {"p": p})):
             with pytest.raises(TypeError, match=r"ad\.Arena"):
@@ -373,7 +373,7 @@ class TestAdamW:
         shapes = {"a": (16, 24), "b": (24,), "c": (), "d": (8, 8)}
         start = {k: rng.normal(size=s) for k, s in shapes.items()}
         flat = ad.Arena(start)
-        ref = {k: ad.tensor(v) for k, v in start.items()}
+        ref = {k: ad.Tensor(v) for k, v in start.items()}
         opt, ref_state = AdamW(flat, lr=0.01, weight_decay=0.1), {}
         for _ in range(5):
             g = {k: rng.normal(size=s) for k, s in shapes.items() if k != "b"}
@@ -723,6 +723,25 @@ class TestCheckpoint:
         save_checkpoint(path, model, vocab_payload=vocab_payload(vocab, verb))
         rewrite_header(path, edit)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(field)}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["head_bias", "view_head.w"])
+    def test_repeated_array_name_rejected(self, tmp_path, name):
+        # a second entry for an array, its bytes appended: no copy may win silently
+        _, _, _, vocab, verb, model = toy_setup(d=8, n_heads=2)
+        path = tmp_path / "twice.ckpt"
+        save_checkpoint(path, model, head_w=np.zeros(8), vocab_payload=vocab_payload(vocab, verb))
+        shapes = []
+
+        def repeat(header):
+            entry = next(e for e in header["arrays"] if e["name"] == name)
+            shapes.append(entry["shape"])
+            header["arrays"].append(dict(entry))
+
+        rewrite_header(path, repeat)
+        path.write_bytes(path.read_bytes() + np.full(shapes[0], 7.0).tobytes())
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: header field "
+                           rf"'arrays\[\d+\]\.name' repeats the array {re.escape(repr(name))}$"):
             load_checkpoint(path)
 
     def test_vocab_must_name_every_embedding_row(self, tmp_path):

@@ -42,6 +42,10 @@ class TestSchemaFromRelations:
         schema = schema_from_relations(["r1", "none"], m=2, na_label="none")
         assert schema.si_tokens["none"] == ["no", "relation"]
 
+    def test_na_label_must_be_a_relation(self):
+        with pytest.raises(ValidationError, match="'na_label' 'no_relaton' is not one of"):
+            schema_from_relations(["r1", "no_relation"], m=2, na_label="no_relaton")
+
     def test_missing_template_rejected(self):
         schema = schema_from_relations(["r1"], m=1)
         broken = dict(schema.probe_templates)
@@ -123,6 +127,7 @@ class TestLoadSchemaErrors:
         (lambda p: p.update(si_tokens=["a"]), "'si_tokens'"),
         (lambda p: p.update(si_tokens={"z": "word"}), "'si_tokens'"),
         (lambda p: p.update(relations=["z", "z"]), "duplicates"),
+        (lambda p: p.update(na_label="none_"), "'na_label' 'none_' is not one of the relations"),
         (lambda p: p["si_tokens"].pop("z"), "no static-init seed words")])
     def test_malformed_field_raises_value_error_naming_file(self, tmp_path, edit, field):
         payload = _valid_payload()
