@@ -6,8 +6,9 @@ scalar loss in reverse topological order into the gradient vectors of
 parameter arenas. Gradients live only inside that walk: afterwards no
 tensor holds one.
 
-The op set is deliberately small: elementwise arithmetic, matmul,
-indexing (the embedding gather), reshape, softmax, layer norm, GELU, sigmoid, log,
+The op set is deliberately small, only what the model uses: add, multiply,
+divide and negate, matmul (2-D @ 2-D, or the dot of two vectors), indexing
+(the embedding gather), reshape, softmax, layer norm, GELU, sigmoid, log,
 row-pair cosine similarity (``cosine_pairs``), per-row dots
 (``row_dots``), sum/mean reductions, and the transformer's parts as single
 nodes over a packed batch of sequences: ``attention_sublayer`` (layer norm,
@@ -110,12 +111,6 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -124,9 +119,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -184,19 +176,6 @@ def add(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data * b.data
@@ -225,25 +204,18 @@ def div(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b`` of two matrices, or the dot product of two vectors; any other
+    pair of operands raises ``ValueError``."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ValueError(f"matmul supports 1-D/2-D operands, got {a.ndim}-D @ {b.ndim}-D")
+    if (a.ndim, b.ndim) not in ((2, 2), (1, 1)):
+        raise ValueError(f"matmul takes 2-D @ 2-D or 1-D @ 1-D operands, "
+                         f"got shapes {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
     def backward(g):
-        if a.ndim == 2 and b.ndim == 2:
+        if a.ndim == 2:
             if a.requires_grad:
                 a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        elif a.ndim == 1 and b.ndim == 2:
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(np.outer(a.data, g))
-        elif a.ndim == 2 and b.ndim == 1:
-            if a.requires_grad:
-                a._accumulate(np.outer(g, b.data))
             if b.requires_grad:
                 b._accumulate(a.data.T @ g)
         else:  # dot product of two vectors
@@ -402,21 +374,16 @@ def gelu(a) -> Tensor:
 
 # -- reductions -----------------------------------------------------------
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is not None and not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        for ax in sorted(a % len(shape) for a in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape).copy()
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Sum of every element (``axis=None``) or over one axis."""
     a = _as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.data.shape, axis, keepdims))
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return _make(out_data, (a,), backward)
 
@@ -435,24 +402,25 @@ def tmean(a) -> Tensor:
 
 # -- structured ops ---------------------------------------------------------
 
-def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(a - a.max(axis=axis, keepdims=True))
-    e /= e.sum(axis=axis, keepdims=True)
+def _softmax(a: np.ndarray) -> np.ndarray:
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-    inner = (g * out).sum(axis=axis, keepdims=True)
+def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    inner = (g * out).sum(axis=-1, keepdims=True)
     return out * (g - inner)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a) -> Tensor:
+    """Softmax over the last axis."""
     a = _as_tensor(a)
-    out_data = _softmax(a.data, axis)
+    out_data = _softmax(a.data)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_softmax_grad(g, out_data, axis))
+            a._accumulate(_softmax_grad(g, out_data))
 
     return _make(out_data, (a,), backward)
 
@@ -463,12 +431,12 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, -1, keepdims=True) / a.shape[-1]
 
 
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layer norm of an array over its last axis, with the normalized input
-    and the inverse standard deviation that the backward pass reuses."""
+def _layer_norm(x: np.ndarray, gamma: np.ndarray,
+                beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm of an array over its last axis (eps 1e-5), with the normalized
+    input and the inverse standard deviation that the backward pass reuses."""
     centered = x - _mean_last(x)
-    inv_std = 1.0 / np.sqrt(_mean_last(centered * centered) + eps)
+    inv_std = 1.0 / np.sqrt(_mean_last(centered * centered) + 1e-5)
     xhat = centered * inv_std
     out = gamma * xhat
     out += beta
@@ -485,14 +453,14 @@ def _layer_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
         x._accumulate(term * inv_std)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5, rows=None, reads=None) -> Tensor:
-    """Normalize the rows of ``x`` [n, d], then scale and shift. ``rows``
+def layer_norm(x, gamma, beta, rows=None, reads=None) -> Tensor:
+    """Normalize the rows of ``x`` [n, d] (eps 1e-5), then scale and shift. ``rows``
     marks packed sequences (see below; default: one sequence); with
     ``reads`` only the rows it names are normalized and returned, in order."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     n = x.data.shape[0]
     rows = [slice(0, n)] if rows is None else rows
-    out_data, xhat, inv_std = _layer_norm(_rows(x.data, reads), gamma.data, beta.data, eps)
+    out_data, xhat, inv_std = _layer_norm(_rows(x.data, reads), gamma.data, beta.data)
 
     def backward(g):
         g, xhat_n, inv_std_n = (_full(a, reads, n) for a in (g, xhat, inv_std))
@@ -660,10 +628,10 @@ def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
         scores = np.matmul(qh[:, r], kh[:, r].transpose(0, 2, 1))
         if reads is None:
             scores *= scale
-            att = _softmax(scores, -1)
+            att = _softmax(scores)
         else:  # only the read query rows get a softmax
             att, p = np.zeros_like(scores), reads.positions[s]
-            att[:, p] = _softmax(scores[:, p] * scale, -1)
+            att[:, p] = _softmax(scores[:, p] * scale)
         np.matmul(att, vh[:, r], out=cat_h[:, r])
         atts.append(att)
     cat = _merge_heads(cat_h)
@@ -674,7 +642,7 @@ def attention_sublayer(x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo,
         gh = _split_heads(_linear_backward(g, cat, wo, bo, rows), n_heads)
         gqh, gkh, gvh = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
         for r, att in zip(rows, atts):
-            gs = _softmax_grad(np.matmul(gh[:, r], vh[:, r].transpose(0, 2, 1)), att, -1) * scale
+            gs = _softmax_grad(np.matmul(gh[:, r], vh[:, r].transpose(0, 2, 1)), att) * scale
             np.matmul(gs, kh[:, r], out=gqh[:, r])
             gkh[:, r] = np.matmul(qh[:, r].transpose(0, 2, 1), gs).transpose(0, 2, 1)
             np.matmul(att.transpose(0, 2, 1), gh[:, r], out=gvh[:, r])
@@ -840,13 +808,13 @@ def cosine_pairs(a, left, right) -> Tensor:
     return _make(c, (a,), backward)
 
 
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+def stack(tensors: Iterable[Tensor]) -> Tensor:
+    """The tensors stacked along a new first axis."""
     ts = [_as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in ts], axis=axis)
+    out_data = np.stack([t.data for t in ts])
 
     def backward(g):
-        pieces = np.moveaxis(g, axis, 0)
-        for t, piece in zip(ts, pieces):
+        for t, piece in zip(ts, g):
             if t.requires_grad:
                 t._accumulate(piece)
 

@@ -295,12 +295,16 @@ def run_grid(splits: DatasetSplits, schema: RelationSchema, ks: list[int],
              seeds: list[int], configs: list[TrainConfig],
              labels: list[str] | None = None) -> list[GridRow]:
     """Train every (k, seed, config) combination; aggregate per (k, config).
+    ``labels`` names the configs, one label each (default ``config0``, ...).
 
     The spread column is the population standard deviation over seeds
     (divides by n). Individual runs are independent; MVRE_THREADS > 1 fans
     them out over min(MVRE_THREADS, runs) worker processes, bit for bit.
     """
-    labels = labels or [f"config{i}" for i in range(len(configs))]
+    if labels is None:
+        labels = [f"config{i}" for i in range(len(configs))]
+    elif len(labels) != len(configs):
+        raise ValidationError(f"run_grid got {len(labels)} labels for {len(configs)} configs")
     tasks = [(splits, schema, k, seed, cfg)
              for k in ks for cfg in configs for seed in seeds]
     workers = _worker_count()

@@ -110,8 +110,8 @@ def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
                       ad.index(ad.softmax(logits), _label_picks(shape, verbalizer)))
 
 
-def mvdl_loss(scores: ViewScores, y, eps: float = MVDL_EPS) -> Tensor:
-    """Multi-view decoupled NLL, sum_j -log(p_j * q_j(y) + eps), per example:
+def mvdl_loss(scores: ViewScores, y) -> Tensor:
+    """Multi-view decoupled NLL, sum_j -log(p_j * q_j(y) + MVDL_EPS), per example:
     a scalar for one prompt's scores, [B] for a batch's (``y`` holds B labels)."""
     y = np.asarray(y)
     n_rel = scores.per_view.shape[-1]
@@ -119,7 +119,7 @@ def mvdl_loss(scores: ViewScores, y, eps: float = MVDL_EPS) -> Tensor:
         raise IndexError(f"relation index {y} out of range [0, {n_rel})")
     entries = np.indices(scores.posterior.shape, sparse=True)  # each [prompt,] view
     joint = scores.posterior * ad.index(scores.per_view, (*entries, y[..., None]))
-    return ad.tsum(-ad.log(joint + eps), axis=-1)
+    return ad.tsum(-ad.log(joint + MVDL_EPS), axis=-1)
 
 
 def verbalizer_embeddings(model: MlmModel, verbalizer: Verbalizer) -> Tensor:

@@ -435,7 +435,8 @@ def _header_arrays(arrays, bad) -> list[tuple[str, tuple[int, ...]]]:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a ``save_checkpoint`` file. A malformed one raises ``ValueError``
-    naming the path and, for a bad header, the field."""
+    naming the path and, for a bad header, the field; so does one whose arrays
+    hold NaN or Inf, naming the first such array."""
     raw = Path(path).read_bytes()
 
     def bad(message: str) -> ValueError:
@@ -478,6 +479,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
         off += count * 8
+        if not np.isfinite(arr).all():
+            raise bad(f"checkpoint array {name!r} holds NaN or Inf")
         if name == "view_head.w":
             if shape != (config.d,):
                 raise bad(f"view head shape {shape} mismatches d={config.d}")

@@ -214,10 +214,10 @@ def decode(prompt: EncodedPrompt, vocab: Vocab) -> list[str]:
     return [vocab.word_of(int(i)) for i in prompt.ids]
 
 
-def encode_sentence(instance: RelationInstance, vocab: Vocab,
-                    entity_markers: bool = True) -> np.ndarray:
-    """CLS + marked sentence + SEP as raw ids (no padding); pretraining input."""
-    words, _ = _marked_sentence(instance, entity_markers)
+def encode_sentence(instance: RelationInstance, vocab: Vocab) -> np.ndarray:
+    """CLS + sentence with entity markers + SEP as raw ids (no padding);
+    pretraining input."""
+    words, _ = _marked_sentence(instance, True)
     return vocab.encode_words([CLS] + words + [SEP])
 
 

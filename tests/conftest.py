@@ -98,7 +98,7 @@ def reference_forward_ids(model, ids, rng=None):
         for h in range(cfg.n_heads):
             sl = slice(h * dh, (h + 1) * dh)
             qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
-            att = ad.softmax((qh @ kh.T) * scale, axis=-1)
+            att = ad.softmax((qh @ kh.T) * scale)
             heads.append(att @ vh)
         o = ad.concat(heads, axis=1) @ p[b + "attn.wo"] + p[b + "attn.bo"]
         if drop > 0.0:
@@ -227,6 +227,23 @@ def rewrite_header(path, edit):
     blob = json.dumps(header).encode()
     path.write_bytes(raw[: start - 8] + struct.pack("<Q", len(blob)) + blob
                      + raw[start + hlen :])
+
+
+def write_array_value(path, name, index, value):
+    """Set entry ``index`` (of the flattened array) of the checkpoint array
+    ``name`` to ``value`` in place, keeping the header."""
+    raw = bytearray(path.read_bytes())
+    start = len(b"MVRECKPT1\n") + 8
+    hlen = struct.unpack_from("<Q", raw, start - 8)[0]
+    off = start + hlen
+    for entry in json.loads(raw[start : start + hlen])["arrays"]:
+        size = math.prod(entry["shape"])
+        if entry["name"] == name:
+            struct.pack_into("<d", raw, off + 8 * (index % size), value)
+            path.write_bytes(bytes(raw))
+            return
+        off += 8 * size
+    raise KeyError(name)
 
 
 def drop_base_word(header):

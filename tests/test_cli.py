@@ -14,7 +14,7 @@ import pytest
 from mvre.cli import DEFAULTS, build_configs, main, resolve_config, CliError
 from mvre.model import MlmModel, ModelConfig, load_checkpoint, save_checkpoint
 
-from conftest import drop_base_word, repeat_relation, rewrite_header
+from conftest import drop_base_word, repeat_relation, rewrite_header, write_array_value
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -400,6 +400,23 @@ class TestTrainEvalRound:
         err = capsys.readouterr().err
         assert code == 1 and "Traceback" not in err
         assert err.startswith(f"error: {out / 'model.ckpt'}: ") and field in err
+
+    @pytest.mark.parametrize("name,index,value", [("token_embed", 0, float("nan")),
+                                                  ("view_head.w", -1, float("-inf"))])
+    def test_eval_non_finite_checkpoint_exits_1_naming_file(self, tmp_path, capsys, name,
+                                                            index, value):
+        ckpt, corpus = tmp_path / "t" / "model.ckpt", tmp_path / "c" / "corpus.jsonl"
+        assert run("train", "--out", str(ckpt.parent), *FAST_SETS,
+                   "--set", "train.epochs=0") == 0
+        assert run("generate-corpus", "--out", str(corpus.parent), *FAST_SETS[:6]) == 0
+        write_array_value(ckpt, name, index, value)
+        capsys.readouterr()
+        code = run("eval", "--out", str(tmp_path / "e"), "--checkpoint", str(ckpt),
+                   "--dataset", str(corpus))
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {ckpt}: checkpoint array {name!r} holds NaN or Inf")
+        assert not (tmp_path / "e" / "eval.json").exists()
 
     def test_eval_labels_the_checkpoint_cannot_predict_exit_2(self, tmp_path, capsys):
         ckpt, corpus = tmp_path / "t" / "model.ckpt", tmp_path / "c" / "corpus.jsonl"

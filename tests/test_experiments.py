@@ -282,6 +282,16 @@ class TestGridAggregation:
         assert rows[0].std_f1 == pytest.approx(0.05)
         assert rows[0].f1s == [0.40, 0.50]
 
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+    def test_labels_must_match_configs(self, monkeypatch, labels):
+        calls = []
+        monkeypatch.setattr(exp, "_grid_task", lambda task: calls.append(task) or 0.5)
+        spec, ds, schema, splits = small_world()
+        with pytest.raises(ValidationError, match=f"{len(labels)} labels for 2 configs"):
+            run_grid(splits, schema, [1, 2], [1, 2], [fast_config(), fast_config(m=2)],
+                     labels=labels)
+        assert calls == []
+
     def test_single_run_zero_std(self, monkeypatch):
         monkeypatch.setattr(exp, "_grid_task", lambda task: 0.7)
         spec, ds, schema, splits = small_world()
