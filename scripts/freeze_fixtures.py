@@ -15,14 +15,22 @@ After a rerun, commit all four written files together. probe_report.json is
 the probe of the model stored in probe_toy.ckpt, so a report committed
 without its checkpoint (or with one from another run) cannot be reproduced.
 
+Freezing also writes tests/fixtures/platform.json: the numpy version, the
+AVX-512 features numpy enabled, and the OpenBLAS version and core that numpy
+dispatches to. Another BLAS kernel or numpy loop rounds some results
+differently, so the fixtures' bits hold on that platform only.
+
 ``--check`` regenerates the fixtures into a temporary directory, compares
 their bytes with tests/fixtures/, then compares the trend numbers with the
-TREND_* constants exactly. It exits 1 at the first mismatch, naming it, and 0
-when everything reproduces bit for bit: the proof that a change kept the
-deterministic numerics.
+TREND_* constants exactly. It exits 1 at the first mismatch, naming it and
+printing the running and the recorded platform with the first field in which
+they differ, and 0 when everything reproduces bit for bit: the proof that a
+change kept the deterministic numerics. platform.json is a record, not one of
+the byte-compared fixtures.
 """
 
 import argparse
+import ctypes
 import json
 import sys
 import tempfile
@@ -35,7 +43,11 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 FIXTURE_FILES = ("probe_toy.ckpt", "probe_schema.json", "probe_report.json",
                  "protocol_k4_m4.json")
+PLATFORM_FILE = FIXTURES / "platform.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from acceptance_workloads import (probe_environment, run_protocol_fixture,
                                   run_trend)
@@ -43,6 +55,42 @@ from mvre.init_schemes import DYNAMIC, apply_init, save_probe_report
 from mvre.model import save_checkpoint
 from mvre.schema import save_schema
 from mvre.vocab import vocab_payload
+
+
+def platform() -> dict:
+    """The numerics platform of this process. The OpenBLAS fields come from
+    numpy's bundled ``libscipy_openblas64_*.so``, and are None without it."""
+    config = core = None
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if libs:
+        lib = ctypes.CDLL(str(libs[0]))
+        lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        config = lib.scipy_openblas_get_config64_().decode()  # "OpenBLAS 0.3.31 ..."
+        core = lib.scipy_openblas_get_corename64_().decode()
+    return {"numpy": np.__version__,
+            "numpy_avx512": sorted(name for name, on in __cpu_features__.items()
+                                   if on and (name.startswith("AVX512") or name == "X86_V4")),
+            "openblas": config.split()[1] if config else None,
+            "openblas_core": core}
+
+
+def mismatch(message: str) -> int:
+    """Print a MISMATCH line and the running and the recorded platform, and
+    return the exit code 1."""
+    print(f"MISMATCH: {message}")
+    running = platform()
+    recorded = json.loads(PLATFORM_FILE.read_text()) if PLATFORM_FILE.exists() else None
+    print(f"  running platform:  {json.dumps(running)}")
+    print(f"  recorded platform: {json.dumps(recorded)}")
+    if recorded is not None:
+        differ = [key for key in running if running[key] != recorded.get(key)]
+        if differ:
+            print(f"  the platform differs first in {differ[0]!r}: running "
+                  f"{running[differ[0]]!r}, recorded {recorded.get(differ[0])!r}; "
+                  f"the fixtures' bits hold on the recorded platform")
+    return 1
 
 
 def write_fixtures(out: Path, t0: float):
@@ -73,11 +121,9 @@ def check(t0: float) -> int:
         for name in FIXTURE_FILES:
             committed = FIXTURES / name
             if not committed.exists():
-                print(f"MISMATCH: tests/fixtures/{name} is missing")
-                return 1
+                return mismatch(f"tests/fixtures/{name} is missing")
             if (Path(tmp) / name).read_bytes() != committed.read_bytes():
-                print(f"MISMATCH: regenerated {name} differs from tests/fixtures/{name}")
-                return 1
+                return mismatch(f"regenerated {name} differs from tests/fixtures/{name}")
     print(f"  all {len(FIXTURE_FILES)} fixtures reproduce byte for byte")
 
     print("measuring multi-view trend (this is the slow part) ...")
@@ -86,8 +132,7 @@ def check(t0: float) -> int:
                               ("mean_high", "TREND_MEAN_M3", TREND_MEAN_M3),
                               ("margin", "TREND_MARGIN", TREND_MARGIN)):
         if trend[key] != frozen:
-            print(f"MISMATCH: trend {key} = {trend[key]!r}, {name} = {frozen!r}")
-            return 1
+            return mismatch(f"trend {key} = {trend[key]!r}, {name} = {frozen!r}")
     print(f"OK: fixtures and trend constants reproduce bit for bit "
           f"({time.perf_counter() - t0:.0f}s)")
     return 0
@@ -105,6 +150,10 @@ def main(argv=None) -> int:
 
     FIXTURES.mkdir(parents=True, exist_ok=True)
     write_fixtures(FIXTURES, t0)
+    with open(PLATFORM_FILE, "w", encoding="utf-8") as fh:
+        json.dump(platform(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"  platform: {PLATFORM_FILE.read_text().strip()}")
     print("measuring multi-view trend (this is the slow part) ...")
     trend = run_trend()
     print(json.dumps(trend, indent=2))

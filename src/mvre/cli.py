@@ -168,6 +168,9 @@ def resolve_config(config_path: str | None, overrides: list[str],
         value, low = _get(cfg, key), _MINIMUM.get(key)
         if low is not None and min(value if isinstance(value, list) else [value]) < low:
             raise CliError(f"config key {key!r} must be >= {low}, got {cfg[key]!r}")
+        if isinstance(value, list) and len(set(value)) < len(value):  # a run counted twice
+            repeated = next(x for i, x in enumerate(value) if x in value[:i])
+            raise CliError(f"config key {key!r} repeats {repeated}, got {cfg[key]!r}")
     k, m = _get(cfg, "protocol.k"), _get(cfg, "protocol.m")
     if k % m:
         raise CliError(f"config key 'protocol.k' ({k}) must be divisible by 'protocol.m' ({m})")
@@ -205,16 +208,13 @@ def _synthetic_corpus(cfg: dict):
 
 
 def _splits(dataset, cfg: dict):
-    """The corpus's splits; an empty test split, or an empty dev split under
-    best-dev selection, is a configuration error (it would score a silent 0)."""
+    """The corpus's splits; an empty test split is a configuration error (it
+    would score a silent 0)."""
     splits = make_splits(dataset, _get(cfg, "data.dev_fraction"),
                          _get(cfg, "data.test_fraction"), _get(cfg, "data.split_seed"))
     if not splits.test.instances:
         raise CliError(f"the test split is empty (data.test_fraction="
                        f"{_get(cfg, 'data.test_fraction')}): nothing to evaluate on")
-    if _get(cfg, "train.best_dev_selection") and not splits.dev.instances:
-        raise CliError(f"the dev split is empty (data.dev_fraction="
-                       f"{_get(cfg, 'data.dev_fraction')}) and train.best_dev_selection is true")
     return splits
 
 

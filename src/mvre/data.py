@@ -292,7 +292,9 @@ def make_splits(dataset: Dataset, dev_fraction: float = 0.2, test_fraction: floa
 
 def sample_kshot(source: DatasetSplits, k: int, seed: int) -> DatasetSplits:
     """A k-shot episode: k train instances per relation, without replacement,
-    with ``source``'s dev and test splits unchanged.
+    with ``source``'s dev and test splits unchanged. A relation with fewer
+    than k train instances contributes all of them, in their train-split
+    order.
 
     Each relation draws from its own generator seeded by (seed, relation
     index), so editing the relation set never perturbs the other relations'

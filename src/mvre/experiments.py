@@ -30,7 +30,7 @@ from .losses import (MIXTURE, PRODUCT, ViewPosteriorHead, infer_batch, local_los
                      global_loss, mvdl_loss, total_loss, verbalizer_embeddings, view_scores)
 from .model import AdamW, MlmModel, ModelConfig, PretrainConfig, PretrainResult, pretrain_mlm
 from .schema import RelationSchema
-from .vocab import OBJ_SUB, SUB_OBJ, Verbalizer, Vocab, build_vocab, wrap_template
+from .vocab import Verbalizer, Vocab, build_vocab, wrap_template
 
 logger = logging.getLogger(__name__)
 
@@ -55,11 +55,8 @@ class TrainConfig:
     max_len: int = 128
     seed: int = 1
     init_mode: str = COMBINED
-    best_dev_selection: bool = False
     score_mode: str = MIXTURE
     weight_decay: float = 0.0
-    entity_order: str = SUB_OBJ
-    entity_markers: bool = True
     pretrain_steps: int = 0
     pretrain_lr: float = 2e-3
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -82,8 +79,6 @@ class TrainConfig:
             raise ValidationError(f"unknown init_mode {self.init_mode!r}")
         if self.score_mode not in (MIXTURE, PRODUCT):
             raise ValidationError(f"unknown score_mode {self.score_mode!r}")
-        if self.entity_order not in (SUB_OBJ, OBJ_SUB):
-            raise ValidationError(f"unknown entity_order {self.entity_order!r}")
 
     def resolved_alpha_beta(self) -> tuple[float, float]:
         probing = self.init_mode in (DYNAMIC, COMBINED)
@@ -144,10 +139,7 @@ def micro_f1(predictions, golds, na_label: str | None, include_na: bool = False)
 
 
 def _encode_all(dataset: Dataset, vocab: Vocab, config: TrainConfig):
-    return [wrap_template(inst, vocab, config.m, config.max_len,
-                          order=config.entity_order,
-                          entity_markers=config.entity_markers)
-            for inst in dataset.instances]
+    return [wrap_template(inst, vocab, config.m, config.max_len) for inst in dataset.instances]
 
 
 def predict(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig) -> list[str]:
@@ -225,8 +217,6 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
     drop_rng = np.random.default_rng([config.seed, 0xD0]) if model.config.dropout > 0 else None
     n_rel = len(schema.relations)
 
-    artifacts = TrainedArtifacts(model, head, vocab, verbalizer)
-    best = None  # (dev_f1, a copy of each arena)
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(prompts))
@@ -242,16 +232,9 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
             opt.step(grads)
             batch_losses.append(loss.item())
         epoch_losses.append(float(np.mean(batch_losses)))
-        if config.best_dev_selection and episode.dev.instances:
-            dev_f1 = evaluate(artifacts, episode.dev, config, schema.na_label)
-            if best is None or dev_f1 > best[0]:
-                best = (dev_f1, [a.flat().copy() for a in params])
-
-    if best is not None:
-        for arena, values in zip(params, best[1]):
-            arena.flat()[...] = values
     model.check_finite()
 
+    artifacts = TrainedArtifacts(model, head, vocab, verbalizer)
     f1 = evaluate(artifacts, episode.test, config, schema.na_label)
     result = RunResult(f1, epoch_losses, config.seed, config.snapshot(),
                        time.perf_counter() - t0)

@@ -10,8 +10,7 @@ A prompt wraps a sentence as::
     [CLS] ... [SUB] subject [/SUB] ... [OBJ] object [/OBJ] ... [SEP]
     subject-tokens [MASK] x m object-tokens [SEP]
 
-with the suffix's entity order set per run (``train.entity_order``). A
-prompt holds exactly these live tokens; ``max_len`` bounds its length.
+A prompt holds exactly these live tokens; ``max_len`` bounds its length.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ UNK = "[UNK]"
 
 # no prompt holds [PAD]; it keeps its id, which fixes the layout of every checkpoint
 SPECIAL_TOKENS = (PAD, CLS, SEP, MASK, SUB_OPEN, SUB_CLOSE, OBJ_OPEN, OBJ_CLOSE, UNK)
-
-SUB_OBJ = "sub_obj"
-OBJ_SUB = "obj_sub"
 
 
 def virtual_word(relation: str, view: int) -> str:
@@ -145,28 +141,28 @@ class EncodedPrompt:
         return len(self.mask_positions)
 
 
-def _marked_sentence(instance: RelationInstance, entity_markers: bool) -> tuple[list[str], set[int]]:
+def _marked_sentence(instance: RelationInstance) -> tuple[list[str], set[int]]:
     """Sentence tokens with entity markers inserted, and the positions of the entity tokens."""
     (s1, e1), (s2, e2) = instance.subj_span, instance.obj_span
     out: list[str] = []
     entity: set[int] = set()
     for i, tok in enumerate(instance.tokens):
-        if entity_markers and i == s1:
+        if i == s1:
             out.append(SUB_OPEN)
-        if entity_markers and i == s2:
+        if i == s2:
             out.append(OBJ_OPEN)
         if s1 <= i <= e1 or s2 <= i <= e2:
             entity.add(len(out))
         out.append(tok)
-        if entity_markers and i == e1:
+        if i == e1:
             out.append(SUB_CLOSE)
-        if entity_markers and i == e2:
+        if i == e2:
             out.append(OBJ_CLOSE)
     return out, entity
 
 
-def wrap_template(instance: RelationInstance, vocab: Vocab, m: int, max_len: int,
-                  order: str = SUB_OBJ, entity_markers: bool = True) -> EncodedPrompt:
+def wrap_template(instance: RelationInstance, vocab: Vocab, m: int, max_len: int
+                  ) -> EncodedPrompt:
     """Encode an instance into the multi-mask cloze template.
 
     When the full encoding overflows ``max_len``, sentence tokens outside
@@ -175,19 +171,15 @@ def wrap_template(instance: RelationInstance, vocab: Vocab, m: int, max_len: int
     """
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    if order not in (SUB_OBJ, OBJ_SUB):
-        raise ValidationError(f"unknown entity order {order!r}")
     instance.validate()
 
-    sent, protected = _marked_sentence(instance, entity_markers)
+    sent, protected = _marked_sentence(instance)
     subj = list(instance.subj_tokens)
-    obj = list(instance.obj_tokens)
-    first, second = (subj, obj) if order == SUB_OBJ else (obj, subj)
-    suffix = first + [MASK] * m + second
+    suffix = subj + [MASK] * m + list(instance.obj_tokens)
     overhead = 3 + len(suffix)  # CLS, sentence SEP, suffix, final SEP
 
     budget = max_len - overhead
-    if len(protected) + (4 if entity_markers else 0) > budget:
+    if len(protected) + 4 > budget:  # the entities and their four markers
         raise EncodingError(
             f"entities and prompt suffix need more than max_len={max_len} tokens")
     if len(sent) > budget:
@@ -204,7 +196,7 @@ def wrap_template(instance: RelationInstance, vocab: Vocab, m: int, max_len: int
                 f"entities and markers do not fit within max_len={max_len}")
         sent = [tok for i, tok in enumerate(sent) if i not in to_drop]
 
-    first_mask = 1 + len(sent) + 1 + len(first)  # after CLS, the sentence, SEP and `first`
+    first_mask = 1 + len(sent) + 1 + len(subj)  # after CLS, the sentence, SEP and `subj`
     return EncodedPrompt(vocab.encode_words([CLS] + sent + [SEP] + suffix + [SEP]),
                          tuple(range(first_mask, first_mask + m)))
 
@@ -217,7 +209,7 @@ def decode(prompt: EncodedPrompt, vocab: Vocab) -> list[str]:
 def encode_sentence(instance: RelationInstance, vocab: Vocab) -> np.ndarray:
     """CLS + sentence with entity markers + SEP as raw ids (no padding);
     pretraining input."""
-    words, _ = _marked_sentence(instance, True)
+    words, _ = _marked_sentence(instance)
     return vocab.encode_words([CLS] + words + [SEP])
 
 

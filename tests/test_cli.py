@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -55,6 +56,17 @@ class TestConfigResolution:
         with pytest.raises(CliError, match="bogus"):
             resolve_config(str(p), [], None, "train")
 
+    @pytest.mark.parametrize("key,value", [("train.entity_order", "sub_obj"),
+                                           ("train.entity_markers", True),
+                                           ("train.best_dev_selection", False)])
+    def test_older_resolved_config_with_deleted_key_exits_2(self, tmp_path, capsys, key,
+                                                            value):
+        path = tmp_path / "resolved_config.json"
+        path.write_text(json.dumps({**DEFAULTS, key: value}))
+        assert run("train", "--out", str(tmp_path / "o"), "--config", str(path)) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_override(self):
         with pytest.raises(CliError, match="key=value"):
             resolve_config(None, ["train.lr"], None, "train")
@@ -74,10 +86,10 @@ class TestConfigResolution:
             resolve_config(None, ["sweep.seeds=3"], None, "sweep-m")
 
     def test_boolean_needs_true_or_false(self):
-        with pytest.raises(CliError, match="train.entity_markers"):
-            resolve_config(None, ["train.entity_markers=no"], None, "train")
-        assert resolve_config(None, ["train.entity_markers=false"], None,
-                              "train")["train.entity_markers"] is False
+        with pytest.raises(CliError, match="eval.include_na"):
+            resolve_config(None, ["eval.include_na=no"], None, "eval")
+        assert resolve_config(None, ["eval.include_na=true"], None,
+                              "eval")["eval.include_na"] is True
 
     def test_optional_number_accepts_null(self):
         cfg = resolve_config(None, ["train.alpha=null", "train.beta=0.5"], None, "train")
@@ -103,9 +115,8 @@ class TestConfigResolution:
             "pretrain.mask_rate": 0.15, "pretrain.holdout_fraction": 0.1, "pretrain.seed": 0,
             "train.m": 4, "train.alpha": None, "train.beta": None, "train.lr": 3e-5,
             "train.epochs": 40, "train.batch_size": 8, "train.seed": 1,
-            "train.init_mode": "combined", "train.best_dev_selection": False,
+            "train.init_mode": "combined",
             "train.score_mode": "mixture", "train.weight_decay": 0.0,
-            "train.entity_order": "sub_obj", "train.entity_markers": True,
             "train.pretrain_steps": 0, "train.pretrain_lr": 2e-3,
             "sweep.k": 1, "sweep.seeds": [1, 2, 3, 4, 5], "sweep.m_values": [1, 2, 3, 4, 5],
             "protocol.k": 4, "protocol.m": 4, "protocol.seeds": [1, 2, 3],
@@ -238,7 +249,11 @@ class TestGenerateCorpus:
         ("train", "model.dropout=1.5", "dropout"), ("train", "model.dropout=1.0", "dropout"),
         ("train", "model.n_heads=0", "n_heads"), ("train", "model.n_layers=-1", "n_layers"),
         ("train", "train.score_mode=foo", "score_mode"),
-        ("train", "train.entity_order=foo", "entity_order"),
+        # deleted keys: an older resolved_config.json that names one exits 2
+        ("train", "train.entity_order=sub_obj", "unknown config key 'train.entity_order'"),
+        ("train", "train.entity_markers=true", "unknown config key 'train.entity_markers'"),
+        ("train", "train.best_dev_selection=false",
+         "unknown config key 'train.best_dev_selection'"),
         ("train", "train.init_mode=foo", "init_mode"), ("train", "train.m=0", "m must be"),
         ("train", "data.k=0", "data.k"), ("sim-protocol", "protocol.m=0", "protocol.m"),
         ("pretrain", "pretrain.seed=-1", "seed"),
@@ -251,9 +266,10 @@ class TestGenerateCorpus:
         ("train", "data.test_fraction=0", "test split is empty"),
         ("sweep-m", "data.test_fraction=0", "test split is empty"),
         ("sim-protocol", "data.test_fraction=0", "test split is empty"),
-        ("train", "data.dev_fraction=0 train.best_dev_selection=true", "dev split is empty"),
-        ("sim-protocol", "data.dev_fraction=0 train.best_dev_selection=true",
-         "dev split is empty")])
+        # a repeated run used to count twice in the mean and spread
+        ("sweep-m", "sweep.seeds=[1,1]", "config key 'sweep.seeds' repeats 1,"),
+        ("sweep-m", "sweep.m_values=[2,3,2]", "config key 'sweep.m_values' repeats 2,"),
+        ("sim-protocol", "protocol.seeds=[4,5,4.0]", "config key 'protocol.seeds' repeats 4,")])
     def test_bad_value_exits_2_before_any_work(self, tmp_path, capsys, command, override,
                                                 name):
         sets = [arg for item in override.split() for arg in ("--set", item)]
@@ -263,7 +279,7 @@ class TestGenerateCorpus:
         assert name in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
-    def test_empty_dev_split_without_selection_trains(self, tmp_path):
+    def test_empty_dev_split_trains(self, tmp_path):
         assert run("train", "--out", str(tmp_path / "o"), *FAST_SETS,
                    "--set", "data.dev_fraction=0") == 0
 
@@ -277,6 +293,18 @@ class TestGenerateCorpus:
         assert (a / "schema.json").read_bytes() == (b / "schema.json").read_bytes()
 
 
+class TestReadme:
+    SECTIONS = "corpus|data|model|pretrain|train|sweep|protocol|analysis|eval"
+
+    def test_every_key_written_in_readme_exists(self):
+        # a deleted config key must not linger in the documentation
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        keys = set(re.findall(rf"\b((?:{self.SECTIONS})\.[a-z_0-9]+)=", readme))
+        assert "train.m" in keys  # the pattern finds the keys the README sets
+        assert sorted(k for k in keys if k not in DEFAULTS) == []
+
+
 class TestTrainEvalRound:
     def test_train_twice_byte_identical(self, tmp_path):
         outs = []
@@ -288,25 +316,25 @@ class TestTrainEvalRound:
         assert (outs[0] / "model.ckpt").read_bytes() == (outs[1] / "model.ckpt").read_bytes()
         assert (outs[0] / "result.json").read_bytes() == (outs[1] / "result.json").read_bytes()
 
-    # criterion 10's small configuration, then m=3 with dropout, weight decay,
-    # inner pretraining and best-dev selection; a change that shifts any
+    # criterion 10's small configuration, then m=3 with dropout, weight decay
+    # and inner pretraining; a change that shifts any
     # training bit changes these digests
     SMALL = ["corpus.n_relations=3", "corpus.instances_per_relation=8",
              "corpus.vocab_pool_size=20", "model.d=12", "model.n_layers=1",
              "model.n_heads=2", "model.max_len=48", "train.m=2", "train.epochs=2",
              "train.lr=0.005", "train.init_mode=combined"]
     M3 = ["train.m=3", "model.dropout=0.1", "train.weight_decay=0.01",
-          "train.pretrain_steps=20", "train.best_dev_selection=true"]
+          "train.pretrain_steps=20"]
 
     @pytest.mark.parametrize("sets,ckpt_sha,result_sha", [
         (SMALL, "bc500313b7d01d7fe3ff804cc0e544648ca731e2b8100d2be852a724290ba5f2",
-         "ccf44fbe9a15314524e5744c42502184574da8550b14791b0d20638158278cf7"),
-        (SMALL + M3, "a2efa89b052a92a94c1c7accfc55c99b62309805196d97f0e930b5dba45106ca",
-         "9b58be12d9a006756ca4732fe8dcd3a9bc6d2145ca29f33e926faecc2b6f4f0a"),
+         "e0c66828b9a57c020bc7f4f895fadae2477ce96d22a7ccb83e19d01fa3305efb"),
+        (SMALL + M3, "61c588e7867191f490b571e7babe100667ac0c8c407e5ab21825f2c41e971ffe",
+         "0e4c24b89dd2212427a52dcb2c32b0820e708fff08507c2e79a0f4325df3dcb4"),
         # no Global-Local terms: a zero weight must add exact zeros
         (SMALL + ["train.alpha=0", "train.beta=0"],
          "d64b044400dc0e7324e9d3647fffcdeb34250f7c07cba345c1da9c3eaec6a8d4",
-         "edaff6ea081ebc3f54822ff555f39c23e1342a7b3bf30efc14706d54daf4aee7")])
+         "aaf2becca144da4d70657a326df4deb8058322f6e0ee6b116f11c96f5cb994f1")])
     def test_train_artifacts_pinned(self, tmp_path, sets, ckpt_sha, result_sha):
         sets = [arg for item in sets for arg in ("--set", item)]
         assert run("train", "--out", str(tmp_path), "--seed", "11", *sets) == 0
@@ -318,12 +346,12 @@ class TestTrainEvalRound:
     # a change that flips any prediction changes these digests. Paths are
     # relative, since eval.json echoes the dataset path.
     @pytest.mark.parametrize("corpus_sets,include_na,eval_sha", [
-        ([], "false", "a45e7d89ec2120dcb7323f388c1794b3dc9f09dd6ad9ca3850b6549dde82401f"),
-        ([], "true", "9d1dc0805429e5a78e35a8e113d6f5a052d75a21cacb62e410e4c09c53dda4b0"),
+        ([], "false", "c44523e84f5906ee966cc6715537e15b48fc2d3ac3378ad53898f44b6a20807b"),
+        ([], "true", "b6034fd562d194d4b4a772343d3f26f2f85647b2adb8676f46440396b898cbe0"),
         (["corpus.na_fraction=0.25"], "false",
-         "86e2e0921bb2fd633709d29cd2f01020aa74517e07051e29d1459c7a99509d41"),
+         "f185469aebde8c8c6506258bc886d5e8ae8cd6d660ec04ffcc38b7cd0ca1dfe4"),
         (["corpus.na_fraction=0.25"], "true",
-         "a2b2afcdbb43965fc788011c6d587b5f09e4c7c057442eb4685b1f523e6aba9d")])
+         "ed6d09135a93a43f64863a2a1c347a21b9a4393e5731cef373a9bbc5c66724f8")])
     def test_eval_artifact_pinned(self, tmp_path, monkeypatch, corpus_sets, include_na,
                                   eval_sha):
         monkeypatch.chdir(tmp_path)

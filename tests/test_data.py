@@ -268,6 +268,18 @@ class TestSampleKshot:
         ep = sample_kshot(src, k=1, seed=42)
         assert ep.train.instances == src.train.instances
 
+    def test_short_pool_taken_whole_in_pool_order(self):
+        # a relation with fewer than k train instances gives all of them, in the
+        # order of the train split; the others still give k each
+        short = tiny_dataset(3, ("r1",)).instances[::-1]
+        train = Dataset(short + tiny_dataset(10, ("r2",)).instances, ("r1", "r2"))
+        empty = Dataset((), train.relations)
+        for seed in (1, 2, 3):
+            ep = sample_kshot(DatasetSplits(train, empty, empty), 4, seed)
+            picked = ep.train.by_relation()
+            assert picked["r1"] == list(short)
+            assert len(picked["r2"]) == 4
+
     def test_pure_function_of_inputs(self):
         src = make_source()
         assert sample_kshot(src, 2, 9) == sample_kshot(src, 2, 9)

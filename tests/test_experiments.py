@@ -181,7 +181,7 @@ class TestTrain:
         ("weight_decay", -0.01), ("pretrain_steps", -1),
         ("pretrain_lr", 0.0), ("pretrain_lr", -2e-3), ("pretrain_lr", float("nan")),
         ("pretrain_lr", float("inf")), ("weight_decay", float("inf")), ("epochs", -1),
-        ("seed", -1), ("score_mode", "foo"), ("entity_order", "foo")])
+        ("seed", -1), ("score_mode", "foo")])
     def test_bad_field_rejected(self, field, value):
         # a negative alpha or beta would silently turn a regularizer around
         with pytest.raises(ValidationError, match=field):
@@ -241,17 +241,6 @@ class TestTrain:
         n_steps = cfg.epochs * -(-len(episode.train.instances) // cfg.batch_size)
         assert steps == list(range(1, n_steps + 1))
         assert calls == [weights] * n_steps
-
-    def test_best_dev_selection_keeps_best_snapshot(self):
-        spec, ds, schema, splits = small_world()
-        episode = sample_kshot(splits, 2, 1)
-        cfg = fast_config(epochs=4, best_dev_selection=True)
-        artifacts, result = train(episode, schema, cfg)
-        # deterministic: rerun reproduces the same selected checkpoint
-        artifacts2, result2 = train(episode, schema, cfg)
-        assert result.micro_f1 == result2.micro_f1
-        for k, v in artifacts.model.param_values().items():
-            assert v.tobytes() == artifacts2.model.param_values()[k].tobytes()
 
     def test_dropout_flag_trains_with_seeded_generator(self):
         spec, ds, schema, splits = small_world()

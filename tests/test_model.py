@@ -435,10 +435,9 @@ class TestParameterArena:
         assert (artifacts.model.params().flat().tobytes()
                 == self.model.params().flat().tobytes())
 
-    def test_packed_after_best_dev_selection_train(self):
+    def test_packed_after_train(self):
         splits = make_splits(self.ds, seed=0)
         cfg = TrainConfig(m=2, lr=5e-3, epochs=3, max_len=48, init_mode="static",
-                          best_dev_selection=True,
                           model=ModelConfig(d=12, n_layers=1, n_heads=2, max_len=48))
         artifacts, _ = train(sample_kshot(splits, 2, 1), self.schema, cfg)
         assert_packed(artifacts.model.params())

@@ -11,9 +11,8 @@ from mvre.data import CorpusSpec, Dataset, RelationInstance, generate_corpus
 from mvre.errors import EncodingError, ValidationError
 from mvre.init_schemes import encode_probe_template
 from mvre.schema import schema_from_relations, synthetic_schema
-from mvre.vocab import (MASK, OBJ_SUB, SPECIAL_TOKENS, SUB_OBJ, build_vocab,
-                        decode, encode_sentence, vocab_from_payload, vocab_payload,
-                        wrap_template)
+from mvre.vocab import (MASK, SPECIAL_TOKENS, build_vocab, decode, encode_sentence,
+                        vocab_from_payload, vocab_payload, wrap_template)
 
 
 def small_dataset(relations=("r1", "r2")):
@@ -96,11 +95,11 @@ class TestWrapTemplate:
         tail = words[-6:]
         assert tail == ["sub0", MASK, MASK, MASK, "obj0", "[SEP]"]
 
-    def test_suffix_layout_obj_sub(self):
-        prompt = wrap_template(self.inst, self.vocab, 2, 64, order=OBJ_SUB)
-        words = decode(prompt, self.vocab)
-        tail = words[-5:]
-        assert tail == ["obj0", MASK, MASK, "sub0", "[SEP]"]
+    def test_prompt_marks_both_entities(self):
+        words = decode(wrap_template(self.inst, self.vocab, 2, 64), self.vocab)
+        assert words == ["[CLS]", "[SUB]", "sub0", "[/SUB]", "was", "linked", "to", "[OBJ]",
+                         "obj0", "[/OBJ]", "yesterday", "[SEP]", "sub0", MASK, MASK, "obj0",
+                         "[SEP]"]
 
     def test_roundtrip_without_truncation(self):
         prompt = wrap_template(self.inst, self.vocab, 2, 64)
@@ -144,13 +143,6 @@ class TestWrapTemplate:
         vocab, _ = build_vocab(ds, schema_for(ds, 1))
         with pytest.raises(EncodingError):
             wrap_template(inst, vocab, 2, 24)
-
-    def test_entity_markers_optional(self):
-        with_markers = wrap_template(self.inst, self.vocab, 1, 64)
-        without = wrap_template(self.inst, self.vocab, 1, 64, entity_markers=False)
-        assert len(with_markers.ids) == len(without.ids) + 4
-        w = decode(without, self.vocab)
-        assert "[SUB]" not in w and "[/OBJ]" not in w
 
     def test_injective_on_instances(self):
         ds = generate_corpus(CorpusSpec(n_relations=3, instances_per_relation=10), seed=0)
