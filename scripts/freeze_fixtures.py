@@ -30,7 +30,6 @@ the byte-compared fixtures.
 """
 
 import argparse
-import ctypes
 import json
 import sys
 import tempfile
@@ -43,53 +42,21 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
 FIXTURE_FILES = ("probe_toy.ckpt", "probe_schema.json", "probe_report.json",
                  "protocol_k4_m4.json")
-PLATFORM_FILE = FIXTURES / "platform.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-import numpy as np
-from numpy._core._multiarray_umath import __cpu_features__
-
-from acceptance_workloads import (probe_environment, run_protocol_fixture,
-                                  run_trend)
+from acceptance_workloads import (PLATFORM_FILE, platform, platform_note,
+                                  probe_environment, run_protocol_fixture, run_trend)
 from mvre.init_schemes import DYNAMIC, apply_init, save_probe_report
 from mvre.model import save_checkpoint
 from mvre.schema import save_schema
 from mvre.vocab import vocab_payload
 
 
-def platform() -> dict:
-    """The numerics platform of this process. The OpenBLAS fields come from
-    numpy's bundled ``libscipy_openblas64_*.so``, and are None without it."""
-    config = core = None
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
-                  .glob("libscipy_openblas64_*.so"))
-    if libs:
-        lib = ctypes.CDLL(str(libs[0]))
-        lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
-        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
-        config = lib.scipy_openblas_get_config64_().decode()  # "OpenBLAS 0.3.31 ..."
-        core = lib.scipy_openblas_get_corename64_().decode()
-    return {"numpy": np.__version__,
-            "numpy_avx512": sorted(name for name, on in __cpu_features__.items()
-                                   if on and (name.startswith("AVX512") or name == "X86_V4")),
-            "openblas": config.split()[1] if config else None,
-            "openblas_core": core}
-
-
 def mismatch(message: str) -> int:
     """Print a MISMATCH line and the running and the recorded platform, and
     return the exit code 1."""
     print(f"MISMATCH: {message}")
-    running = platform()
-    recorded = json.loads(PLATFORM_FILE.read_text()) if PLATFORM_FILE.exists() else None
-    print(f"  running platform:  {json.dumps(running)}")
-    print(f"  recorded platform: {json.dumps(recorded)}")
-    if recorded is not None:
-        differ = [key for key in running if running[key] != recorded.get(key)]
-        if differ:
-            print(f"  the platform differs first in {differ[0]!r}: running "
-                  f"{running[differ[0]]!r}, recorded {recorded.get(differ[0])!r}; "
-                  f"the fixtures' bits hold on the recorded platform")
+    print(platform_note())
     return 1
 
 

@@ -40,7 +40,7 @@ from .vocab import vocab_from_payload, vocab_payload
 # section -> (config class, the fields the command line does not expose)
 _SECTIONS = {
     "corpus": (CorpusSpec, ("sentence_length_range",)),  # from sentence_length_min/max
-    "model": (ModelConfig, ("vocab_size", "init_scale")),
+    "model": (ModelConfig, ("vocab_size", "dtype", "init_scale")),
     "pretrain": (PretrainConfig, ("log_every",)),
     "train": (TrainConfig, ("max_len", "model")),  # both taken from the model section
 }
@@ -234,11 +234,11 @@ def _log(out: Path, lines: list[str]):
 
 
 def _save_checkpoint(path: Path, artifacts: TrainedArtifacts, schema, head_w=None):
-    """A checkpoint that carries the vocabulary and the schema's relations, m and NA label."""
+    """A checkpoint that carries the vocabulary (the relations and m with it)
+    and the schema's NA label."""
     save_checkpoint(path, artifacts.model, head_w=head_w,
                     vocab_payload=vocab_payload(artifacts.vocab, artifacts.verbalizer),
-                    extra={"schema": {"relations": list(schema.relations),
-                                      "m": schema.m, "na_label": schema.na_label}})
+                    extra={"schema": {"na_label": schema.na_label}})
 
 
 def _from_checkpoint(path: str, cfg: dict, training: bool = False, schema=None,

@@ -26,8 +26,8 @@ from . import autodiff as ad
 from .data import Dataset, DatasetSplits, merge_datasets, sample_kshot
 from .errors import AnalysisError, UndefinedRatioError, ValidationError
 from .init_schemes import COMBINED, DYNAMIC, INIT_MODES, apply_init
-from .losses import (MIXTURE, PRODUCT, ViewPosteriorHead, infer_batch, local_loss,
-                     global_loss, mvdl_loss, total_loss, verbalizer_embeddings, view_scores)
+from .losses import (ViewPosteriorHead, infer_batch, local_loss, global_loss, mvdl_loss,
+                     total_loss, verbalizer_embeddings, view_scores)
 from .model import AdamW, MlmModel, ModelConfig, PretrainConfig, PretrainResult, pretrain_mlm
 from .schema import RelationSchema
 from .vocab import Verbalizer, Vocab, build_vocab, wrap_template
@@ -55,7 +55,6 @@ class TrainConfig:
     max_len: int = 128
     seed: int = 1
     init_mode: str = COMBINED
-    score_mode: str = MIXTURE
     weight_decay: float = 0.0
     pretrain_steps: int = 0
     pretrain_lr: float = 2e-3
@@ -77,8 +76,6 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.init_mode not in INIT_MODES:
             raise ValidationError(f"unknown init_mode {self.init_mode!r}")
-        if self.score_mode not in (MIXTURE, PRODUCT):
-            raise ValidationError(f"unknown score_mode {self.score_mode!r}")
 
     def resolved_alpha_beta(self) -> tuple[float, float]:
         probing = self.init_mode in (DYNAMIC, COMBINED)
@@ -96,14 +93,13 @@ class TrainConfig:
 class RunResult:
     micro_f1: float
     per_epoch_losses: list[float]
-    seed: int
     config: dict
     wall_time: float
 
     def payload(self) -> dict:
         """JSON form; wall time stays out of artifact files."""
         return {"micro_f1": self.micro_f1, "per_epoch_losses": self.per_epoch_losses,
-                "seed": self.seed, "config": self.config}
+                "config": self.config}
 
 
 @dataclass
@@ -149,7 +145,7 @@ def predict(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig) 
     return [label for start in range(0, len(prompts), config.batch_size)
             for label, _ in infer_batch(artifacts.model, artifacts.head,
                                         prompts[start : start + config.batch_size],
-                                        artifacts.verbalizer, mode=config.score_mode)]
+                                        artifacts.verbalizer)]
 
 
 def evaluate(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig,
@@ -236,8 +232,7 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
 
     artifacts = TrainedArtifacts(model, head, vocab, verbalizer)
     f1 = evaluate(artifacts, episode.test, config, schema.na_label)
-    result = RunResult(f1, epoch_losses, config.seed, config.snapshot(),
-                       time.perf_counter() - t0)
+    result = RunResult(f1, epoch_losses, config.snapshot(), time.perf_counter() - t0)
     return artifacts, result
 
 

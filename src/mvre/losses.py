@@ -169,35 +169,26 @@ def total_loss(mvdl, local, global_, alpha: float, beta: float):
     return mvdl + alpha * local + beta * global_
 
 
-MIXTURE = "mixture"
-PRODUCT = "product"
-
-
-def relation_scores(posterior: np.ndarray, per_view: np.ndarray,
-                    mode: str = MIXTURE) -> np.ndarray:
+def relation_scores(posterior: np.ndarray, per_view: np.ndarray) -> np.ndarray:
     """Aggregate one prompt's per-view relation probabilities [m, |Y|] into one
-    score per relation, weighing the views by their posterior [m]."""
-    if mode == MIXTURE:
-        return posterior @ per_view
-    if mode == PRODUCT:
-        return np.prod(posterior[:, None] * per_view, axis=0)
-    raise ValueError(f"unknown score mode {mode!r}")
+    score per relation: their mixture under the view posterior [m]."""
+    return posterior @ per_view
 
 
 def infer_batch(model: MlmModel, head: ViewPosteriorHead, prompts,
-                verbalizer: Verbalizer, mode: str = MIXTURE) -> list[tuple[str, np.ndarray]]:
+                verbalizer: Verbalizer) -> list[tuple[str, np.ndarray]]:
     """Predict a relation for each prompt of a batch, run packed: (label,
     relation scores) per prompt; ties break toward the lowest index."""
     with ad.no_grad():
         scores = view_scores(model, head, list(prompts), verbalizer)
     out = []
     for post, per_view in zip(scores.posterior.data, scores.per_view.data):
-        s = relation_scores(post, per_view, mode)
+        s = relation_scores(post, per_view)
         out.append((verbalizer.relation_order[int(np.argmax(s))], s))
     return out
 
 
 def infer(model: MlmModel, head: ViewPosteriorHead, prompt: EncodedPrompt,
-          verbalizer: Verbalizer, mode: str = MIXTURE) -> tuple[str, np.ndarray]:
+          verbalizer: Verbalizer) -> tuple[str, np.ndarray]:
     """Predict a relation for one prompt; ties break toward the lowest index."""
-    return infer_batch(model, head, [prompt], verbalizer, mode)[0]
+    return infer_batch(model, head, [prompt], verbalizer)[0]

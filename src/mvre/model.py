@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import struct
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -266,10 +266,9 @@ class PretrainConfig:
 
 @dataclass
 class PretrainResult:
-    model: MlmModel
     holdout_accuracy: float
     n_holdout_predictions: int
-    step_losses: list[float] = field(default_factory=list)
+    step_losses: list[float]
 
 
 def _apply_mlm_mask(ids: np.ndarray, candidates: np.ndarray, mask_id: int, rate: float,
@@ -354,7 +353,7 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     logger.info("pretrain held-out masked-token accuracy: %.4f (%d predictions)",
                 accuracy, total)
     model.check_finite()
-    return PretrainResult(model, accuracy, total, losses)
+    return PretrainResult(accuracy, total, losses)
 
 
 # -- checkpoint I/O ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import CorpusSpec, Dataset, corpus_aspect_groups
@@ -31,9 +31,9 @@ def si_tokens_from_label(label: str) -> list[str]:
 class RelationSchema:
     relations: tuple[str, ...]
     m: int
-    na_label: str | None = None
-    probe_templates: dict[str, str] = field(default_factory=dict)
-    si_tokens: dict[str, list[str]] = field(default_factory=dict)
+    na_label: str | None
+    probe_templates: dict[str, str]
+    si_tokens: dict[str, list[str]]
 
     def validate(self):
         if self.m < 1:

@@ -1,10 +1,15 @@
 """Workload definitions shared by the acceptance suite and the fixture
 freezer, so frozen values and the assertions that check them are produced
-by the same code path."""
+by the same code path, and the numerics platform those values hold on."""
 
-from dataclasses import dataclass
+import ctypes
+import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from mvre.data import (CorpusSpec, generate_corpus, make_splits, merge_datasets,
                        sample_kshot)
@@ -50,23 +55,25 @@ def trend_config(m, seed):
                        model=ModelConfig(**TREND_MODEL))
 
 
-def run_trend() -> dict:
-    """Mean micro-F1 at m=1 and m=3 over the five episode seeds."""
+def trend_arm(m: int) -> list[float]:
+    """Test micro-F1 of each episode seed at m masks: one pretrained bundle,
+    then one fine-tune per seed."""
     spec, dataset, splits, full = trend_world()
-    means = {}
-    per_seed = {}
-    for m in (TREND_M_LOW, TREND_M_HIGH):
-        schema, pre = trend_pretrained(spec, dataset, full, m)
-        f1s = []
-        for seed in TREND_SEEDS:
-            episode = sample_kshot(splits, TREND_K, seed)
-            _, result = train(episode, schema, trend_config(m, seed), pretrained=pre)
-            f1s.append(result.micro_f1)
-        means[m] = float(np.mean(f1s))
-        per_seed[m] = f1s
-    return {"mean_low": means[TREND_M_LOW], "mean_high": means[TREND_M_HIGH],
-            "margin": means[TREND_M_HIGH] - means[TREND_M_LOW],
-            "f1s_low": per_seed[TREND_M_LOW], "f1s_high": per_seed[TREND_M_HIGH]}
+    schema, pre = trend_pretrained(spec, dataset, full, m)
+    return [train(sample_kshot(splits, TREND_K, seed), schema, trend_config(m, seed),
+                  pretrained=pre)[1].micro_f1 for seed in TREND_SEEDS]
+
+
+def run_trend() -> dict:
+    """Mean micro-F1 at m=1 and m=3 over the five episode seeds. The two arms
+    run in two fresh (spawned) worker processes, each a pure function of m."""
+    with ProcessPoolExecutor(max_workers=2,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        low, high = [pool.submit(trend_arm, m) for m in (TREND_M_LOW, TREND_M_HIGH)]
+        f1s_low, f1s_high = low.result(), high.result()
+    mean_low, mean_high = float(np.mean(f1s_low)), float(np.mean(f1s_high))
+    return {"mean_low": mean_low, "mean_high": mean_high, "margin": mean_high - mean_low,
+            "f1s_low": f1s_low, "f1s_high": f1s_high}
 
 
 # -- similarity-protocol fixture workload: k=4, m=4 -------------------------------
@@ -105,3 +112,46 @@ def probe_environment():
     schema = synthetic_schema(PROBE_SPEC, dataset, PROBE_M)
     pre, _ = pretrain_bundle(dataset, schema, ModelConfig(**PROBE_MODEL), PROBE_PRETRAIN)
     return dataset, schema, pre.vocab, pre.verbalizer, pre.model
+
+
+# -- the numerics platform --------------------------------------------------------
+# Another BLAS kernel or numpy loop rounds some results differently, so the
+# frozen fixtures and pinned digests hold on the platform they were made on.
+
+PLATFORM_FILE = Path(__file__).resolve().parent / "fixtures" / "platform.json"
+
+
+def platform() -> dict:
+    """The numerics platform of this process. The OpenBLAS fields come from
+    numpy's bundled ``libscipy_openblas64_*.so``, and are None without it."""
+    config = core = None
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if libs:
+        lib = ctypes.CDLL(str(libs[0]))
+        get_config, get_core = lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_
+        for fn in (get_config, get_core):
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+        config = get_config().decode()  # "OpenBLAS 0.3.31 ..."
+        core = get_core().decode()
+    return {"numpy": np.__version__,
+            "numpy_avx512": sorted(name for name, on in __cpu_features__.items()
+                                   if on and (name.startswith("AVX512") or name == "X86_V4")),
+            "openblas": config.split()[1] if config else None,
+            "openblas_core": core}
+
+
+def platform_note() -> str:
+    """The running and the recorded platform, and the first field in which
+    they differ: what a failed bit-for-bit comparison prints."""
+    running = platform()
+    recorded = json.loads(PLATFORM_FILE.read_text()) if PLATFORM_FILE.exists() else None
+    lines = [f"running platform:  {json.dumps(running)}",
+             f"recorded platform: {json.dumps(recorded)}"]
+    if recorded is not None:
+        differ = [key for key in running if running[key] != recorded.get(key)]
+        lines.append(f"the platform differs first in {differ[0]!r}: running "
+                     f"{running[differ[0]]!r}, recorded {recorded.get(differ[0])!r}; "
+                     f"the fixtures' bits hold on the recorded platform" if differ else
+                     "the platforms match, so the platform did not move the bits")
+    return "\n".join(f"  {line}" for line in lines)

@@ -26,8 +26,8 @@ from mvre.model import AdamW, MlmModel, ModelConfig, forward_batch, load_checkpo
 from mvre.schema import RelationSchema, load_schema
 from mvre.vocab import build_vocab, vocab_from_payload, wrap_template
 
-from acceptance_workloads import (PROTOCOL_SEEDS, protocol_config, run_trend,
-                                  trend_world)
+from acceptance_workloads import (PROTOCOL_SEEDS, platform_note, protocol_config,
+                                  run_trend, trend_world)
 from conftest import central_difference, max_relative_error
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -319,7 +319,7 @@ class TestCriterion9InitializationDeterminism:
                    and rec.token == ref["token"]
                    and rec.probability == ref["probability"])
         report(9, "probe on the frozen checkpoint reproduces the frozen "
-                  "token report bitwise", ok)
+                  "token report bitwise" + ("" if ok else "\n" + platform_note()), ok)
 
     def test_probe_never_emits_special_or_virtual(self):
         rng = np.random.default_rng(9)

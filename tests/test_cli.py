@@ -15,6 +15,7 @@ import pytest
 from mvre.cli import DEFAULTS, build_configs, main, resolve_config, CliError
 from mvre.model import MlmModel, ModelConfig, load_checkpoint, save_checkpoint
 
+from acceptance_workloads import platform_note
 from conftest import drop_base_word, repeat_relation, rewrite_header, write_array_value
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -58,7 +59,9 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("key,value", [("train.entity_order", "sub_obj"),
                                            ("train.entity_markers", True),
-                                           ("train.best_dev_selection", False)])
+                                           ("train.best_dev_selection", False),
+                                           ("train.score_mode", "mixture"),
+                                           ("model.dtype", "float64")])
     def test_older_resolved_config_with_deleted_key_exits_2(self, tmp_path, capsys, key,
                                                             value):
         path = tmp_path / "resolved_config.json"
@@ -110,13 +113,12 @@ class TestConfigResolution:
             "data.dev_fraction": 0.2, "data.test_fraction": 0.2, "data.split_seed": 0,
             "data.k": 1,
             "model.d": 64, "model.n_layers": 2, "model.n_heads": 4, "model.max_len": 128,
-            "model.dtype": "float64", "model.dropout": 0.0,
+            "model.dropout": 0.0,
             "pretrain.steps": 3000, "pretrain.batch_size": 8, "pretrain.lr": 2e-3,
             "pretrain.mask_rate": 0.15, "pretrain.holdout_fraction": 0.1, "pretrain.seed": 0,
             "train.m": 4, "train.alpha": None, "train.beta": None, "train.lr": 3e-5,
             "train.epochs": 40, "train.batch_size": 8, "train.seed": 1,
-            "train.init_mode": "combined",
-            "train.score_mode": "mixture", "train.weight_decay": 0.0,
+            "train.init_mode": "combined", "train.weight_decay": 0.0,
             "train.pretrain_steps": 0, "train.pretrain_lr": 2e-3,
             "sweep.k": 1, "sweep.seeds": [1, 2, 3, 4, 5], "sweep.m_values": [1, 2, 3, 4, 5],
             "protocol.k": 4, "protocol.m": 4, "protocol.seeds": [1, 2, 3],
@@ -238,22 +240,18 @@ class TestGenerateCorpus:
     def test_integral_float_accepted(self):
         assert resolve_config(None, ["train.epochs=3.0"], None, "train")["train.epochs"] == 3.0
 
-    def test_float32_dtype_exits_2(self, tmp_path, capsys):
-        code = run("train", "--out", str(tmp_path / "o"), *FAST_SETS,
-                   "--set", "model.dtype=float32")
-        assert code == 2
-        assert "float32" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("command,override,name", [
         ("train", "model.dropout=1.5", "dropout"), ("train", "model.dropout=1.0", "dropout"),
         ("train", "model.n_heads=0", "n_heads"), ("train", "model.n_layers=-1", "n_layers"),
-        ("train", "train.score_mode=foo", "score_mode"),
         # deleted keys: an older resolved_config.json that names one exits 2
         ("train", "train.entity_order=sub_obj", "unknown config key 'train.entity_order'"),
         ("train", "train.entity_markers=true", "unknown config key 'train.entity_markers'"),
         ("train", "train.best_dev_selection=false",
          "unknown config key 'train.best_dev_selection'"),
+        ("train", "train.score_mode=product", "unknown config key 'train.score_mode'"),
+        # every parameter is float64, so the field is not a key either
+        ("train", "model.dtype=float64", "unknown config key 'model.dtype'"),
+        ("train", "model.dtype=float32", "unknown config key 'model.dtype'"),
         ("train", "train.init_mode=foo", "init_mode"), ("train", "train.m=0", "m must be"),
         ("train", "data.k=0", "data.k"), ("sim-protocol", "protocol.m=0", "protocol.m"),
         ("pretrain", "pretrain.seed=-1", "seed"),
@@ -327,31 +325,34 @@ class TestTrainEvalRound:
           "train.pretrain_steps=20"]
 
     @pytest.mark.parametrize("sets,ckpt_sha,result_sha", [
-        (SMALL, "bc500313b7d01d7fe3ff804cc0e544648ca731e2b8100d2be852a724290ba5f2",
-         "e0c66828b9a57c020bc7f4f895fadae2477ce96d22a7ccb83e19d01fa3305efb"),
-        (SMALL + M3, "61c588e7867191f490b571e7babe100667ac0c8c407e5ab21825f2c41e971ffe",
-         "0e4c24b89dd2212427a52dcb2c32b0820e708fff08507c2e79a0f4325df3dcb4"),
+        (SMALL, "ecb272ac0a0ee53b7e93337903737956c86a86fb4cc3747627ac93296a209b0f",
+         "a95c2219004fed38ae1cb78fcad288abcd183e491725168e4f79ad4f59f624b2"),
+        (SMALL + M3, "490809ca81f80d6b07d7d0bb3f49306a5c3255be42235baaa4927f03b78a29a4",
+         "9045c14387584bd4e796a7bc8e6d899637b8ece721808008c874ff6f31fa34dd"),
         # no Global-Local terms: a zero weight must add exact zeros
         (SMALL + ["train.alpha=0", "train.beta=0"],
-         "d64b044400dc0e7324e9d3647fffcdeb34250f7c07cba345c1da9c3eaec6a8d4",
-         "aaf2becca144da4d70657a326df4deb8058322f6e0ee6b116f11c96f5cb994f1")])
+         "b4dbee65e35abfccb67cbdbf52fa2fe1311cbe4ebb86c9dd45c930a8da74cfd0",
+         "0a69967ff8d449476ed1969438d7c1105048c7733cf29f70d92c92348d3e7ceb")],
+        ids=["small", "m3", "no_global_local"])  # a moved digest keeps the test id
     def test_train_artifacts_pinned(self, tmp_path, sets, ckpt_sha, result_sha):
         sets = [arg for item in sets for arg in ("--set", item)]
         assert run("train", "--out", str(tmp_path), "--seed", "11", *sets) == 0
         digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert (digest("model.ckpt"), digest("result.json")) == (ckpt_sha, result_sha)
+        assert (digest("model.ckpt"), digest("result.json")) == (ckpt_sha, result_sha), \
+            platform_note()
 
     # criterion 10's checkpoint, and the same run on a corpus with an NA
     # label, evaluated on its whole corpus with and without eval.include_na;
     # a change that flips any prediction changes these digests. Paths are
     # relative, since eval.json echoes the dataset path.
     @pytest.mark.parametrize("corpus_sets,include_na,eval_sha", [
-        ([], "false", "c44523e84f5906ee966cc6715537e15b48fc2d3ac3378ad53898f44b6a20807b"),
-        ([], "true", "b6034fd562d194d4b4a772343d3f26f2f85647b2adb8676f46440396b898cbe0"),
+        ([], "false", "2e383d3c3c26660a2d6f8c405b11a044bf8e728b2054c252f58b4ddad4e9f4f2"),
+        ([], "true", "b5d657e7e67f7fd7c305dbabdb2c3e922b10c217dc92d3d1f94a87aaeb939f98"),
         (["corpus.na_fraction=0.25"], "false",
-         "f185469aebde8c8c6506258bc886d5e8ae8cd6d660ec04ffcc38b7cd0ca1dfe4"),
+         "a2c08298d9a91d3d407c4922ff593cec1762d2c67a9088ed7afc2357045eec29"),
         (["corpus.na_fraction=0.25"], "true",
-         "ed6d09135a93a43f64863a2a1c347a21b9a4393e5731cef373a9bbc5c66724f8")])
+         "d6597ab40a308a5f0028be1991aa3e035a8c20eeeb33310a02786c54b113bf3e")],
+        ids=["plain-exclude_na", "plain-include_na", "na-exclude_na", "na-include_na"])
     def test_eval_artifact_pinned(self, tmp_path, monkeypatch, corpus_sets, include_na,
                                   eval_sha):
         monkeypatch.chdir(tmp_path)
@@ -365,6 +366,27 @@ class TestTrainEvalRound:
                    "--dataset", "plain/c/corpus.jsonl",
                    "--set", f"eval.include_na={include_na}") == 0
         assert hashlib.sha256((tmp_path / out / "eval.json").read_bytes()).hexdigest() == eval_sha
+
+    def test_checkpoint_schema_holds_the_na_label_and_older_layout_evaluates(self, tmp_path):
+        # the relations and m travel in the vocabulary payload; checkpoints
+        # written with them in 'extra.schema' too still load, and eval reads
+        # only their NA label
+        train_out, corpus = tmp_path / "t", tmp_path / "c"
+        sets = [*FAST_SETS, "--set", "corpus.na_fraction=0.25"]
+        assert run("train", "--out", str(train_out), *sets) == 0
+        assert run("generate-corpus", "--out", str(corpus), *sets) == 0
+        assert load_checkpoint(train_out / "model.ckpt").extra == {
+            "schema": {"na_label": "no_relation"}}
+        older = tmp_path / "older.ckpt"
+        older.write_bytes((train_out / "model.ckpt").read_bytes())
+        relations = load_checkpoint(older).vocab_payload["relation_order"]
+        rewrite_header(older, lambda h: h["extra"]["schema"].update(relations=relations, m=2))
+        assert load_checkpoint(older).extra["schema"]["m"] == 2
+        for name, ckpt in (("new", train_out / "model.ckpt"), ("older", older)):
+            assert run("eval", "--out", str(tmp_path / name), "--checkpoint", str(ckpt),
+                       "--dataset", str(corpus / "corpus.jsonl")) == 0
+        assert ((tmp_path / "new" / "eval.json").read_bytes()
+                == (tmp_path / "older" / "eval.json").read_bytes())
 
     def test_result_json_has_no_wall_time(self, tmp_path):
         out = tmp_path / "o"
@@ -415,7 +437,7 @@ class TestTrainEvalRound:
         (repeat_relation, "'relation_order' repeats"),
         (lambda h: h["extra"].update(schema=5), "'extra.schema' must be an object whose "
                                                 "'na_label' is a string or null, got 5"),
-        (lambda h: h["extra"]["schema"].update(na_label=7), "'na_label': 7,")])
+        (lambda h: h["extra"]["schema"].update(na_label=7), "got {'na_label': 7}")])
     def test_eval_malformed_header_exits_1_naming_file(self, tmp_path, capsys, edit, field):
         out = tmp_path / "t"
         assert run("train", "--out", str(out), *FAST_SETS, "--set", "train.epochs=0") == 0

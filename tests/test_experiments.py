@@ -181,7 +181,7 @@ class TestTrain:
         ("weight_decay", -0.01), ("pretrain_steps", -1),
         ("pretrain_lr", 0.0), ("pretrain_lr", -2e-3), ("pretrain_lr", float("nan")),
         ("pretrain_lr", float("inf")), ("weight_decay", float("inf")), ("epochs", -1),
-        ("seed", -1), ("score_mode", "foo")])
+        ("seed", -1)])
     def test_bad_field_rejected(self, field, value):
         # a negative alpha or beta would silently turn a regularizer around
         with pytest.raises(ValidationError, match=field):
