@@ -473,9 +473,9 @@ def layer_norm(x, gamma, beta, rows=None, reads=None) -> Tensor:
 #
 # A batch of sequences runs packed: the rows of every sequence stacked into one
 # [sum L, d] array, sequence s in the row block ``rows[s]`` (a slice). Row-wise
-# and elementwise math (layer norm, bias adds, GELU, residual adds, dropout)
-# runs once over the packed array. Every matmul runs per sequence on its row
-# block, because BLAS does not promise a row its bits when the number of rows
+# and elementwise math (layer norm, bias adds, GELU, residual adds) runs once
+# over the packed array. Every matmul runs per sequence on its row block,
+# because BLAS does not promise a row its bits when the number of rows
 # changes, and attention mixes the rows of one sequence only. A parameter's
 # gradient is a sum of per-sequence terms (``x[s].T @ g[s]``,
 # ``g[s].sum(axis=0)``) added in batch order. So each sequence gets the bits
@@ -833,23 +833,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(piece)
 
     return _make(out_data, ts, backward)
-
-
-def dropout(a, rate: float, draws: np.ndarray) -> Tensor:
-    """Inverted dropout with ``draws``, uniform draws in [0, 1) of ``a``'s
-    shape: keeps the entries whose draw is at least ``rate``, scaled by
-    ``1 / (1 - rate)``. Identity when rate is 0."""
-    a = _as_tensor(a)
-    if rate <= 0.0:
-        return a
-    keep = (draws >= rate).astype(np.float64) / (1.0 - rate)
-    out_data = a.data * keep
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * keep)
-
-    return _make(out_data, (a,), backward)
 
 
 # -- parameter arenas ----------------------------------------------------------

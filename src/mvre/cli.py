@@ -40,7 +40,7 @@ from .vocab import vocab_from_payload, vocab_payload
 # section -> (config class, the fields the command line does not expose)
 _SECTIONS = {
     "corpus": (CorpusSpec, ("sentence_length_range",)),  # from sentence_length_min/max
-    "model": (ModelConfig, ("vocab_size", "dtype", "init_scale")),
+    "model": (ModelConfig, ("vocab_size", "dtype", "dropout", "init_scale")),
     "pretrain": (PretrainConfig, ("log_every",)),
     "train": (TrainConfig, ("max_len", "model")),  # both taken from the model section
 }
@@ -304,7 +304,6 @@ def cmd_pretrain(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
     _save_checkpoint(out / "pretrained.ckpt", bundle, schema)
     write_json({
-        "config": cfg,
         "holdout_accuracy": result.holdout_accuracy,
         "n_holdout_predictions": result.n_holdout_predictions,
         "final_loss": result.step_losses[-1],
@@ -349,7 +348,7 @@ def cmd_eval(args, cfg: dict) -> int:
                        f"cannot predict: {missing}")
     f1 = evaluate(artifacts, dataset, tc, na, include_na=_get(cfg, "eval.include_na"))
     out = _out_dir(args, cfg)
-    write_json({"config": cfg, "micro_f1": f1, "n_instances": len(dataset),
+    write_json({"micro_f1": f1, "n_instances": len(dataset),
                 "dataset": str(args.dataset)}, out / "eval.json")
     print(f"micro_f1: {f1:.4f}")
     return 0
@@ -363,8 +362,7 @@ def cmd_sweep_m(args, cfg: dict) -> int:
                    _get(cfg, "sweep.m_values"), build_configs(cfg)["train"])
     out = _out_dir(args, cfg)
     (out / "sweep.csv").write_text(grid_rows_csv(rows), encoding="utf-8")
-    write_json({"config": cfg,
-                "rows": [{"m": r.m, "k": r.k, "mean_f1": r.mean_f1,
+    write_json({"rows": [{"m": r.m, "k": r.k, "mean_f1": r.mean_f1,
                           "std_f1": r.std_f1, "f1s": r.f1s, "seeds": r.seeds}
                          for r in rows]}, out / "sweep.json")
     _log(out, [f"sweep finished in {time.perf_counter() - t0:.1f}s"])
@@ -381,7 +379,7 @@ def cmd_sim_protocol(args, cfg: dict) -> int:
                                      _get(cfg, "protocol.m"), _get(cfg, "protocol.seeds"),
                                      build_configs(cfg)["train"])
     out = _out_dir(args, cfg)
-    write_json({"config": cfg, **report}, out / "protocol.json")
+    write_json(report, out / "protocol.json")
     _log(out, [f"protocol finished in {time.perf_counter() - t0:.1f}s"])
     print(f"ratio_multi_mask={report['ratio_multi_mask']:.4f} "
           f"ratio_single_mask={report['ratio_single_mask']:.4f}")
@@ -447,7 +445,7 @@ def cmd_analyze_views(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
     (out / "heatmap.csv").write_text(heatmap_csv(matrix, row_labels, col_labels),
                                      encoding="utf-8")
-    write_json({"config": cfg, "rows": row_labels, "columns": col_labels,
+    write_json({"rows": row_labels, "columns": col_labels,
                 "matrix": [[float(x) for x in row] for row in matrix]},
                out / "heatmap.json")
     print(f"heatmap {matrix.shape[0]}x{matrix.shape[1]} -> {out / 'heatmap.csv'}")

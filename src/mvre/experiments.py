@@ -173,12 +173,13 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
           pretrained: TrainedArtifacts | None = None) -> tuple[TrainedArtifacts, RunResult]:
     """Prompt-tune on a k-shot episode and evaluate on its test split.
 
-    Starts from a copy of the pretrained bundle's model, whose m and relation
-    order must be the config's and the schema's; without one, builds a
-    bundle from the whole episode with ``pretrain_bundle`` (seeded with
-    ``config.seed``, pretrained for ``config.pretrain_steps``). Applies the
-    configured virtual-word initialization, then minimizes ``total_loss`` (the
-    decoupled loss plus the weighted contrastive terms) with mini-batch AdamW.
+    Starts from a copy of the pretrained bundle's model, whose m, ``max_len``
+    and model config (all but ``vocab_size``) must be the config's and whose
+    relation order must be the schema's; without one, builds a bundle from
+    the whole episode with ``pretrain_bundle`` (seeded with ``config.seed``,
+    pretrained for ``config.pretrain_steps``). Applies the configured
+    virtual-word initialization, then minimizes ``total_loss`` (the decoupled
+    loss plus the weighted contrastive terms) with mini-batch AdamW.
     """
     t0 = time.perf_counter()
     config.validate()
@@ -193,6 +194,14 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
             merge_datasets([episode.train, episode.dev, episode.test]), schema,
             replace(config.model, max_len=config.max_len),
             PretrainConfig(steps=config.pretrain_steps, lr=config.pretrain_lr, seed=config.seed))
+    else:
+        held = pretrained.model.config
+        if config.max_len != held.max_len:
+            raise ValidationError(f"pretrained bundle was built with max_len={held.max_len}, "
+                                  f"config wants max_len={config.max_len}")
+        if replace(config.model, vocab_size=held.vocab_size) != held:
+            raise ValidationError(f"pretrained bundle's model is {held}, config wants "
+                                  f"{config.model}")
     model = pretrained.model.copy()
     vocab, verbalizer = pretrained.vocab, pretrained.verbalizer
     if verbalizer.m != config.m:
@@ -210,7 +219,6 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
     params = (model.params(), head.params())
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     shuffle_rng = np.random.default_rng([config.seed, 0x5F])
-    drop_rng = np.random.default_rng([config.seed, 0xD0]) if model.config.dropout > 0 else None
     n_rel = len(schema.relations)
 
     epoch_losses: list[float] = []
@@ -219,7 +227,7 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
         batch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            scores = view_scores(model, head, [prompts[i] for i in batch], verbalizer, drop_rng)
+            scores = view_scores(model, head, [prompts[i] for i in batch], verbalizer)
             mvdl = ad.tmean(mvdl_loss(scores, [labels[i] for i in batch]))
             local = local_loss(verbalizer_embeddings(model, verbalizer), n_rel, config.m)
             global_ = global_loss(verbalizer_embeddings(model, verbalizer), n_rel, config.m)

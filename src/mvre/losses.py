@@ -89,13 +89,11 @@ def per_view_label_probs(logits: Tensor, prompt: EncodedPrompt,
 
 
 def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
-                verbalizer: Verbalizer, rng=None) -> ViewScores:
+                verbalizer: Verbalizer) -> ViewScores:
     """Forward one prompt, or a list of prompts as one packed batch, and
     package posterior + per-view relation probabilities (see ``ViewScores``).
     The encoder reads the mask rows only; under ``ad.no_grad()`` the same
     ops run and record no graph.
-
-    A generator ``rng`` applies the model config's dropout.
     """
     single = isinstance(prompts, EncodedPrompt)
     batch = [prompts] if single else list(prompts)
@@ -103,7 +101,7 @@ def view_scores(model: MlmModel, head: ViewPosteriorHead, prompts,
         if prompt.m != verbalizer.m:
             raise ValueError(f"prompt has {prompt.m} masks but verbalizer expects "
                              f"{verbalizer.m}")
-    hidden, logits = forward_batch(model, [pr.ids for pr in batch], rng=rng,
+    hidden, logits = forward_batch(model, [pr.ids for pr in batch],
                                    reads=[pr.mask_positions for pr in batch])
     shape = (verbalizer.m,) if single else (len(batch), verbalizer.m)
     return ViewScores(view_posterior(head, ad.reshape(hidden, (*shape, -1))),

@@ -57,12 +57,13 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.vocab_size <= 0:
             raise ValueError("vocab_size must be set before building a model")
-        if self.dtype != "float64":  # kept as a field so checkpoint headers keep their bytes
+        # dtype and dropout stay as fields so checkpoint headers keep their bytes
+        if self.dtype != "float64":
             raise ValueError(f"unsupported dtype {self.dtype!r}: every parameter is float64")
+        if self.dropout != 0.0:
+            raise ValueError(f"unsupported dropout {self.dropout!r}: the encoder has none")
 
 
 def param_table(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], str]]:
@@ -134,8 +135,7 @@ _ATTENTION = ("ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk
 _FFN = ("ln2.gamma", "ln2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")
 
 
-def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = None,
-                  reads=None) -> tuple[Tensor, Tensor]:
+def forward_batch(model: MlmModel, id_seqs, reads=None) -> tuple[Tensor, Tensor]:
     """Run the encoder over a batch of id sequences, packed; a batch of one
     is ``forward_batch(model, [ids])``.
 
@@ -148,10 +148,8 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
     sequence by sequence: post-norm hidden states [R, d] and the logits the
     head gives them [R, V]. The last layer runs its row-wise work on the read
     rows only. Every value and gradient has the bits of one graph per
-    sequence read at those rows. Dropout applies exactly when ``rng`` is
-    given and draws its masks in that graph's order: sequence, then layer,
-    then attention before FFN. Under
-    ``ad.no_grad()`` the same ops run and record no graph.
+    sequence read at those rows. Under ``ad.no_grad()`` the same ops run and
+    record no graph.
     """
     cfg = model.config
     seqs = [np.asarray(ids, dtype=np.int64) for ids in id_seqs]
@@ -164,23 +162,14 @@ def forward_batch(model: MlmModel, id_seqs, rng: np.random.Generator | None = No
             raise ValueError("token id out of vocabulary range")
     rows = ad.packed_rows([len(ids) for ids in seqs])
     reads = None if reads is None else ad.read_rows(rows, reads)
-    drop = cfg.dropout if rng is not None else 0.0
-    draws = (np.concatenate([rng.random((2 * cfg.n_layers, len(ids), cfg.d)) for ids in seqs],
-                            axis=1) if drop > 0.0 else None)
     p = model._params
     tied = ad.TiedEmbedding(p["token_embed"], p["pos_embed"], rows)
     x = tied.embed(np.concatenate(seqs))
     for i in range(cfg.n_layers):
         b, last = f"blocks.{i}.", reads if i == cfg.n_layers - 1 else None
-        o = ad.attention_sublayer(x, *(p[b + n] for n in _ATTENTION), n_heads=cfg.n_heads,
-                                  rows=rows, reads=last)
-        if drop > 0.0:
-            o = ad.dropout(o, drop, draws[2 * i])
-        x = x + o
-        f = ad.ffn_sublayer(x, *(p[b + n] for n in _FFN), rows=rows, reads=last)
-        if drop > 0.0:
-            f = ad.dropout(f, drop, draws[2 * i + 1])
-        x = x + f
+        x = x + ad.attention_sublayer(x, *(p[b + n] for n in _ATTENTION),
+                                      n_heads=cfg.n_heads, rows=rows, reads=last)
+        x = x + ad.ffn_sublayer(x, *(p[b + n] for n in _FFN), rows=rows, reads=last)
     hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"], rows=rows,
                            reads=reads)
     return hidden, tied.head(hidden, p["head_bias"], reads)
@@ -295,8 +284,7 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
 
     A held-out slice of the corpus measures masked-token accuracy after
     training; the score is logged and returned. Zero steps leave the model
-    untouched. No dropout mask is drawn, whatever ``model.config.dropout``
-    says: dropout applies to prompt fine-tuning only.
+    untouched.
     """
     if not corpus.instances:
         raise ValueError("pretraining corpus is empty")

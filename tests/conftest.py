@@ -74,7 +74,7 @@ def scalar_cosine(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return ad._make(np.asarray(c), (a, b), backward)
 
 
-def reference_forward_ids(model, ids, rng=None):
+def reference_forward_ids(model, ids):
     """The encoder over one sequence as a graph of small nodes.
 
     ``model.forward_batch(model, [ids])`` runs each sublayer as one node and
@@ -84,7 +84,6 @@ def reference_forward_ids(model, ids, rng=None):
     cfg, p = model.config, model.params()
     ids = np.asarray(ids, dtype=np.int64)
     L = len(ids)
-    drop = cfg.dropout if rng is not None else 0.0
     x = ad.index(p["token_embed"], ids) + ad.index(p["pos_embed"], slice(0, L))
     dh = cfg.d // cfg.n_heads
     scale = 1.0 / np.sqrt(dh)
@@ -100,15 +99,10 @@ def reference_forward_ids(model, ids, rng=None):
             qh, kh, vh = q[:, sl], k[:, sl], v[:, sl]
             att = ad.softmax((qh @ kh.T) * scale)
             heads.append(att @ vh)
-        o = ad.concat(heads, axis=1) @ p[b + "attn.wo"] + p[b + "attn.bo"]
-        if drop > 0.0:
-            o = ad.dropout(o, drop, rng.random(o.shape))
-        x = x + o
+        x = x + (ad.concat(heads, axis=1) @ p[b + "attn.wo"] + p[b + "attn.bo"])
         xn2 = ad.layer_norm(x, p[b + "ln2.gamma"], p[b + "ln2.beta"])
-        f = ad.gelu(xn2 @ p[b + "ffn.w1"] + p[b + "ffn.b1"]) @ p[b + "ffn.w2"] + p[b + "ffn.b2"]
-        if drop > 0.0:
-            f = ad.dropout(f, drop, rng.random(f.shape))
-        x = x + f
+        x = x + (ad.gelu(xn2 @ p[b + "ffn.w1"] + p[b + "ffn.b1"]) @ p[b + "ffn.w2"]
+                 + p[b + "ffn.b2"])
     hidden = ad.layer_norm(x, p["final_norm.gamma"], p["final_norm.beta"])
     logits = hidden @ p["token_embed"].T + p["head_bias"]
     return hidden, logits

@@ -242,18 +242,6 @@ class TestComposedGraphs:
 
         assert_grads_close(f, p)
 
-    def test_dropout_identity_at_zero_rate(self, rng):
-        x = ad.Arena({"x": rng.normal(size=(3, 3))})["x"]
-        out = ad.dropout(x, 0.0, rng.random(x.shape))
-        assert out is x
-
-    def test_dropout_scales_kept_entries(self):
-        rng = np.random.default_rng(0)
-        x = ad.Arena({"x": np.ones((100, 100))})["x"]
-        out = ad.dropout(x, 0.5, rng.random(x.shape))
-        vals = np.unique(out.data)
-        assert set(vals.tolist()) == {0.0, 2.0}
-
 
 class TestCosinePairsBitwise:
     """One array node gives the bits of one scalar cosine node per pair."""

@@ -61,7 +61,8 @@ class TestConfigResolution:
                                            ("train.entity_markers", True),
                                            ("train.best_dev_selection", False),
                                            ("train.score_mode", "mixture"),
-                                           ("model.dtype", "float64")])
+                                           ("model.dtype", "float64"),
+                                           ("model.dropout", 0.0)])
     def test_older_resolved_config_with_deleted_key_exits_2(self, tmp_path, capsys, key,
                                                             value):
         path = tmp_path / "resolved_config.json"
@@ -113,7 +114,6 @@ class TestConfigResolution:
             "data.dev_fraction": 0.2, "data.test_fraction": 0.2, "data.split_seed": 0,
             "data.k": 1,
             "model.d": 64, "model.n_layers": 2, "model.n_heads": 4, "model.max_len": 128,
-            "model.dropout": 0.0,
             "pretrain.steps": 3000, "pretrain.batch_size": 8, "pretrain.lr": 2e-3,
             "pretrain.mask_rate": 0.15, "pretrain.holdout_fraction": 0.1, "pretrain.seed": 0,
             "train.m": 4, "train.alpha": None, "train.beta": None, "train.lr": 3e-5,
@@ -227,7 +227,7 @@ class TestGenerateCorpus:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", ["train.m=true", "train.lr=true",
-                                          "model.dropout=false", "sweep.seeds=[true,2]",
+                                          "train.weight_decay=false", "sweep.seeds=[true,2]",
                                           "train.alpha=true"])
     def test_boolean_for_a_number_exits_2_naming_key(self, tmp_path, capsys, override):
         # float(True) is 1.0: train.m=true used to run m=1
@@ -241,7 +241,7 @@ class TestGenerateCorpus:
         assert resolve_config(None, ["train.epochs=3.0"], None, "train")["train.epochs"] == 3.0
 
     @pytest.mark.parametrize("command,override,name", [
-        ("train", "model.dropout=1.5", "dropout"), ("train", "model.dropout=1.0", "dropout"),
+        ("train", "train.weight_decay=-1", "weight_decay"), ("train", "train.lr=0", "lr"),
         ("train", "model.n_heads=0", "n_heads"), ("train", "model.n_layers=-1", "n_layers"),
         # deleted keys: an older resolved_config.json that names one exits 2
         ("train", "train.entity_order=sub_obj", "unknown config key 'train.entity_order'"),
@@ -249,9 +249,11 @@ class TestGenerateCorpus:
         ("train", "train.best_dev_selection=false",
          "unknown config key 'train.best_dev_selection'"),
         ("train", "train.score_mode=product", "unknown config key 'train.score_mode'"),
-        # every parameter is float64, so the field is not a key either
+        # every parameter is float64 and the encoder has no dropout, so
+        # neither field is a key either
         ("train", "model.dtype=float64", "unknown config key 'model.dtype'"),
         ("train", "model.dtype=float32", "unknown config key 'model.dtype'"),
+        ("train", "model.dropout=0.1", "unknown config key 'model.dropout'"),
         ("train", "train.init_mode=foo", "init_mode"), ("train", "train.m=0", "m must be"),
         ("train", "data.k=0", "data.k"), ("sim-protocol", "protocol.m=0", "protocol.m"),
         ("pretrain", "pretrain.seed=-1", "seed"),
@@ -293,14 +295,26 @@ class TestGenerateCorpus:
 
 class TestReadme:
     SECTIONS = "corpus|data|model|pretrain|train|sweep|protocol|analysis|eval"
+    # the README names these only to say that they are gone
+    DELETED = {"train.entity_order", "train.entity_markers", "train.best_dev_selection",
+               "train.score_mode", "model.dtype", "model.dropout"}
 
     def test_every_key_written_in_readme_exists(self):
-        # a deleted config key must not linger in the documentation
+        # a deleted config key must not linger in the documentation: neither
+        # set (`key=value`) nor named alone in backticks
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
             encoding="utf-8")
-        keys = set(re.findall(rf"\b((?:{self.SECTIONS})\.[a-z_0-9]+)=", readme))
-        assert "train.m" in keys  # the pattern finds the keys the README sets
-        assert sorted(k for k in keys if k not in DEFAULTS) == []
+        key = rf"((?:{self.SECTIONS})\.[a-z_0-9]+)"
+        set_keys = set(re.findall(rf"\b{key}=", readme))
+        named = set(re.findall(rf"`{key}`", readme))
+        # the patterns find the keys the README sets and names
+        assert "train.m" in set_keys and {"train.m", "model.dropout"} <= named
+        assert sorted(k for k in set_keys if k not in DEFAULTS) == []
+        assert sorted(k for k in named - self.DELETED - {"model.ckpt"}
+                      if k not in DEFAULTS) == []
+        for key in sorted(self.DELETED):  # each one really is gone
+            with pytest.raises(CliError, match=f"unknown config key {key!r}"):
+                resolve_config(None, [f"{key}=0"], None, "train")
 
 
 class TestTrainEvalRound:
@@ -314,21 +328,19 @@ class TestTrainEvalRound:
         assert (outs[0] / "model.ckpt").read_bytes() == (outs[1] / "model.ckpt").read_bytes()
         assert (outs[0] / "result.json").read_bytes() == (outs[1] / "result.json").read_bytes()
 
-    # criterion 10's small configuration, then m=3 with dropout, weight decay
-    # and inner pretraining; a change that shifts any
-    # training bit changes these digests
+    # criterion 10's small configuration, then m=3 with weight decay and inner
+    # pretraining; a change that shifts any training bit changes these digests
     SMALL = ["corpus.n_relations=3", "corpus.instances_per_relation=8",
              "corpus.vocab_pool_size=20", "model.d=12", "model.n_layers=1",
              "model.n_heads=2", "model.max_len=48", "train.m=2", "train.epochs=2",
              "train.lr=0.005", "train.init_mode=combined"]
-    M3 = ["train.m=3", "model.dropout=0.1", "train.weight_decay=0.01",
-          "train.pretrain_steps=20"]
+    M3 = ["train.m=3", "train.weight_decay=0.01", "train.pretrain_steps=20"]
 
     @pytest.mark.parametrize("sets,ckpt_sha,result_sha", [
         (SMALL, "ecb272ac0a0ee53b7e93337903737956c86a86fb4cc3747627ac93296a209b0f",
          "a95c2219004fed38ae1cb78fcad288abcd183e491725168e4f79ad4f59f624b2"),
-        (SMALL + M3, "490809ca81f80d6b07d7d0bb3f49306a5c3255be42235baaa4927f03b78a29a4",
-         "9045c14387584bd4e796a7bc8e6d899637b8ece721808008c874ff6f31fa34dd"),
+        (SMALL + M3, "af0dbe09ed4467670a0eb35ce08772a7a3a7dd9c702fcdbb946cb7c024938f47",
+         "00fb5f0272e89c1bf6919780410bc5d994403fafdfcaacc7baa31a139c012b50"),
         # no Global-Local terms: a zero weight must add exact zeros
         (SMALL + ["train.alpha=0", "train.beta=0"],
          "b4dbee65e35abfccb67cbdbf52fa2fe1311cbe4ebb86c9dd45c930a8da74cfd0",
@@ -344,14 +356,15 @@ class TestTrainEvalRound:
     # criterion 10's checkpoint, and the same run on a corpus with an NA
     # label, evaluated on its whole corpus with and without eval.include_na;
     # a change that flips any prediction changes these digests. Paths are
-    # relative, since eval.json echoes the dataset path.
+    # relative, since eval.json echoes the dataset path. Without an NA label
+    # every match counts either way, so both plain cases pin the same bytes.
     @pytest.mark.parametrize("corpus_sets,include_na,eval_sha", [
-        ([], "false", "2e383d3c3c26660a2d6f8c405b11a044bf8e728b2054c252f58b4ddad4e9f4f2"),
-        ([], "true", "b5d657e7e67f7fd7c305dbabdb2c3e922b10c217dc92d3d1f94a87aaeb939f98"),
+        ([], "false", "7de5aee8852e0e90a7b44d31f96abaff38420ecafc29038d542398c84deea574"),
+        ([], "true", "7de5aee8852e0e90a7b44d31f96abaff38420ecafc29038d542398c84deea574"),
         (["corpus.na_fraction=0.25"], "false",
-         "a2c08298d9a91d3d407c4922ff593cec1762d2c67a9088ed7afc2357045eec29"),
+         "1336315365b8ae556146e3624641412c67028209a4d413675172a0fdcabc308b"),
         (["corpus.na_fraction=0.25"], "true",
-         "d6597ab40a308a5f0028be1991aa3e035a8c20eeeb33310a02786c54b113bf3e")],
+         "298e7ebbaf122b92f2d1cf8a162b38b859c1e9ae52c783cdf4da9c331a74fafa")],
         ids=["plain-exclude_na", "plain-include_na", "na-exclude_na", "na-include_na"])
     def test_eval_artifact_pinned(self, tmp_path, monkeypatch, corpus_sets, include_na,
                                   eval_sha):
@@ -420,6 +433,7 @@ class TestTrainEvalRound:
             assert code == 0
         r1 = json.loads((ev1 / "eval.json").read_text())
         r2 = json.loads((ev2 / "eval.json").read_text())
+        assert "config" not in r1
         assert r1["micro_f1"] == r2["micro_f1"]
         assert trained_f1 >= 0.0
 
@@ -432,6 +446,8 @@ class TestTrainEvalRound:
 
     @pytest.mark.parametrize("edit,field", [
         (lambda h: h["config"].update(width=3), "'config' has unknown keys ['width']"),
+        # the field stays in every header at 0.0; the encoder has no dropout
+        (lambda h: h["config"].update(dropout=0.1), "'config': unsupported dropout 0.1"),
         (lambda h: h["arrays"][0].pop("shape"), "'arrays[0]' must hold exactly"),
         (drop_base_word, "words, 'config.vocab_size' is"),
         (repeat_relation, "'relation_order' repeats"),
@@ -521,6 +537,7 @@ class TestPretrainCommand:
         assert (out / "pretrained.ckpt").exists()
         payload = json.loads((out / "pretrain.json").read_text())
         assert "holdout_accuracy" in payload
+        assert "config" not in payload   # resolved_config.json holds it
 
     @pytest.mark.parametrize("override,field", [
         ("pretrain.steps=-3", "steps"), ("pretrain.steps=0", "steps"),
@@ -570,13 +587,13 @@ class TestTrainFromCheckpoint:
         ("train", ["model.d=16", "model.n_layers=3"], "'model.d' is 16, but the run uses 12"),
         ("train", ["model.n_layers=3"], "'model.n_layers' is 3, but the run uses 1"),
         ("train", ["model.max_len=64"], "'model.max_len' is 64, but the run uses 48"),
-        ("train", ["model.dropout=0.1"], "'model.dropout' is 0.1, but the run uses 0.0"),
+        ("train", ["model.n_heads=3"], "'model.n_heads' is 3, but the run uses 2"),
         ("train", ["train.pretrain_steps=20"], "'train.pretrain_steps' is 20, but the run from"),
         ("train", ["train.pretrain_lr=0.01"], "'train.pretrain_lr' is 0.01, but the run from"),
         ("train", ["train.m=3"], "'train.m' is 3, but the run uses 2"),
         ("train", ["train.m=4"], "'train.m' is 4, but the run uses 2"),
         ("eval", ["model.d=16", "model.n_layers=3"], "'model.d' is 16, but the run uses 12"),
-        ("eval", ["model.dropout=0.1"], "'model.dropout' is 0.1, but the run uses 0.0"),
+        ("eval", ["model.max_len=64"], "'model.max_len' is 64, but the run uses 48"),
         ("eval", ["train.m=5"], "'train.m' is 5, but the run uses 2"),
         ("eval", ["train.m=5", "model.d=16", "model.max_len=20"],
          "'model.d' is 16, but the run uses 12"),
@@ -720,7 +737,8 @@ class TestReportCommands:
         assert len(lines) == 2 + 2   # comment, header, one row per m
         payload = json.loads((out / "sweep.json").read_text())
         assert [r["m"] for r in payload["rows"]] == [1, 2]
-        assert payload["config"]["train.epochs"] == 1
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert "config" not in payload and resolved["train.epochs"] == 1
 
     def test_sweep_m_without_m_values_exits_2(self, tmp_path, capsys):
         out = tmp_path / "s"
@@ -739,6 +757,7 @@ class TestReportCommands:
         payload = json.loads((out / "protocol.json").read_text())
         assert payload["ratio_multi_mask"] == 1.0
         assert payload["ratio_single_mask"] == 1.0
+        assert "config" not in payload
 
     def test_probe_init_record_per_relation_view(self, tmp_path):
         out = tmp_path / "pi"
@@ -769,6 +788,7 @@ class TestReportCommands:
         payload = json.loads((out / "heatmap.json").read_text())
         assert len(payload["columns"]) == json.loads(
             (out / "resolved_config.json").read_text())["corpus.aspects_per_relation"]
+        assert "config" not in payload
 
     def test_analyze_views_requires_checkpoint(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

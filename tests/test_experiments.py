@@ -1,7 +1,7 @@
 """Training-loop contracts, metric oracles, grids, protocols, heatmap."""
 
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -144,6 +144,38 @@ class TestTrain:
         with pytest.raises(ValidationError, match="m="):
             train(episode, schema, fast_config(m=3, epochs=0), pretrained=artifacts)
 
+    @pytest.mark.parametrize("change,message", [
+        # a shorter max_len used to train on silently truncated prompts
+        (dict(max_len=40), "bundle was built with max_len=48, config wants max_len=40"),
+        # result.json records config.model, so it must be the model the run uses
+        (dict(model=ModelConfig(d=16, n_layers=1, n_heads=2, max_len=48)),
+         "bundle's model is ModelConfig(d=12, n_layers=1, n_heads=2, max_len=48, "
+         "vocab_size=74, dtype='float64', dropout=0.0, init_scale=0.02), config wants "
+         "ModelConfig(d=16, n_layers=1, n_heads=2, max_len=48, vocab_size=0,"),
+        # any field but vocab_size, not only the ones that shape the arrays
+        (dict(model=ModelConfig(d=12, n_layers=1, n_heads=2, max_len=48, init_scale=0.05)),
+         "config wants ModelConfig(d=12, n_layers=1, n_heads=2, max_len=48, vocab_size=0, "
+         "dtype='float64', dropout=0.0, init_scale=0.05)")],
+        ids=["max_len", "model", "init_scale"])
+    def test_pretrained_model_must_be_the_configs(self, change, message):
+        spec, ds, schema, splits = small_world()
+        episode = sample_kshot(splits, 1, 1)
+        cfg = fast_config(epochs=0)
+        bundle, _ = pretrain_bundle(ds, schema, cfg.model, PretrainConfig(steps=0))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            train(episode, schema, replace(cfg, **change), pretrained=bundle)
+
+    def test_pretrained_model_may_differ_in_vocab_size_only(self):
+        # a config's model leaves vocab_size unset (0); the bundle sets it
+        spec, ds, schema, splits = small_world()
+        episode = sample_kshot(splits, 1, 1)
+        cfg = fast_config(epochs=0)
+        bundle, _ = pretrain_bundle(ds, schema, cfg.model, PretrainConfig(steps=0))
+        assert bundle.model.config.vocab_size != cfg.model.vocab_size
+        artifacts, result = train(episode, schema, cfg, pretrained=bundle)
+        assert artifacts.model.config == bundle.model.config
+        assert result.config["model"] == asdict(cfg.model)
+
     def test_reordered_pretrained_relations_rejected(self):
         # apply_init writes each relation's vectors by the bundle's order
         spec, ds, schema, splits = small_world()
@@ -241,19 +273,6 @@ class TestTrain:
         n_steps = cfg.epochs * -(-len(episode.train.instances) // cfg.batch_size)
         assert steps == list(range(1, n_steps + 1))
         assert calls == [weights] * n_steps
-
-    def test_dropout_flag_trains_with_seeded_generator(self):
-        spec, ds, schema, splits = small_world()
-        episode = sample_kshot(splits, 2, 1)
-        cfg = fast_config(epochs=2, model=ModelConfig(d=12, n_layers=1, n_heads=2,
-                                                      max_len=48, dropout=0.1))
-        a1, r1 = train(episode, schema, cfg)
-        a2, r2 = train(episode, schema, cfg)
-        assert r1.per_epoch_losses == r2.per_epoch_losses
-        # and it differs from the no-dropout run
-        base_cfg = fast_config(epochs=2)
-        _, r3 = train(episode, schema, base_cfg)
-        assert r1.per_epoch_losses != r3.per_epoch_losses
 
 
 class TestGridAggregation:
