@@ -70,7 +70,6 @@ DEFAULTS: dict[str, object] = {
     "protocol.m": 4,
     "protocol.seeds": [1, 2, 3],
     "analysis.top_k": 10,
-    "eval.include_na": False,
 }
 
 # Lower bounds of the integer keys no config class validates (of each entry of a list).
@@ -103,10 +102,6 @@ def _get(cfg: dict, key: str):
         return str(value)
     if default is None and value is None:
         return None
-    if isinstance(default, bool):
-        if not isinstance(value, bool):  # bool("false") would be True
-            raise CliError(f"config key {key!r} needs true or false, got {value!r}")
-        return value
     if isinstance(default, list):
         convert, kind = _integers, "a non-empty list of integers"
     elif isinstance(default, int):
@@ -320,7 +315,7 @@ def cmd_train(args, cfg: dict) -> int:
     if args.checkpoint is not None:
         pretrained, tc, _ = _from_checkpoint(
             args.checkpoint, cfg, training=True, schema=schema, schema_file=args.schema,
-            pretrain_keys=("train.pretrain_steps", "train.pretrain_lr"))
+            pretrain_keys=("train.pretrain_steps",))
     episode = sample_kshot(_splits(dataset, cfg), _get(cfg, "data.k"), tc.seed)
     artifacts, result = train(episode, schema, tc, pretrained=pretrained)
     out = _out_dir(args, cfg)
@@ -346,7 +341,7 @@ def cmd_eval(args, cfg: dict) -> int:
     if missing:
         raise CliError(f"dataset {args.dataset} has labels that checkpoint {args.checkpoint} "
                        f"cannot predict: {missing}")
-    f1 = evaluate(artifacts, dataset, tc, na, include_na=_get(cfg, "eval.include_na"))
+    f1 = evaluate(artifacts, dataset, tc, na)
     out = _out_dir(args, cfg)
     write_json({"micro_f1": f1, "n_instances": len(dataset),
                 "dataset": str(args.dataset)}, out / "eval.json")

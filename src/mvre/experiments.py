@@ -55,9 +55,7 @@ class TrainConfig:
     max_len: int = 128
     seed: int = 1
     init_mode: str = COMBINED
-    weight_decay: float = 0.0
     pretrain_steps: int = 0
-    pretrain_lr: float = 2e-3
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def validate(self):
@@ -65,13 +63,10 @@ class TrainConfig:
             raise ValidationError(f"m must be >= 1, got {self.m}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValidationError(f"lr must be positive and finite, got {self.lr}")
-        for name in ("epochs", "seed", "alpha", "beta", "weight_decay", "pretrain_steps"):
+        for name in ("epochs", "seed", "alpha", "beta", "pretrain_steps"):
             value = getattr(self, name)
             if value is not None and not 0 <= value < np.inf:  # NaN fails too
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-        if not (np.isfinite(self.pretrain_lr) and self.pretrain_lr > 0):
-            raise ValidationError(f"pretrain_lr must be positive and finite, "
-                                  f"got {self.pretrain_lr}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.init_mode not in INIT_MODES:
@@ -110,15 +105,12 @@ class TrainedArtifacts:
     verbalizer: Verbalizer
 
 
-def micro_f1(predictions, golds, na_label: str | None, include_na: bool = False) -> float:
-    """Micro F1 over non-NA decisions (the usual RE convention).
-
-    With ``include_na`` every exact match counts and the score reduces to
-    accuracy.
-    """
+def micro_f1(predictions, golds, na_label: str | None) -> float:
+    """Micro F1 over non-NA decisions (the usual RE convention). Without an
+    NA label every exact match counts and the score reduces to accuracy."""
     if len(predictions) != len(golds):
         raise ValueError(f"got {len(predictions)} predictions for {len(golds)} golds")
-    if include_na or na_label is None:
+    if na_label is None:
         tp = sum(1 for p, g in zip(predictions, golds) if p == g)
         pred_pos = gold_pos = len(golds)
     else:
@@ -149,10 +141,10 @@ def predict(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig) 
 
 
 def evaluate(artifacts: TrainedArtifacts, dataset: Dataset, config: TrainConfig,
-             na_label: str | None, include_na: bool = False) -> float:
-    """Micro F1 of ``predict`` on a dataset; ``include_na`` as in ``micro_f1``."""
+             na_label: str | None) -> float:
+    """Micro F1 of ``predict`` on a dataset."""
     golds = [inst.label for inst in dataset.instances]
-    return micro_f1(predict(artifacts, dataset, config), golds, na_label, include_na)
+    return micro_f1(predict(artifacts, dataset, config), golds, na_label)
 
 
 def pretrain_bundle(corpus: Dataset, schema: RelationSchema, model_config: ModelConfig,
@@ -173,13 +165,15 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
           pretrained: TrainedArtifacts | None = None) -> tuple[TrainedArtifacts, RunResult]:
     """Prompt-tune on a k-shot episode and evaluate on its test split.
 
-    Starts from a copy of the pretrained bundle's model, whose m, ``max_len``
-    and model config (all but ``vocab_size``) must be the config's and whose
-    relation order must be the schema's; without one, builds a bundle from
-    the whole episode with ``pretrain_bundle`` (seeded with ``config.seed``,
-    pretrained for ``config.pretrain_steps``). Applies the configured
-    virtual-word initialization, then minimizes ``total_loss`` (the decoupled
-    loss plus the weighted contrastive terms) with mini-batch AdamW.
+    Starts from a copy of the pretrained bundle's model; without one, builds
+    a bundle of ``config.model`` from the whole episode with
+    ``pretrain_bundle`` (seeded with ``config.seed``, pretrained for
+    ``config.pretrain_steps`` at ``PretrainConfig``'s learning rate). Either
+    way the bundle's m, ``max_len`` and model config (all but
+    ``vocab_size``) must be the config's, and its relation order the
+    schema's. Applies the configured virtual-word initialization, then
+    minimizes ``total_loss`` (the decoupled loss plus the weighted
+    contrastive terms) with mini-batch AdamW.
     """
     t0 = time.perf_counter()
     config.validate()
@@ -191,17 +185,15 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
 
     if pretrained is None:
         pretrained, _ = pretrain_bundle(
-            merge_datasets([episode.train, episode.dev, episode.test]), schema,
-            replace(config.model, max_len=config.max_len),
-            PretrainConfig(steps=config.pretrain_steps, lr=config.pretrain_lr, seed=config.seed))
-    else:
-        held = pretrained.model.config
-        if config.max_len != held.max_len:
-            raise ValidationError(f"pretrained bundle was built with max_len={held.max_len}, "
-                                  f"config wants max_len={config.max_len}")
-        if replace(config.model, vocab_size=held.vocab_size) != held:
-            raise ValidationError(f"pretrained bundle's model is {held}, config wants "
-                                  f"{config.model}")
+            merge_datasets([episode.train, episode.dev, episode.test]), schema, config.model,
+            PretrainConfig(steps=config.pretrain_steps, seed=config.seed))
+    held = pretrained.model.config
+    if config.max_len != held.max_len:
+        raise ValidationError(f"the bundle was built with max_len={held.max_len}, "
+                              f"config wants max_len={config.max_len}")
+    if replace(config.model, vocab_size=held.vocab_size) != held:
+        raise ValidationError(f"pretrained bundle's model is {held}, config wants "
+                              f"{config.model}")
     model = pretrained.model.copy()
     vocab, verbalizer = pretrained.vocab, pretrained.verbalizer
     if verbalizer.m != config.m:
@@ -217,7 +209,7 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
     prompts = _encode_all(episode.train, vocab, config)
     labels = [verbalizer.relation_order.index(inst.label) for inst in episode.train.instances]
     params = (model.params(), head.params())
-    opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
+    opt = AdamW(params, lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 0x5F])
     n_rel = len(schema.relations)
 

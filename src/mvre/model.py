@@ -182,8 +182,8 @@ ADAMW_BETAS, ADAMW_EPS = (0.9, 0.999), 1e-8
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam, in place on a fixed parameter set; a step
-    that leaves a non-finite value raises, naming the parameter.
+    """Adam, in place on a fixed parameter set, with no weight decay applied;
+    a step that leaves a non-finite value raises, naming the parameter.
 
     ``params`` is an ``ad.Arena`` or a sequence of them, as ``ad.grad`` takes
     it (``ad.arenas``). Each arena moves as one vector and reads its gradient
@@ -193,10 +193,9 @@ class AdamW:
     association, so the grouping does not change a bit.
     """
 
-    def __init__(self, params, lr: float, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float):
         self.params = ad.arenas(params)
         self.lr = lr
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(arena.flat()) for arena in self.params]
         self.v = [np.zeros_like(m) for m in self.m]
@@ -208,8 +207,6 @@ class AdamW:
         self.t += 1
         for (w, g), m, v in zip(slots, self.m, self.v):
             s, u = self.scratch[:, : w.size]
-            if self.weight_decay != 0.0:
-                w -= np.multiply(w, self.lr * self.weight_decay, out=s)  # w - lr * wd * w
             m *= b1  # m = b1 * m + (1 - b1) * g
             m += np.multiply(g, 1.0 - b1, out=s)
             v *= b2  # v = b2 * v + (1 - b2) * (g * g)

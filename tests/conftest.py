@@ -115,8 +115,7 @@ def reference_view_posterior(head, states):
     return sig / ad.tsum(sig)
 
 
-def reference_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
-                         weight_decay=0.0):
+def reference_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
     """AdamW one parameter at a time, with its moments in ``state``: the
     former ``adamw_step``.
 
@@ -136,8 +135,6 @@ def reference_adamw_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
         st["v"] = b2 * st["v"] + (1.0 - b2) * (g * g)
         m_hat = st["m"] / (1.0 - b1 ** t)
         v_hat = st["v"] / (1.0 - b2 ** t)
-        if weight_decay != 0.0:
-            p.data = p.data - lr * weight_decay * p.data
         p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 

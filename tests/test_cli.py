@@ -62,7 +62,10 @@ class TestConfigResolution:
                                            ("train.best_dev_selection", False),
                                            ("train.score_mode", "mixture"),
                                            ("model.dtype", "float64"),
-                                           ("model.dropout", 0.0)])
+                                           ("model.dropout", 0.0),
+                                           ("train.weight_decay", 0.0),
+                                           ("train.pretrain_lr", 2e-3),
+                                           ("eval.include_na", False)])
     def test_older_resolved_config_with_deleted_key_exits_2(self, tmp_path, capsys, key,
                                                             value):
         path = tmp_path / "resolved_config.json"
@@ -89,12 +92,6 @@ class TestConfigResolution:
         with pytest.raises(CliError, match="sweep.seeds"):
             resolve_config(None, ["sweep.seeds=3"], None, "sweep-m")
 
-    def test_boolean_needs_true_or_false(self):
-        with pytest.raises(CliError, match="eval.include_na"):
-            resolve_config(None, ["eval.include_na=no"], None, "eval")
-        assert resolve_config(None, ["eval.include_na=true"], None,
-                              "eval")["eval.include_na"] is True
-
     def test_optional_number_accepts_null(self):
         cfg = resolve_config(None, ["train.alpha=null", "train.beta=0.5"], None, "train")
         assert cfg["train.alpha"] is None and cfg["train.beta"] == 0.5
@@ -118,11 +115,10 @@ class TestConfigResolution:
             "pretrain.mask_rate": 0.15, "pretrain.holdout_fraction": 0.1, "pretrain.seed": 0,
             "train.m": 4, "train.alpha": None, "train.beta": None, "train.lr": 3e-5,
             "train.epochs": 40, "train.batch_size": 8, "train.seed": 1,
-            "train.init_mode": "combined", "train.weight_decay": 0.0,
-            "train.pretrain_steps": 0, "train.pretrain_lr": 2e-3,
+            "train.init_mode": "combined", "train.pretrain_steps": 0,
             "sweep.k": 1, "sweep.seeds": [1, 2, 3, 4, 5], "sweep.m_values": [1, 2, 3, 4, 5],
             "protocol.k": 4, "protocol.m": 4, "protocol.seeds": [1, 2, 3],
-            "analysis.top_k": 10, "eval.include_na": False,
+            "analysis.top_k": 10,
         }
         got = resolve_config(None, [], None, "train")
         assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
@@ -227,8 +223,7 @@ class TestGenerateCorpus:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", ["train.m=true", "train.lr=true",
-                                          "train.weight_decay=false", "sweep.seeds=[true,2]",
-                                          "train.alpha=true"])
+                                          "sweep.seeds=[true,2]", "train.alpha=true"])
     def test_boolean_for_a_number_exits_2_naming_key(self, tmp_path, capsys, override):
         # float(True) is 1.0: train.m=true used to run m=1
         code = run("train", "--out", str(tmp_path / "o"), "--set", override)
@@ -241,7 +236,7 @@ class TestGenerateCorpus:
         assert resolve_config(None, ["train.epochs=3.0"], None, "train")["train.epochs"] == 3.0
 
     @pytest.mark.parametrize("command,override,name", [
-        ("train", "train.weight_decay=-1", "weight_decay"), ("train", "train.lr=0", "lr"),
+        ("train", "train.lr=0", "lr"),
         ("train", "model.n_heads=0", "n_heads"), ("train", "model.n_layers=-1", "n_layers"),
         # deleted keys: an older resolved_config.json that names one exits 2
         ("train", "train.entity_order=sub_obj", "unknown config key 'train.entity_order'"),
@@ -254,6 +249,11 @@ class TestGenerateCorpus:
         ("train", "model.dtype=float64", "unknown config key 'model.dtype'"),
         ("train", "model.dtype=float32", "unknown config key 'model.dtype'"),
         ("train", "model.dropout=0.1", "unknown config key 'model.dropout'"),
+        # no run set weight decay, a second pretraining learning rate or an
+        # accuracy that counts NA matches
+        ("train", "train.weight_decay=0.01", "unknown config key 'train.weight_decay'"),
+        ("train", "train.pretrain_lr=0.01", "unknown config key 'train.pretrain_lr'"),
+        ("train", "eval.include_na=true", "unknown config key 'eval.include_na'"),
         ("train", "train.init_mode=foo", "init_mode"), ("train", "train.m=0", "m must be"),
         ("train", "data.k=0", "data.k"), ("sim-protocol", "protocol.m=0", "protocol.m"),
         ("pretrain", "pretrain.seed=-1", "seed"),
@@ -297,7 +297,8 @@ class TestReadme:
     SECTIONS = "corpus|data|model|pretrain|train|sweep|protocol|analysis|eval"
     # the README names these only to say that they are gone
     DELETED = {"train.entity_order", "train.entity_markers", "train.best_dev_selection",
-               "train.score_mode", "model.dtype", "model.dropout"}
+               "train.score_mode", "model.dtype", "model.dropout", "train.weight_decay",
+               "train.pretrain_lr", "eval.include_na"}
 
     def test_every_key_written_in_readme_exists(self):
         # a deleted config key must not linger in the documentation: neither
@@ -328,23 +329,23 @@ class TestTrainEvalRound:
         assert (outs[0] / "model.ckpt").read_bytes() == (outs[1] / "model.ckpt").read_bytes()
         assert (outs[0] / "result.json").read_bytes() == (outs[1] / "result.json").read_bytes()
 
-    # criterion 10's small configuration, then m=3 with weight decay and inner
-    # pretraining; a change that shifts any training bit changes these digests
+    # criterion 10's small configuration, then m=3 with inner pretraining; a
+    # change that shifts any training bit changes these digests
     SMALL = ["corpus.n_relations=3", "corpus.instances_per_relation=8",
              "corpus.vocab_pool_size=20", "model.d=12", "model.n_layers=1",
              "model.n_heads=2", "model.max_len=48", "train.m=2", "train.epochs=2",
              "train.lr=0.005", "train.init_mode=combined"]
-    M3 = ["train.m=3", "train.weight_decay=0.01", "train.pretrain_steps=20"]
+    M3 = ["train.m=3", "train.pretrain_steps=20"]
 
     @pytest.mark.parametrize("sets,ckpt_sha,result_sha", [
         (SMALL, "ecb272ac0a0ee53b7e93337903737956c86a86fb4cc3747627ac93296a209b0f",
-         "a95c2219004fed38ae1cb78fcad288abcd183e491725168e4f79ad4f59f624b2"),
-        (SMALL + M3, "af0dbe09ed4467670a0eb35ce08772a7a3a7dd9c702fcdbb946cb7c024938f47",
-         "00fb5f0272e89c1bf6919780410bc5d994403fafdfcaacc7baa31a139c012b50"),
+         "4c0b7e88472810915f5a4c3118c4b4d9c937c03a5c83dc3e19bd99ce62e49596"),
+        (SMALL + M3, "aa176936011b6fa232901561d4baa44370170cf2f62250595cc9948209eff733",
+         "4a39a0f353696e907867a228c55f0bcdf7e83c13403b33aef746e9e1b204ca0d"),
         # no Global-Local terms: a zero weight must add exact zeros
         (SMALL + ["train.alpha=0", "train.beta=0"],
          "b4dbee65e35abfccb67cbdbf52fa2fe1311cbe4ebb86c9dd45c930a8da74cfd0",
-         "0a69967ff8d449476ed1969438d7c1105048c7733cf29f70d92c92348d3e7ceb")],
+         "d9d620b2e3b0d4f4d8d175395f8faf7150b5c1590cac66de2710f15d3fdf9173")],
         ids=["small", "m3", "no_global_local"])  # a moved digest keeps the test id
     def test_train_artifacts_pinned(self, tmp_path, sets, ckpt_sha, result_sha):
         sets = [arg for item in sets for arg in ("--set", item)]
@@ -354,30 +355,24 @@ class TestTrainEvalRound:
             platform_note()
 
     # criterion 10's checkpoint, and the same run on a corpus with an NA
-    # label, evaluated on its whole corpus with and without eval.include_na;
+    # label, evaluated on its whole corpus, which scores without the NA label;
     # a change that flips any prediction changes these digests. Paths are
-    # relative, since eval.json echoes the dataset path. Without an NA label
-    # every match counts either way, so both plain cases pin the same bytes.
-    @pytest.mark.parametrize("corpus_sets,include_na,eval_sha", [
-        ([], "false", "7de5aee8852e0e90a7b44d31f96abaff38420ecafc29038d542398c84deea574"),
-        ([], "true", "7de5aee8852e0e90a7b44d31f96abaff38420ecafc29038d542398c84deea574"),
-        (["corpus.na_fraction=0.25"], "false",
-         "1336315365b8ae556146e3624641412c67028209a4d413675172a0fdcabc308b"),
-        (["corpus.na_fraction=0.25"], "true",
-         "298e7ebbaf122b92f2d1cf8a162b38b859c1e9ae52c783cdf4da9c331a74fafa")],
-        ids=["plain-exclude_na", "plain-include_na", "na-exclude_na", "na-include_na"])
-    def test_eval_artifact_pinned(self, tmp_path, monkeypatch, corpus_sets, include_na,
-                                  eval_sha):
+    # relative, since eval.json echoes the dataset path.
+    @pytest.mark.parametrize("corpus_sets,eval_sha", [
+        ([], "7de5aee8852e0e90a7b44d31f96abaff38420ecafc29038d542398c84deea574"),
+        (["corpus.na_fraction=0.25"],
+         "1336315365b8ae556146e3624641412c67028209a4d413675172a0fdcabc308b")],
+        ids=["plain-exclude_na", "na-exclude_na"])
+    def test_eval_artifact_pinned(self, tmp_path, monkeypatch, corpus_sets, eval_sha):
         monkeypatch.chdir(tmp_path)
         sets = lambda items: [arg for item in items for arg in ("--set", item)]
         assert run("train", "--out", "plain/t", "--seed", "11",
                    *sets(self.SMALL + corpus_sets)) == 0
         assert run("generate-corpus", "--out", "plain/c",
                    *sets(self.SMALL[:3] + corpus_sets)) == 0
-        out = f"plain/e{include_na}"
+        out = "plain/e"
         assert run("eval", "--out", out, "--checkpoint", "plain/t/model.ckpt",
-                   "--dataset", "plain/c/corpus.jsonl",
-                   "--set", f"eval.include_na={include_na}") == 0
+                   "--dataset", "plain/c/corpus.jsonl") == 0
         assert hashlib.sha256((tmp_path / out / "eval.json").read_bytes()).hexdigest() == eval_sha
 
     def test_checkpoint_schema_holds_the_na_label_and_older_layout_evaluates(self, tmp_path):
@@ -589,7 +584,6 @@ class TestTrainFromCheckpoint:
         ("train", ["model.max_len=64"], "'model.max_len' is 64, but the run uses 48"),
         ("train", ["model.n_heads=3"], "'model.n_heads' is 3, but the run uses 2"),
         ("train", ["train.pretrain_steps=20"], "'train.pretrain_steps' is 20, but the run from"),
-        ("train", ["train.pretrain_lr=0.01"], "'train.pretrain_lr' is 0.01, but the run from"),
         ("train", ["train.m=3"], "'train.m' is 3, but the run uses 2"),
         ("train", ["train.m=4"], "'train.m' is 4, but the run uses 2"),
         ("eval", ["model.d=16", "model.n_layers=3"], "'model.d' is 16, but the run uses 12"),
@@ -620,7 +614,7 @@ class TestTrainFromCheckpoint:
                     and not (arg == "--set" and FAST_SETS[i + 1].startswith("model."))]
         for name, sets in (("match", FAST_SETS), ("default", defaults)):
             assert run("train", "--out", str(tmp_path / name), "--checkpoint",
-                       str(checkpoint), *sets, "--set", "train.pretrain_lr=0.002") == 0
+                       str(checkpoint), *sets, "--set", "train.pretrain_steps=0") == 0
         result = json.loads((tmp_path / "default" / "result.json").read_text())
         assert result["config"]["max_len"] == 48
         # result.json records the checkpoint's model: d=12, 1 layer

@@ -69,11 +69,6 @@ class TestMicroF1:
         shuffled = micro_f1([preds[i] for i in perm], [golds[i] for i in perm], "NA")
         assert shuffled == base
 
-    def test_include_na_reduces_to_accuracy(self):
-        golds = ["A", "NA", "B"]
-        preds = ["A", "NA", "A"]
-        assert micro_f1(preds, golds, "NA", include_na=True) == pytest.approx(2 / 3)
-
 
 class TestTrain:
     def test_epochs_zero_is_initialized_model(self):
@@ -112,7 +107,7 @@ class TestTrain:
         merged = merge_datasets([episode.train, episode.dev, episode.test])
         bundle, pretrained = pretrain_bundle(
             merged, schema, cfg.model,
-            PretrainConfig(steps=20, lr=cfg.pretrain_lr, seed=cfg.seed))
+            PretrainConfig(steps=20, seed=cfg.seed))
         assert len(pretrained.step_losses) == 20
         a1, r1 = train(episode, schema, replace(cfg, pretrain_steps=20))
         a2, r2 = train(episode, schema, cfg, pretrained=bundle)
@@ -165,6 +160,15 @@ class TestTrain:
         with pytest.raises(ValidationError, match=re.escape(message)):
             train(episode, schema, replace(cfg, **change), pretrained=bundle)
 
+    def test_built_model_must_have_the_configs_max_len(self):
+        # without a bundle train() builds config.model, which result.json
+        # records; a max_len other than the model's used to train at one and
+        # record the other
+        spec, ds, schema, splits = small_world()
+        with pytest.raises(ValidationError, match=re.escape(
+                "was built with max_len=48, config wants max_len=40")):
+            train(sample_kshot(splits, 1, 1), schema, fast_config(epochs=0, max_len=40))
+
     def test_pretrained_model_may_differ_in_vocab_size_only(self):
         # a config's model leaves vocab_size unset (0); the bundle sets it
         spec, ds, schema, splits = small_world()
@@ -210,22 +214,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value", [
         ("alpha", -1.0), ("beta", -0.1), ("alpha", float("nan")),
-        ("weight_decay", -0.01), ("pretrain_steps", -1),
-        ("pretrain_lr", 0.0), ("pretrain_lr", -2e-3), ("pretrain_lr", float("nan")),
-        ("pretrain_lr", float("inf")), ("weight_decay", float("inf")), ("epochs", -1),
-        ("seed", -1)])
+        ("pretrain_steps", -1), ("epochs", -1), ("seed", -1)])
     def test_bad_field_rejected(self, field, value):
         # a negative alpha or beta would silently turn a regularizer around
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value}).validate()
 
     def test_zero_weights_and_unset_alpha_beta_accepted(self):
-        TrainConfig(alpha=0.0, beta=0.0, weight_decay=0.0, pretrain_steps=0).validate()
+        TrainConfig(alpha=0.0, beta=0.0, pretrain_steps=0).validate()
         TrainConfig(alpha=None, beta=None).validate()
 
     def test_evaluate_batches_like_one_at_a_time(self):
-        # evaluate runs packed chunks of batch_size prompts; with include_na
-        # the score is the accuracy of the per-prompt predictions
+        # evaluate runs packed chunks of batch_size prompts; without an NA
+        # label the score is the accuracy of the per-prompt predictions
         spec, ds, schema, splits = small_world(n_relations=3, instances_per_relation=8)
         episode = sample_kshot(splits, 1, 1)
         artifacts, _ = train(episode, schema, fast_config(epochs=1))
@@ -238,8 +239,7 @@ class TestTrain:
                              for p in prompts]
             golds = [inst.label for inst in data.instances]
             accuracy = sum(p == g for p, g in zip(preds, golds)) / len(golds)
-            assert evaluate(artifacts, data, cfg, data.relations[0],
-                            include_na=True) == pytest.approx(accuracy, abs=1e-15)
+            assert evaluate(artifacts, data, cfg, None) == pytest.approx(accuracy, abs=1e-15)
 
     def test_alpha_beta_defaults_switch_with_init_mode(self):
         assert TrainConfig(init_mode="static").resolved_alpha_beta() == (2.0, 0.1)
