@@ -223,7 +223,8 @@ class TestGenerateCorpus:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", ["train.m=true", "train.lr=true",
-                                          "sweep.seeds=[true,2]", "train.alpha=true"])
+                                          "sweep.seeds=[true,2]", "train.alpha=true",
+                                          "pretrain.lr=false"])
     def test_boolean_for_a_number_exits_2_naming_key(self, tmp_path, capsys, override):
         # float(True) is 1.0: train.m=true used to run m=1
         code = run("train", "--out", str(tmp_path / "o"), "--set", override)
@@ -236,7 +237,7 @@ class TestGenerateCorpus:
         assert resolve_config(None, ["train.epochs=3.0"], None, "train")["train.epochs"] == 3.0
 
     @pytest.mark.parametrize("command,override,name", [
-        ("train", "train.lr=0", "lr"),
+        ("train", "train.lr=0", "lr"), ("train", "train.beta=-1", "beta"),
         ("train", "model.n_heads=0", "n_heads"), ("train", "model.n_layers=-1", "n_layers"),
         # deleted keys: an older resolved_config.json that names one exits 2
         ("train", "train.entity_order=sub_obj", "unknown config key 'train.entity_order'"),

@@ -69,6 +69,13 @@ class TestMicroF1:
         shuffled = micro_f1([preds[i] for i in perm], [golds[i] for i in perm], "NA")
         assert shuffled == base
 
+    def test_no_na_label_reduces_to_accuracy(self):
+        # without an NA label a match on a label named "NA" counts like any other
+        golds = ["A", "NA", "B"]
+        preds = ["A", "NA", "A"]
+        assert micro_f1(preds, golds, None) == pytest.approx(2 / 3)
+        assert micro_f1(preds, golds, "NA") == pytest.approx(1 / 2)
+
 
 class TestTrain:
     def test_epochs_zero_is_initialized_model(self):
@@ -213,8 +220,10 @@ class TestTrain:
             train(episode, schema, fast_config(batch_size=0))
 
     @pytest.mark.parametrize("field,value", [
-        ("alpha", -1.0), ("beta", -0.1), ("alpha", float("nan")),
-        ("pretrain_steps", -1), ("epochs", -1), ("seed", -1)])
+        ("alpha", -1.0), ("beta", -0.1), ("alpha", float("nan")), ("beta", float("inf")),
+        ("pretrain_steps", -1), ("epochs", -1), ("seed", -1),
+        ("lr", 0.0), ("lr", -3e-5), ("lr", float("nan")), ("lr", float("inf")),
+        ("m", 0), ("batch_size", 0), ("init_mode", "foo")])
     def test_bad_field_rejected(self, field, value):
         # a negative alpha or beta would silently turn a regularizer around
         with pytest.raises(ValidationError, match=field):
