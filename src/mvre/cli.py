@@ -58,7 +58,6 @@ DEFAULTS: dict[str, object] = {
     "corpus.seed": 1,
     "data.dev_fraction": 0.2,
     "data.test_fraction": 0.2,
-    "data.split_seed": 0,
     "data.k": 1,
     **_field_keys("model"),
     **_field_keys("pretrain"),
@@ -69,13 +68,11 @@ DEFAULTS: dict[str, object] = {
     "protocol.k": 4,
     "protocol.m": 4,
     "protocol.seeds": [1, 2, 3],
-    "analysis.top_k": 10,
 }
 
 # Lower bounds of the integer keys no config class validates (of each entry of a list).
-_MINIMUM = {"corpus.seed": 0, "data.split_seed": 0, "data.k": 1, "sweep.k": 1,
-            "sweep.seeds": 0, "sweep.m_values": 1, "protocol.k": 1, "protocol.m": 1,
-            "protocol.seeds": 0, "analysis.top_k": 1}
+_MINIMUM = {"corpus.seed": 0, "data.k": 1, "sweep.k": 1, "sweep.seeds": 0,
+            "sweep.m_values": 1, "protocol.k": 1, "protocol.m": 1, "protocol.seeds": 0}
 
 class CliError(Exception):
     """Configuration/usage problem; maps to exit code 2."""
@@ -205,8 +202,7 @@ def _synthetic_corpus(cfg: dict):
 def _splits(dataset, cfg: dict):
     """The corpus's splits; an empty test split is a configuration error (it
     would score a silent 0)."""
-    splits = make_splits(dataset, _get(cfg, "data.dev_fraction"),
-                         _get(cfg, "data.test_fraction"), _get(cfg, "data.split_seed"))
+    splits = make_splits(dataset, _get(cfg, "data.dev_fraction"), _get(cfg, "data.test_fraction"))
     if not splits.test.instances:
         raise CliError(f"the test split is empty (data.test_fraction="
                        f"{_get(cfg, 'data.test_fraction')}): nothing to evaluate on")
@@ -435,8 +431,7 @@ def cmd_analyze_views(args, cfg: dict) -> int:
             if words:
                 aspect_sets[f"aspect{gi}"] = words
     matrix, row_labels, col_labels = view_aspect_heatmap(
-        artifacts.model, artifacts.vocab, artifacts.verbalizer, aspect_sets,
-        top_k=_get(cfg, "analysis.top_k"))
+        artifacts.model, artifacts.vocab, artifacts.verbalizer, aspect_sets)
     out = _out_dir(args, cfg)
     (out / "heatmap.csv").write_text(heatmap_csv(matrix, row_labels, col_labels),
                                      encoding="utf-8")

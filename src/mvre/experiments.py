@@ -168,7 +168,7 @@ def train(episode: DatasetSplits, schema: RelationSchema, config: TrainConfig,
     Starts from a copy of the pretrained bundle's model; without one, builds
     a bundle of ``config.model`` from the whole episode with
     ``pretrain_bundle`` (seeded with ``config.seed``, pretrained for
-    ``config.pretrain_steps`` at ``PretrainConfig``'s learning rate). Either
+    ``config.pretrain_steps`` of the one pretraining recipe). Either
     way the bundle's m, ``max_len`` and model config (all but
     ``vocab_size``) must be the config's, and its relation order the
     schema's. Applies the configured virtual-word initialization, then

@@ -224,28 +224,20 @@ class AdamW:
 # -- masked-token pretraining ---------------------------------------------------
 
 
+# The one pretraining recipe: sentences per step, learning rate, masked and held-out shares.
+PRETRAIN_BATCH, PRETRAIN_LR, PRETRAIN_MASK_RATE, PRETRAIN_HOLDOUT = 8, 2e-3, 0.15, 0.1
+
+
 @dataclass
 class PretrainConfig:
+    """The settings of one ``pretrain_mlm`` run; the recipe is the module's."""
     steps: int = 3000
-    batch_size: int = 8
-    lr: float = 2e-3
-    mask_rate: float = 0.15
-    holdout_fraction: float = 0.1
     seed: int = 0
     log_every: int = 200
 
     def validate(self):
         if self.steps < 0:
             raise ValidationError(f"pretrain steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValidationError(f"pretrain batch_size must be >= 1, got {self.batch_size}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValidationError(f"pretrain lr must be positive and finite, got {self.lr}")
-        if not 0.0 < self.mask_rate <= 1.0:
-            raise ValidationError(f"pretrain mask_rate must be in (0, 1], got {self.mask_rate}")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ValidationError(f"pretrain holdout_fraction must be in [0, 1), "
-                                  f"got {self.holdout_fraction}")
         if self.seed < 0:
             raise ValidationError(f"pretrain seed must be >= 0, got {self.seed}")
 
@@ -257,10 +249,10 @@ class PretrainResult:
     step_losses: list[float]
 
 
-def _apply_mlm_mask(ids: np.ndarray, candidates: np.ndarray, mask_id: int, rate: float,
+def _apply_mlm_mask(ids: np.ndarray, candidates: np.ndarray, mask_id: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replace ~rate of the candidate (non-special) positions with [MASK]; at least one."""
-    n = max(1, int(round(rate * len(candidates))))
+    """Mask ~PRETRAIN_MASK_RATE of the candidate (non-special) positions; at least one."""
+    n = max(1, int(round(PRETRAIN_MASK_RATE * len(candidates))))
     picked = rng.choice(len(candidates), size=min(n, len(candidates)), replace=False)
     positions = np.sort(candidates[picked])
     corrupted = ids.copy()
@@ -279,9 +271,11 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
                  config: PretrainConfig) -> PretrainResult:
     """Masked-token prediction training on a corpus' sentences.
 
-    A held-out slice of the corpus measures masked-token accuracy after
-    training; the score is logged and returned. Zero steps leave the model
-    untouched.
+    Each of ``config.steps`` AdamW steps at ``PRETRAIN_LR`` trains on
+    ``PRETRAIN_BATCH`` sentences with ``PRETRAIN_MASK_RATE`` of their ordinary
+    tokens masked. The ``PRETRAIN_HOLDOUT`` share of the corpus held out
+    measures masked-token accuracy after training; the score is logged and
+    returned. Zero steps leave the model untouched.
     """
     if not corpus.instances:
         raise ValueError("pretraining corpus is empty")
@@ -293,10 +287,7 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
             raise ValidationError(f"pretraining sentence {i} is {len(ids)} tokens long with "
                                   f"its markers, over model.max_len={model.config.max_len}")
     maskable = maskable_positions(encoded, vocab)
-    n_hold = int(round(len(encoded) * config.holdout_fraction))
-    if n_hold >= len(encoded):
-        raise ValidationError(f"pretrain holdout_fraction={config.holdout_fraction} holds out "
-                              f"all {len(encoded)} sentences, leaving none to train on")
+    n_hold = int(round(len(encoded) * PRETRAIN_HOLDOUT))
     order = rng.permutation(len(encoded))
     hold_idx, train_idx = order[:n_hold], order[n_hold:]
 
@@ -305,17 +296,17 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
         seqs, positions, targets = [], [], []
         for i in indices:
             corrupted, pos, target = _apply_mlm_mask(
-                encoded[i], maskable[i], vocab.mask_id, config.mask_rate, mask_rng)
+                encoded[i], maskable[i], vocab.mask_id, mask_rng)
             seqs.append(corrupted)
             positions.append(pos)
             targets.append(target)
         _, logits = forward_batch(model, seqs, reads=positions)
         return logits, np.concatenate(targets)
 
-    opt = AdamW(model.params(), lr=config.lr)
+    opt = AdamW(model.params(), lr=PRETRAIN_LR)
     losses: list[float] = []
     for step in range(config.steps):
-        batch_ids = rng.integers(0, len(train_idx), size=config.batch_size)
+        batch_ids = rng.integers(0, len(train_idx), size=PRETRAIN_BATCH)
         logits, targets = masked_batch(train_idx[batch_ids], rng)
         probs = ad.softmax(logits)
         picked = ad.index(probs, (np.arange(len(targets)), targets))
@@ -329,9 +320,8 @@ def pretrain_mlm(model: MlmModel, corpus: Dataset, vocab: Vocab,
     correct = total = 0
     eval_rng = np.random.default_rng([config.seed, 0xE7A1])
     with ad.no_grad():
-        for start in range(0, n_hold, config.batch_size):
-            logits, targets = masked_batch(hold_idx[start : start + config.batch_size],
-                                           eval_rng)
+        for start in range(0, n_hold, PRETRAIN_BATCH):
+            logits, targets = masked_batch(hold_idx[start : start + PRETRAIN_BATCH], eval_rng)
             correct += int((logits.data.argmax(axis=-1) == targets).sum())
             total += len(targets)
     accuracy = correct / total if total else 0.0

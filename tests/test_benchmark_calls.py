@@ -5,7 +5,8 @@
 entry points). A change that breaks one fails here, not at benchmark time.
 Nothing under ``perfbench/`` is written (its build directory is redirected
 to ``tmp_path``, and no bytecode is cached), and the fine-tuning workload
-runs from an untrained trend model instead of the 3000-step pretrained one.
+runs from an untrained trend model, or from one pretrained for two steps,
+instead of the 3000-step pretrained one.
 """
 
 import sys
@@ -70,3 +71,15 @@ def test_finetune_op_from_an_untrained_trend_model(bench):
     inp = wl.reference(world)[0]
     run_one(harness, hook, wl, world, inp)
     assert len(hook.stamps) == wl.planned(world, inp)
+
+
+def test_finetune_op_from_a_built_checkpoint(bench, monkeypatch, tmp_path):
+    # the build's pretrain-and-save path and setup's checkpoint and vocabulary
+    # check, in-process and at two pretraining steps
+    harness, workloads, hook = bench
+    monkeypatch.setattr(workloads, "TREND_PRETRAIN_STEPS", 2)
+    workloads.Finetune().pretrain()
+    wl = workloads.Finetune()
+    assert wl.checkpoint.parent == tmp_path and wl.checkpoint.name.endswith("-2.ckpt")
+    world = wl.setup(1)
+    run_one(harness, hook, wl, world, wl.reference(world)[0])

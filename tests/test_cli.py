@@ -12,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from mvre.cli import DEFAULTS, build_configs, main, resolve_config, CliError
+from mvre.cli import DEFAULTS, _splits, build_configs, main, resolve_config, CliError
+from mvre.data import CorpusSpec, generate_corpus, make_splits
+from mvre.experiments import view_aspect_heatmap
 from mvre.model import MlmModel, ModelConfig, load_checkpoint, save_checkpoint
+from mvre.vocab import vocab_from_payload
 
 from acceptance_workloads import platform_note
 from conftest import drop_base_word, repeat_relation, rewrite_header, write_array_value
@@ -65,7 +68,13 @@ class TestConfigResolution:
                                            ("model.dropout", 0.0),
                                            ("train.weight_decay", 0.0),
                                            ("train.pretrain_lr", 2e-3),
-                                           ("eval.include_na", False)])
+                                           ("eval.include_na", False),
+                                           ("pretrain.batch_size", 8),
+                                           ("pretrain.lr", 2e-3),
+                                           ("pretrain.mask_rate", 0.15),
+                                           ("pretrain.holdout_fraction", 0.1),
+                                           ("data.split_seed", 0),
+                                           ("analysis.top_k", 10)])
     def test_older_resolved_config_with_deleted_key_exits_2(self, tmp_path, capsys, key,
                                                             value):
         path = tmp_path / "resolved_config.json"
@@ -108,17 +117,14 @@ class TestConfigResolution:
             "corpus.aspects_per_relation": 4, "corpus.vocab_pool_size": 200,
             "corpus.sentence_length_min": 9, "corpus.sentence_length_max": 14,
             "corpus.na_fraction": 0.0, "corpus.seed": 1,
-            "data.dev_fraction": 0.2, "data.test_fraction": 0.2, "data.split_seed": 0,
-            "data.k": 1,
+            "data.dev_fraction": 0.2, "data.test_fraction": 0.2, "data.k": 1,
             "model.d": 64, "model.n_layers": 2, "model.n_heads": 4, "model.max_len": 128,
-            "pretrain.steps": 3000, "pretrain.batch_size": 8, "pretrain.lr": 2e-3,
-            "pretrain.mask_rate": 0.15, "pretrain.holdout_fraction": 0.1, "pretrain.seed": 0,
+            "pretrain.steps": 3000, "pretrain.seed": 0,
             "train.m": 4, "train.alpha": None, "train.beta": None, "train.lr": 3e-5,
             "train.epochs": 40, "train.batch_size": 8, "train.seed": 1,
             "train.init_mode": "combined", "train.pretrain_steps": 0,
             "sweep.k": 1, "sweep.seeds": [1, 2, 3, 4, 5], "sweep.m_values": [1, 2, 3, 4, 5],
             "protocol.k": 4, "protocol.m": 4, "protocol.seeds": [1, 2, 3],
-            "analysis.top_k": 10,
         }
         got = resolve_config(None, [], None, "train")
         assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
@@ -224,7 +230,7 @@ class TestGenerateCorpus:
 
     @pytest.mark.parametrize("override", ["train.m=true", "train.lr=true",
                                           "sweep.seeds=[true,2]", "train.alpha=true",
-                                          "pretrain.lr=false"])
+                                          "pretrain.steps=false"])
     def test_boolean_for_a_number_exits_2_naming_key(self, tmp_path, capsys, override):
         # float(True) is 1.0: train.m=true used to run m=1
         code = run("train", "--out", str(tmp_path / "o"), "--set", override)
@@ -255,6 +261,15 @@ class TestGenerateCorpus:
         ("train", "train.weight_decay=0.01", "unknown config key 'train.weight_decay'"),
         ("train", "train.pretrain_lr=0.01", "unknown config key 'train.pretrain_lr'"),
         ("train", "eval.include_na=true", "unknown config key 'eval.include_na'"),
+        # every run pretrains with one recipe, splits with seed 0 and averages
+        # the heatmap's top 10
+        ("pretrain", "pretrain.batch_size=2", "unknown config key 'pretrain.batch_size'"),
+        ("pretrain", "pretrain.lr=0.01", "unknown config key 'pretrain.lr'"),
+        ("pretrain", "pretrain.mask_rate=0.5", "unknown config key 'pretrain.mask_rate'"),
+        ("pretrain", "pretrain.holdout_fraction=0.2",
+         "unknown config key 'pretrain.holdout_fraction'"),
+        ("train", "data.split_seed=3", "unknown config key 'data.split_seed'"),
+        ("train", "analysis.top_k=3", "unknown config key 'analysis.top_k'"),
         ("train", "train.init_mode=foo", "init_mode"), ("train", "train.m=0", "m must be"),
         ("train", "data.k=0", "data.k"), ("sim-protocol", "protocol.m=0", "protocol.m"),
         ("pretrain", "pretrain.seed=-1", "seed"),
@@ -284,6 +299,14 @@ class TestGenerateCorpus:
         assert run("train", "--out", str(tmp_path / "o"), *FAST_SETS,
                    "--set", "data.dev_fraction=0") == 0
 
+    def test_splits_use_seed_0(self):
+        dataset = generate_corpus(CorpusSpec(n_relations=3, instances_per_relation=10), seed=1)
+        ids = lambda splits: [[i.tokens for i in part.instances]
+                              for part in (splits.train, splits.dev, splits.test)]
+        got = ids(_splits(dataset, resolve_config(None, [], None, "train")))
+        assert got == ids(make_splits(dataset, 0.2, 0.2, seed=0))
+        assert got != ids(make_splits(dataset, 0.2, 0.2, seed=1))
+
     def test_idempotent_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -299,7 +322,9 @@ class TestReadme:
     # the README names these only to say that they are gone
     DELETED = {"train.entity_order", "train.entity_markers", "train.best_dev_selection",
                "train.score_mode", "model.dtype", "model.dropout", "train.weight_decay",
-               "train.pretrain_lr", "eval.include_na"}
+               "train.pretrain_lr", "eval.include_na", "pretrain.batch_size", "pretrain.lr",
+               "pretrain.mask_rate", "pretrain.holdout_fraction", "data.split_seed",
+               "analysis.top_k"}
 
     def test_every_key_written_in_readme_exists(self):
         # a deleted config key must not linger in the documentation: neither
@@ -536,10 +561,7 @@ class TestPretrainCommand:
         assert "config" not in payload   # resolved_config.json holds it
 
     @pytest.mark.parametrize("override,field", [
-        ("pretrain.steps=-3", "steps"), ("pretrain.steps=0", "steps"),
-        ("pretrain.lr=nan", "lr"),
-        ("pretrain.mask_rate=0", "mask_rate"),
-        ("pretrain.holdout_fraction=1.0", "holdout_fraction")])
+        ("pretrain.steps=-3", "steps"), ("pretrain.steps=0", "steps")])
     def test_bad_pretrain_value_exits_2_naming_field(self, tmp_path, capsys,
                                                       override, field):
         out = tmp_path / "p"
@@ -549,12 +571,14 @@ class TestPretrainCommand:
         assert not (out / "pretrained.ckpt").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_parameters_exit_1(self, tmp_path, capsys):
+    def test_non_finite_parameters_exit_1(self, tmp_path, capsys, monkeypatch):
         # steps of 1e300 overflow the parameters to NaN/Inf within three steps
-        code = run("pretrain", "--out", str(tmp_path / "p"), *FAST_SETS,
-                   "--set", "pretrain.lr=1e300")
+        monkeypatch.setattr("mvre.model.PRETRAIN_LR", 1e300)
+        code = run("pretrain", "--out", str(tmp_path / "p"), *FAST_SETS)
         assert code == 1
-        assert "NaN/Inf" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "NaN/Inf" in err
+        assert "after AdamW step" in err  # the step's own check, not the final one
 
     def test_train_from_checkpoint(self, tmp_path):
         pre = tmp_path / "p"
@@ -764,8 +788,7 @@ class TestReportCommands:
 
     def test_probe_init_honours_pretrain_keys(self, tmp_path):
         reports = []
-        for name, sets in (("a", []), ("b", ["--set", "pretrain.batch_size=2",
-                                             "--set", "pretrain.mask_rate=0.5"])):
+        for name, sets in (("a", []), ("b", ["--set", "pretrain.steps=4", "--seed", "3"])):
             assert run("probe-init", "--out", str(tmp_path / name), *FAST_SETS, *sets) == 0
             reports.append((tmp_path / name / "probe_report.json").read_bytes())
         assert reports[0] != reports[1]
@@ -784,6 +807,20 @@ class TestReportCommands:
         assert len(payload["columns"]) == json.loads(
             (out / "resolved_config.json").read_text())["corpus.aspects_per_relation"]
         assert "config" not in payload
+
+    def test_analyze_views_averages_the_top_10(self, tmp_path):
+        aspects = {"first": ["r0a0w0", "r1a0w0"], "second": ["r0a1w0", "r0a1w1"]}
+        (tmp_path / "aspects.json").write_text(json.dumps(aspects))
+        out = tmp_path / "av"
+        assert run("analyze-views", "--out", str(out), "--checkpoint",
+                   str(FIXTURES / "probe_toy.ckpt"),
+                   "--aspects", str(tmp_path / "aspects.json")) == 0
+        got = json.loads((out / "heatmap.json").read_text())["matrix"]
+        ckpt = load_checkpoint(FIXTURES / "probe_toy.ckpt")
+        vocab, verbalizer = vocab_from_payload(ckpt.vocab_payload)
+        want = {top_k: view_aspect_heatmap(ckpt.model, vocab, verbalizer, aspects,
+                                           top_k=top_k)[0].tolist() for top_k in (3, 10)}
+        assert got == want[10] and got != want[3]
 
     def test_analyze_views_requires_checkpoint(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -813,8 +850,7 @@ class TestReportCommands:
 
     @pytest.mark.parametrize("argv,message", [
         (["--seed", "5"], "'pretrain.seed' is 5"),
-        (["--set", "pretrain.steps=99"], "'pretrain.steps' is 99"),
-        (["--set", "pretrain.mask_rate=0.5"], "'pretrain.mask_rate' is 0.5")])
+        (["--set", "pretrain.steps=99"], "'pretrain.steps' is 99")])
     def test_probe_init_from_checkpoint_rejects_pretrain_keys(self, tmp_path, capsys, argv,
                                                               message):
         checkpoint, out = FIXTURES / "probe_toy.ckpt", tmp_path / "pi"

@@ -16,7 +16,7 @@ from mvre.data import CorpusSpec, Dataset, generate_corpus, make_splits, sample_
 from mvre.errors import ValidationError
 from mvre.experiments import TrainConfig, train
 from mvre.losses import ViewPosteriorHead
-from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig,
+from mvre.model import (AdamW, MlmModel, ModelConfig, PretrainConfig, _apply_mlm_mask,
                         forward_batch, load_checkpoint, maskable_positions,
                         pretrain_mlm, save_checkpoint)
 from mvre.schema import synthetic_schema
@@ -466,27 +466,11 @@ class TestPretrain:
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
 
-    def test_zero_batch_size_rejected(self):
-        with pytest.raises(ValidationError, match="batch_size"):
-            pretrain_mlm(self.model, self.ds, self.vocab, PretrainConfig(batch_size=0))
-
-    @pytest.mark.parametrize("field,value", [
-        ("steps", -3), ("lr", 0.0), ("lr", -1e-3), ("lr", float("nan")),
-        ("lr", float("inf")), ("mask_rate", 0.0), ("mask_rate", 1.5),
-        ("mask_rate", float("nan")), ("holdout_fraction", 1.0),
-        ("holdout_fraction", -0.1), ("seed", -1)])
+    @pytest.mark.parametrize("field,value", [("steps", -3), ("seed", -1)])
     def test_bad_config_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             pretrain_mlm(self.model, self.ds, self.vocab,
                          PretrainConfig(**{field: value}))
-
-    def test_holdout_taking_every_sentence_rejected(self):
-        # round(3 * 0.9) = 3 would leave nothing to train on, and the
-        # "held-out" accuracy would be measured on training sentences
-        corpus = Dataset(self.ds.instances[:3], self.ds.relations)
-        with pytest.raises(ValidationError, match="holdout_fraction=0.9 holds out all 3"):
-            pretrain_mlm(self.model, corpus, self.vocab,
-                         PretrainConfig(steps=1, holdout_fraction=0.9))
 
     @pytest.mark.parametrize("part", ["train", "held-out"])
     def test_sentence_over_max_len_rejected_before_any_step(self, monkeypatch, part):
@@ -512,7 +496,49 @@ class TestPretrain:
         assert steps == []
 
     def test_edge_values_accepted(self):
-        PretrainConfig(steps=0, mask_rate=1.0, holdout_fraction=0.0).validate()
+        PretrainConfig(steps=0).validate()
+
+    @pytest.mark.parametrize("n,masked", [(1, 1), (3, 1), (4, 1), (7, 1), (20, 3), (40, 6)])
+    def test_mask_takes_15_percent_of_the_candidates(self, n, masked):
+        # round(0.15 n) distinct candidates, and at least one
+        ids = np.arange(100, 100 + n + 2)
+        candidates = np.arange(1, n + 1)
+        corrupted, positions, targets = _apply_mlm_mask(ids, candidates, 7,
+                                                        np.random.default_rng(0))
+        assert len(positions) == masked and np.all(np.diff(positions) > 0)
+        assert np.isin(positions, candidates).all()
+        np.testing.assert_array_equal(targets, ids[positions])
+        want = np.arange(100, 100 + n + 2)
+        want[positions] = 7
+        np.testing.assert_array_equal(corrupted, want)
+        np.testing.assert_array_equal(ids, np.arange(100, 100 + n + 2))
+
+    def _forward_batch_sizes(self, monkeypatch):
+        sizes, real = [], forward_batch
+
+        def spy(model, seqs, **kwargs):
+            sizes.append(len(seqs))
+            return real(model, seqs, **kwargs)
+
+        monkeypatch.setattr("mvre.model.forward_batch", spy)
+        return sizes
+
+    def test_each_step_trains_on_eight_sentences(self, monkeypatch):
+        # three steps of 8, then the 3 held-out sentences of 30 in one batch
+        sizes = self._forward_batch_sizes(monkeypatch)
+        pretrain_mlm(self.model, self.ds, self.vocab, PretrainConfig(steps=3, log_every=0))
+        assert len(self.ds.instances) == 30 and sizes == [8, 8, 8, 3]
+
+    @pytest.mark.parametrize("n,held", [(1, 0), (4, 0), (5, 0), (15, 2), (30, 3)])
+    def test_hold_out_leaves_sentences_to_train_on(self, monkeypatch, n, held):
+        # round(0.1 n) < n for every n >= 1: no corpus is held out whole
+        sizes = self._forward_batch_sizes(monkeypatch)
+        corpus = Dataset(self.ds.instances[:n], self.ds.relations)
+        result = pretrain_mlm(self.model, corpus, self.vocab,
+                              PretrainConfig(steps=1, log_every=0))
+        assert sizes[0] == 8 and sum(sizes[1:]) == held
+        assert len(result.step_losses) == 1 and np.isfinite(result.step_losses[0])
+        assert (result.n_holdout_predictions > 0) == (held > 0)
 
     def test_maskable_positions_match_isin(self):
         spec, dataset, _, full = trend_world()
@@ -524,9 +550,10 @@ class TestPretrain:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_step_fails_at_once(self):
+    def test_non_finite_step_fails_at_once(self, monkeypatch):
         # steps of 1e300 overflow token_embed after step 2; training stops there
-        cfg = PretrainConfig(steps=50, lr=1e300, log_every=0)
+        monkeypatch.setattr("mvre.model.PRETRAIN_LR", 1e300)
+        cfg = PretrainConfig(steps=50, log_every=0)
         with pytest.raises(FloatingPointError, match=r"NaN/Inf after AdamW step [123]$"):
             pretrain_mlm(self.model, self.ds, self.vocab, cfg)
 
