@@ -378,18 +378,11 @@ def cmd_sim_protocol(args, cfg: dict) -> int:
 
 
 def cmd_probe_init(args, cfg: dict) -> int:
-    if args.checkpoint is not None:
-        if args.schema is None:
-            raise CliError("probe-init with --checkpoint also needs --schema")
-        schema = load_schema(args.schema)
-        artifacts, tc, _ = _from_checkpoint(args.checkpoint, cfg, schema=schema,
-                                            schema_file=args.schema,
-                                            pretrain_keys=_field_keys("pretrain"))
-        schema = schema.with_m(tc.m)
-    else:
-        dataset, schema = _load_corpus_and_schema(args, cfg)
-        configs = build_configs(cfg)
-        artifacts, _ = pretrain_bundle(dataset, schema, configs["model"], configs["pretrain"])
+    schema = load_schema(args.schema)
+    artifacts, tc, _ = _from_checkpoint(args.checkpoint, cfg, schema=schema,
+                                        schema_file=args.schema,
+                                        pretrain_keys=_field_keys("pretrain"))
+    schema = schema.with_m(tc.m)
     _, report = apply_init(DYNAMIC, schema, artifacts.vocab, artifacts.verbalizer,
                            artifacts.model)
     out = _out_dir(args, cfg)
@@ -461,7 +454,7 @@ _COMMANDS = {
     "eval": (cmd_eval, None, ("checkpoint!", "dataset!")),
     "sweep-m": (cmd_sweep_m, "sweep.seeds", _CORPUS_FLAGS),
     "sim-protocol": (cmd_sim_protocol, "protocol.seeds", _CORPUS_FLAGS),
-    "probe-init": (cmd_probe_init, "pretrain.seed", (*_CORPUS_FLAGS, "checkpoint")),
+    "probe-init": (cmd_probe_init, None, ("checkpoint!", "schema!")),
     "analyze-views": (cmd_analyze_views, None, ("checkpoint!", "aspects")),
 }
 

@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
@@ -287,6 +286,7 @@ def run_grid(splits: DatasetSplits, schema: RelationSchema, ks: list[int],
              for k in ks for cfg in configs for seed in seeds]
     workers = _worker_count()
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel grid needs it
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             scores = list(pool.map(_grid_task, tasks))
     else:

@@ -12,10 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from mvre.cli import DEFAULTS, _splits, build_configs, main, resolve_config, CliError
+from mvre.cli import (DEFAULTS, _COMMANDS, _splits, build_configs, main, resolve_config,
+                      CliError)
 from mvre.data import CorpusSpec, generate_corpus, make_splits
-from mvre.experiments import view_aspect_heatmap
-from mvre.model import MlmModel, ModelConfig, load_checkpoint, save_checkpoint
+from mvre.experiments import pretrain_bundle, view_aspect_heatmap
+from mvre.init_schemes import DYNAMIC, apply_init, save_probe_report
+from mvre.model import MlmModel, ModelConfig, PretrainConfig, load_checkpoint, save_checkpoint
+from mvre.schema import synthetic_schema
 from mvre.vocab import vocab_from_payload
 
 from acceptance_workloads import platform_note
@@ -41,6 +44,16 @@ FAST_SETS = [
 
 def run(*argv):
     return main(list(argv))
+
+
+def without_keys(sets, section):
+    """``sets`` without its ``--set`` pairs that name a ``section`` key."""
+    return [arg for i, arg in enumerate(sets) if not arg.startswith(f"{section}.")
+            and not (arg == "--set" and sets[i + 1].startswith(f"{section}."))]
+
+
+# FAST_SETS for a run from a checkpoint, which pretrains nothing
+PROBE_SETS = without_keys(FAST_SETS, "pretrain")
 
 
 class TestConfigResolution:
@@ -317,6 +330,9 @@ class TestGenerateCorpus:
         assert (a / "schema.json").read_bytes() == (b / "schema.json").read_bytes()
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 class TestReadme:
     SECTIONS = "corpus|data|model|pretrain|train|sweep|protocol|analysis|eval"
     # the README names these only to say that they are gone
@@ -329,8 +345,7 @@ class TestReadme:
     def test_every_key_written_in_readme_exists(self):
         # a deleted config key must not linger in the documentation: neither
         # set (`key=value`) nor named alone in backticks
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-            encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         key = rf"((?:{self.SECTIONS})\.[a-z_0-9]+)"
         set_keys = set(re.findall(rf"\b{key}=", readme))
         named = set(re.findall(rf"`{key}`", readme))
@@ -342,6 +357,20 @@ class TestReadme:
         for key in sorted(self.DELETED):  # each one really is gone
             with pytest.raises(CliError, match=f"unknown config key {key!r}"):
                 resolve_config(None, [f"{key}=0"], None, "train")
+
+    def test_file_flag_table_is_the_commands(self):
+        # each row: the commands, then their file flags, a required one marked so
+        table = README.read_text(encoding="utf-8").split(
+            "| command | file flags |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for row in table.splitlines():
+            commands, flags = row.strip("|").split("|")
+            for command in re.findall(r"`([a-z-]+)`", commands):
+                documented[command] = sorted(re.findall(r"`--([a-z]+)`( \(required\))?", flags))
+        assert documented == {
+            name: sorted((flag.rstrip("!"), " (required)" if flag.endswith("!") else "")
+                         for flag in flags)
+            for name, (_, _, flags) in _COMMANDS.items()}
 
 
 class TestTrainEvalRound:
@@ -580,6 +609,13 @@ class TestPretrainCommand:
         assert "NaN/Inf" in err
         assert "after AdamW step" in err  # the step's own check, not the final one
 
+    def test_pretrain_honours_pretrain_keys(self, tmp_path):
+        checkpoints = []
+        for name, sets in (("a", []), ("b", ["--set", "pretrain.steps=4", "--seed", "3"])):
+            assert run("pretrain", "--out", str(tmp_path / name), *FAST_SETS, *sets) == 0
+            checkpoints.append((tmp_path / name / "pretrained.ckpt").read_bytes())
+        assert checkpoints[0] != checkpoints[1]
+
     def test_train_from_checkpoint(self, tmp_path):
         pre = tmp_path / "p"
         run("pretrain", "--out", str(pre), *FAST_SETS)
@@ -635,8 +671,7 @@ class TestTrainFromCheckpoint:
     def test_default_and_matching_settings_pass(self, tmp_path, checkpoint, corpus):
         # FAST_SETS' model keys match the checkpoint; without them every model
         # key is at its default, and the run takes the checkpoint's max_len
-        defaults = [arg for i, arg in enumerate(FAST_SETS) if not arg.startswith("model.")
-                    and not (arg == "--set" and FAST_SETS[i + 1].startswith("model."))]
+        defaults = without_keys(FAST_SETS, "model")
         for name, sets in (("match", FAST_SETS), ("default", defaults)):
             assert run("train", "--out", str(tmp_path / name), "--checkpoint",
                        str(checkpoint), *sets, "--set", "train.pretrain_steps=0") == 0
@@ -713,8 +748,9 @@ class TestInputFiles:
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps(payload))
         out = tmp_path / "o"
-        code = run(command, "--out", str(out), *FAST_SETS, "--corpus", str(corpus),
-                   "--schema", str(schema))
+        data = (["--checkpoint", str(FIXTURES / "probe_toy.ckpt")] if command == "probe-init"
+                else ["--corpus", str(corpus)])
+        code = run(command, "--out", str(out), *FAST_SETS, *data, "--schema", str(schema))
         err = capsys.readouterr().err
         assert code == 1 and err.startswith(f"error: {schema}: ") and field in err
         assert not out.exists()
@@ -778,20 +814,40 @@ class TestReportCommands:
         assert payload["ratio_single_mask"] == 1.0
         assert "config" not in payload
 
-    def test_probe_init_record_per_relation_view(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def pretrained(self, tmp_path_factory):
+        """A ``pretrain --seed 3`` checkpoint of the FAST_SETS corpus, and its schema."""
+        out = tmp_path_factory.mktemp("pretrained")
+        assert run("generate-corpus", "--out", str(out / "c"), *FAST_SETS) == 0
+        assert run("pretrain", "--out", str(out / "p"), *FAST_SETS, "--seed", "3") == 0
+        return out / "p" / "pretrained.ckpt", out / "c" / "schema.json"
+
+    def test_probe_init_record_per_relation_view(self, tmp_path, pretrained):
+        checkpoint, schema = pretrained
         out = tmp_path / "pi"
-        code = run("probe-init", "--out", str(out), *FAST_SETS)
+        code = run("probe-init", "--out", str(out), "--checkpoint", str(checkpoint),
+                   "--schema", str(schema), *PROBE_SETS)
         assert code == 0
         report = json.loads((out / "probe_report.json").read_text())
         assert len(report) == 3 * 2   # relations x views
         assert set(report[0]) == {"relation", "view", "token", "probability"}
 
-    def test_probe_init_honours_pretrain_keys(self, tmp_path):
-        reports = []
-        for name, sets in (("a", []), ("b", ["--set", "pretrain.steps=4", "--seed", "3"])):
-            assert run("probe-init", "--out", str(tmp_path / name), *FAST_SETS, *sets) == 0
-            reports.append((tmp_path / name / "probe_report.json").read_bytes())
-        assert reports[0] != reports[1]
+    def test_probe_init_report_is_the_library_probe(self, tmp_path, pretrained):
+        # the CLI adds nothing to apply_init on pretrain_bundle's model
+        checkpoint, schema = pretrained
+        assert run("probe-init", "--out", str(tmp_path / "pi"), "--checkpoint",
+                   str(checkpoint), "--schema", str(schema), *PROBE_SETS) == 0
+        spec = CorpusSpec(n_relations=3, instances_per_relation=8, vocab_pool_size=20)
+        dataset = generate_corpus(spec, seed=1)   # corpus.seed's default
+        library_schema = synthetic_schema(spec, dataset, m=2)
+        bundle, _ = pretrain_bundle(dataset, library_schema,
+                                    ModelConfig(d=12, n_layers=1, n_heads=2, max_len=48),
+                                    PretrainConfig(steps=3, seed=3))
+        _, report = apply_init(DYNAMIC, library_schema, bundle.vocab, bundle.verbalizer,
+                               bundle.model)
+        save_probe_report(report, tmp_path / "library.json")
+        assert ((tmp_path / "pi" / "probe_report.json").read_bytes()
+                == (tmp_path / "library.json").read_bytes())
 
     def test_analyze_views_shape(self, tmp_path):
         pre = tmp_path / "p"
@@ -848,28 +904,38 @@ class TestReportCommands:
             assert str(relations) in err
             assert not out.exists()
 
-    @pytest.mark.parametrize("argv,message", [
-        (["--seed", "5"], "'pretrain.seed' is 5"),
-        (["--set", "pretrain.steps=99"], "'pretrain.steps' is 99")])
-    def test_probe_init_from_checkpoint_rejects_pretrain_keys(self, tmp_path, capsys, argv,
-                                                              message):
+    def test_probe_init_rejects_pretrain_keys(self, tmp_path, capsys):
         checkpoint, out = FIXTURES / "probe_toy.ckpt", tmp_path / "pi"
         assert run("probe-init", "--out", str(out), "--checkpoint", str(checkpoint),
-                   "--schema", str(FIXTURES / "probe_schema.json"), *argv) == 2
+                   "--schema", str(FIXTURES / "probe_schema.json"),
+                   "--set", "pretrain.steps=99") == 2
         err = capsys.readouterr().err
-        assert f"{message}, but the run from checkpoint {checkpoint} does not pretrain" in err
+        assert (f"'pretrain.steps' is 99, but the run from checkpoint {checkpoint} "
+                f"does not pretrain") in err
         assert not out.exists()
 
 
 class TestImports:
-    def test_import_and_help_load_no_scipy(self):
+    @staticmethod
+    def loaded_after_import(*modules):
+        """Which of ``modules`` (or their submodules) ``import mvre, mvre.cli`` and
+        ``mvre --help`` load, in a fresh interpreter."""
         code = ("import sys, mvre, mvre.cli\n"
                 "try:\n    mvre.cli.main(['--help'])\nexcept SystemExit:\n    pass\n"
-                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+                f"names = {modules!r}\n"
+                "print(sorted(m for m in sys.modules if m in names\n"
+                "             or any(m.startswith(n + '.') for n in names)))")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True)
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_import_and_help_load_no_scipy(self):
+        assert self.loaded_after_import("scipy") == "[]"
+
+    def test_import_and_help_load_no_process_pool(self):
+        # only a parallel grid imports the pool
+        assert self.loaded_after_import("multiprocessing", "concurrent.futures.process") == "[]"
 
 
 class TestCommandFlags:
@@ -878,7 +944,9 @@ class TestCommandFlags:
         ["sim-protocol", "--dataset", "d.jsonl"], ["generate-corpus", "--corpus", "c.jsonl"],
         ["eval", "--checkpoint", "m.ckpt", "--dataset", "d.jsonl", "--corpus", "c.jsonl"],
         ["eval", "--checkpoint", "m.ckpt", "--dataset", "d.jsonl", "--seed", "5"],
-        ["analyze-views", "--checkpoint", "m.ckpt", "--seed", "5"]])
+        ["analyze-views", "--checkpoint", "m.ckpt", "--seed", "5"],
+        ["probe-init", "--checkpoint", "m.ckpt", "--schema", "s.json", "--seed", "5"],
+        ["probe-init", "--checkpoint", "m.ckpt", "--schema", "s.json", "--corpus", "c.jsonl"]])
     def test_flag_the_command_does_not_take_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run(*argv, "--out", str(tmp_path / "o"))
@@ -886,11 +954,21 @@ class TestCommandFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv,missing", [
+        (["--checkpoint", str(FIXTURES / "probe_toy.ckpt")], "--schema"),
+        (["--schema", str(FIXTURES / "probe_schema.json")], "--checkpoint"),
+        ([], "--checkpoint, --schema")])
+    def test_probe_init_without_checkpoint_or_schema_exits_2(self, tmp_path, capsys, argv,
+                                                             missing):
+        with pytest.raises(SystemExit) as exc:
+            run("probe-init", *argv, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {missing}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["train", "--corpus", "{tmp}/corpus.jsonl"],
          "--schema is required when --corpus is given"),
-        (["probe-init", "--checkpoint", str(FIXTURES / "probe_toy.ckpt")],
-         "probe-init with --checkpoint also needs --schema"),
         (["generate-corpus", "--config", "{tmp}/missing.json"],
          "config file not found: {tmp}/missing.json"),
         (["generate-corpus", "--config", "{tmp}/list.json"],

@@ -507,7 +507,7 @@ class TestParallelGrid:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(exp, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(exp, "_grid_task", lambda task: 0.5)
         return sizes
 
